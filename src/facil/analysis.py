@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -132,11 +133,7 @@ def baseline_sampler(
 
     key = np.array([seed & (2**64 - 1), stream_tag(strategy)], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    draws = rng.multinomial(n_demos, probs)
-    counts = {
-        space.decode(idx): int(n) for idx, n in enumerate(draws) if n > 0
-    }
-    return Dataset(space, counts)
+    return Dataset.from_grid(space, rng.multinomial(n_demos, probs))
 
 
 @dataclass(frozen=True)
@@ -188,6 +185,7 @@ def compare_strategies(
     The flywheel runs once; each budget evaluates its truncation.  Baselines
     draw budget-many demos directly.  Every (strategy, budget) cell gets its
     own rollout streams, so outcomes are order-independent and reproducible.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     if list(budgets) != sorted(int(b) for b in budgets):
         raise ValueError("budgets must be sorted ascending")
@@ -200,7 +198,6 @@ def compare_strategies(
         params,
         cfg,
         eval_tag_base=derive_tag(seed, stream_tag("facil_ratio")),
-        threads=threads,
     )
 
     outcomes: list[StrategyOutcome] = []
@@ -226,7 +223,6 @@ def compare_strategies(
                 space,
                 cfg.k,
                 iteration_tag=derive_tag(seed, stream_tag(strategy), budget),
-                threads=threads,
             )
             outcomes.append(
                 StrategyOutcome(
@@ -358,7 +354,8 @@ def bundled_rates(name: str) -> str:
 def load_rate_table(text: str) -> dict[str, list[tuple[float, float]]]:
     """Parse a (benchmark, n_demos, success_rate) CSV into fit inputs.
 
-    A missing benchmark column puts every row under the single key "all".
+    A missing benchmark column puts every row under the single key "all";
+    a value that is not a finite number is an error.
     """
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
@@ -369,7 +366,10 @@ def load_rate_table(text: str) -> dict[str, list[tuple[float, float]]]:
     grouped: dict[str, list[tuple[float, float]]] = {}
     for row in reader:
         benchmark = row.get("benchmark", "all") or "all"
-        grouped.setdefault(benchmark, []).append(
-            (float(row["n_demos"]), float(row["success_rate"]))
-        )
+        point = (float(row["n_demos"]), float(row["success_rate"]))
+        if not all(map(math.isfinite, point)):
+            raise ValueError(
+                f"line {reader.line_num}: n_demos and success_rate must be finite, got {point}"
+            )
+        grouped.setdefault(benchmark, []).append(point)
     return grouped

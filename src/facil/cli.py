@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -69,6 +70,24 @@ def _check_keys(doc: dict, allowed: set[str], path: str) -> None:
     for key in doc:
         if key not in allowed:
             _fail(f"{path}.{key}" if path else key, "unknown configuration key")
+
+
+def _finite(value, path: str) -> float:
+    """A config number as a finite float; anything else is a ConfigError."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    _fail(path, f"must be a finite number, got {value!r}")
+    raise AssertionError("unreachable")
+
+
+def _check_in_space(space: FactorSpace, comp: Composition, path: str) -> None:
+    try:
+        space.validate(comp)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _space_selector(value, path: str) -> FactorSpace:
@@ -185,13 +204,13 @@ def build_config(doc: dict) -> RunConfig:
     if not isinstance(oracle_doc, dict):
         _fail("oracle", "must be an object")
     _check_keys(oracle_doc, {"kappa0", "beta", "p_max", "blacklist"}, "oracle")
-    kappa0 = float(oracle_doc.get("kappa0", DEFAULT_KAPPA0))
+    kappa0 = _finite(oracle_doc.get("kappa0", DEFAULT_KAPPA0), "oracle.kappa0")
     if not kappa0 > 0:
         _fail("oracle.kappa0", f"must be > 0, got {kappa0!r}")
-    beta = float(oracle_doc.get("beta", DEFAULT_BETA))
+    beta = _finite(oracle_doc.get("beta", DEFAULT_BETA), "oracle.beta")
     if beta < 0:
         _fail("oracle.beta", f"must be >= 0, got {beta!r}")
-    p_max = float(oracle_doc.get("p_max", DEFAULT_P_MAX))
+    p_max = _finite(oracle_doc.get("p_max", DEFAULT_P_MAX), "oracle.p_max")
     if not 0 < p_max <= 1:
         _fail("oracle.p_max", f"must be in (0, 1], got {p_max!r}")
     raw_blacklist = oracle_doc.get("blacklist", [list(map(list, p)) for p in DEFAULT_BLACKLIST])
@@ -214,7 +233,7 @@ def build_config(doc: dict) -> RunConfig:
         {"tau", "unit_size", "k", "max_iterations", "evaluation_mode", "initial_compositions"},
         "flywheel",
     )
-    tau = float(fw_doc.get("tau", 0.8))
+    tau = _finite(fw_doc.get("tau", 0.8), "flywheel.tau")
     if not 0 < tau < 1:
         _fail("flywheel.tau", f"must be in (0, 1), got {tau!r}")
     unit_size = fw_doc.get("unit_size", 50)
@@ -274,7 +293,7 @@ def build_config(doc: dict) -> RunConfig:
             mode = tuple(int(v) for v in mode)
         except (TypeError, ValueError):
             _fail("gaussian.mode", "must be a list of level indices")
-    sigma = float(gaussian_doc.get("sigma", 1.0))
+    sigma = _finite(gaussian_doc.get("sigma", 1.0), "gaussian.sigma")
     if not sigma > 0:
         _fail("gaussian.sigma", f"must be > 0, got {sigma!r}")
 
@@ -351,19 +370,26 @@ def _write_history_files(out: Path, history: RunHistory, suffix: str = "") -> No
         _write(out / f"rates{tag}_iter_{rec.iteration:03d}.csv", rec.report.to_csv())
 
 
-def _cmd_run(config: RunConfig, threads: int) -> int:
+def _check_initial(config: RunConfig, space: FactorSpace) -> None:
+    for i, comp in enumerate(config.flywheel.initial_compositions or ()):
+        _check_in_space(space, comp, f"flywheel.initial_compositions[{i}]")
+
+
+def _cmd_run(config: RunConfig) -> int:
     space = config.space()
+    _check_initial(config, space)
     params = config.family().params_for(space)
-    history = run_flywheel(space, params, config.flywheel, threads=threads)
+    history = run_flywheel(space, params, config.flywheel)
     out = _resolve_out_dir(config)
     _write_history_files(out, history)
     _write(out / "summary.json", json.dumps(history.summary(), indent=2) + "\n")
     return 0 if history.converged else 1
 
 
-def _cmd_expand(config: RunConfig, threads: int) -> int:
+def _cmd_expand(config: RunConfig) -> int:
     stages = config.stage_spaces()
-    histories = sequential_expansion(stages, config.family(), config.flywheel, threads=threads)
+    _check_initial(config, stages[0])
+    histories = sequential_expansion(stages, config.family(), config.flywheel)
     out = _resolve_out_dir(config)
     for history in histories:
         _write_history_files(out, history, suffix=history.stage)
@@ -375,8 +401,11 @@ def _cmd_expand(config: RunConfig, threads: int) -> int:
     return 0 if summary["all_converged"] else 1
 
 
-def _cmd_compare(config: RunConfig, threads: int) -> int:
+def _cmd_compare(config: RunConfig) -> int:
     space = config.space()
+    _check_initial(config, space)
+    if config.gaussian_mode is not None:
+        _check_in_space(space, config.gaussian_mode, "gaussian.mode")
     params = config.family().params_for(space)
     outcomes = compare_strategies(
         space,
@@ -386,7 +415,6 @@ def _cmd_compare(config: RunConfig, threads: int) -> int:
         config.seed,
         gaussian_mode=config.gaussian_mode,
         gaussian_sigma=config.gaussian_sigma,
-        threads=threads,
     )
     outcomes = [o for o in outcomes if o.strategy in config.strategies]
     out = _resolve_out_dir(config)
@@ -401,7 +429,7 @@ def _cmd_fit(config: RunConfig, input_path: str) -> int:
     try:
         table = load_rate_table(file.read_text(encoding="utf-8"))
         fits = {benchmark: fit_power_law(points) for benchmark, points in table.items()}
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"fit.input: {exc}") from exc
     out = _resolve_out_dir(config)
     _write(out / "scaling.csv", scaling_csv(fits))
@@ -415,10 +443,7 @@ def _cmd_check_comp(config: RunConfig) -> int:
     if train is None:
         raise ConfigError("check.train: required for check-comp")
     for i, comp in enumerate(train):
-        try:
-            space.validate(comp)
-        except ValueError as exc:
-            raise ConfigError(f"check.train[{i}]: {exc}") from exc
+        _check_in_space(space, comp, f"check.train[{i}]")
     dataset = Dataset(space, {comp: config.demos_per_composition for comp in train})
     probs = success_tensor(params, dataset)
     report = compositionality_check(set(train), probs, config.flywheel.tau)
@@ -458,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="evaluation threads (no output change)")
+        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect")
 
     common(sub.add_parser("run", help="single-space flywheel"))
     common(sub.add_parser("expand", help="staged expansion across factor spaces"))
@@ -489,14 +514,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             doc = config.to_doc()
             doc["seed"] = args.seed
             config = build_config(doc)
-        threads = max(1, int(args.threads))
-
         if args.command == "run":
-            return _cmd_run(config, threads)
+            return _cmd_run(config)
         if args.command == "expand":
-            return _cmd_expand(config, threads)
+            return _cmd_expand(config)
         if args.command == "compare":
-            return _cmd_compare(config, threads)
+            return _cmd_compare(config)
         if args.command == "fit":
             return _cmd_fit(config, args.input)
         if args.command == "check-comp":

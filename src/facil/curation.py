@@ -15,8 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, DemoBatch, add_demos
-from .orbit import MarkTensor, hypercube_span
+# add_demos stays importable from here: bench/tracer.py wraps it at this lookup site.
+from .dataset import Dataset, DemoBatch, add_demos, add_many  # noqa: F401
+from .orbit import MarkTensor
 from .spaces import Composition, FactorSpace, Tensor, format_composition
 
 
@@ -78,8 +79,8 @@ def curate_expansion(
     loop.  Marking starts from {R > tau}.  Each round selects the unmarked
     cell with minimal score (ties: smallest linear index), marks it, marks
     every hypercube spanned against the current support, then emits a batch
-    of unit_size demos at the selection and folds it into the dataset, so
-    later spans see earlier selections as support.
+    of unit_size demos at the selection, so later spans see earlier
+    selections as support.  The returned dataset has every batch folded in.
     """
     space = rates.space
     if space.shape != dataset.space.shape:
@@ -93,23 +94,17 @@ def curate_expansion(
 
     scores = aggregated_tensor(rates).values
     marks = MarkTensor(space, rates.values > tau)
+    support = list(dataset.support)
     batches: list[DemoBatch] = []
     steps: list[CurationStep] = []
-    current = dataset
 
     while not marks.all_marked():
         candidates = marks.unmarked_indices()
         selected_idx = int(candidates[np.argmin(scores[candidates])])
         selected = space.decode(selected_idx)
-
-        newly = marks.mark(selected)
-        newly_count = 1 if newly else 0
-        for d in current.support:
-            newly_count += marks.mark_all(hypercube_span(selected, d))
-
-        batch = DemoBatch(selected, unit_size)
-        batches.append(batch)
-        current = add_demos(current, batch)
+        newly_count = marks.mark_spans(selected, support)
+        support.append(selected)
+        batches.append(DemoBatch(selected, unit_size))
         steps.append(
             CurationStep(
                 step=len(steps),
@@ -122,4 +117,4 @@ def curate_expansion(
         # Each round marks its selection, so the loop is bounded by the grid.
         assert len(steps) <= space.cardinality
 
-    return batches, current, CurationTrace(tuple(steps))
+    return batches, add_many(dataset, batches), CurationTrace(tuple(steps))

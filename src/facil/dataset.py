@@ -1,9 +1,11 @@
 """Demonstration datasets over a factor space.
 
-A dataset is a multiset of demonstrations keyed by composition; only the
-per-composition counts matter to every consumer in this package.  Updates are
-value-semantic: adding a batch returns a new snapshot and leaves the input
-untouched, so iteration histories can hold per-iteration datasets cheaply.
+A dataset is a multiset of demonstrations; every consumer in this package
+needs only its per-composition counts, held as one read-only int64 array
+shaped like the space (``Dataset.grid``).  Counts are validated where they
+enter from outside: the constructors, added batches and the CSV/JSON loaders.
+Updates are value-semantic: adding a batch returns a new snapshot and leaves
+the input untouched, so iteration histories can hold per-iteration datasets.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -34,57 +36,82 @@ class DemoBatch:
             raise ValueError(f"batch count must be >= 1, got {self.count}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Dataset:
-    space: FactorSpace
-    counts: Mapping[Composition, int] = field(default_factory=dict)
+    """Demo counts over a space: ``grid`` is a read-only int64 array of its shape.
 
-    def __post_init__(self) -> None:
-        clean: dict[Composition, int] = {}
-        for c, n in self.counts.items():
-            c = self.space.validate(c)
-            n = int(n)
-            if n < 0:
-                raise ValueError(f"negative count {n} at {c}")
-            if n > 0:
-                clean[c] = n
-        object.__setattr__(self, "counts", MappingProxyType(clean))
+    ``Dataset(space, mapping)`` takes counts keyed by composition; zero
+    counts are allowed and stay out of the support.
+    """
+
+    space: FactorSpace
+    grid: np.ndarray
+
+    def __init__(self, space: FactorSpace, counts: Mapping[Composition, int] | None = None):
+        grid = np.zeros(space.shape, dtype=np.int64)
+        if counts:
+            grid[space.grid_index(list(counts))] = [int(n) for n in counts.values()]
+        self._freeze(space, grid)
+
+    @classmethod
+    def from_grid(cls, space: FactorSpace, grid: np.ndarray) -> "Dataset":
+        """Dataset with a copy of a count array of the space's size."""
+        out = cls.__new__(cls)
+        out._freeze(space, np.array(grid, dtype=np.int64).reshape(space.shape))
+        return out
+
+    def _freeze(self, space: FactorSpace, grid: np.ndarray) -> None:
+        if (grid < 0).any():
+            raise ValueError(f"negative count at {space.decode(int(np.argmin(grid)))}")
+        grid.setflags(write=False)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "grid", grid)
 
     @classmethod
     def empty(cls, space: FactorSpace) -> "Dataset":
-        return cls(space, {})
+        return cls(space)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.space == other.space and np.array_equal(self.grid, other.grid)
+
+    @property
+    def counts(self) -> Mapping[Composition, int]:
+        """Nonzero counts keyed by composition, in ascending linear index."""
+        points = np.argwhere(self.grid)  # row-major, so ascending linear index
+        values = self.grid[tuple(points.T)].tolist()
+        return MappingProxyType(dict(zip(map(tuple, points.tolist()), values)))
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.grid.sum())
 
     @property
     def support(self) -> frozenset[Composition]:
-        return frozenset(self.counts)
+        return frozenset(map(tuple, np.argwhere(self.grid).tolist()))
 
     def count_at(self, c: Composition) -> int:
-        return self.counts.get(self.space.validate(c), 0)
+        return int(self.grid[self.space.validate(c)])
 
     def count_array(self) -> np.ndarray:
-        """Counts as a flat row-major integer array over the space."""
-        out = np.zeros(self.space.cardinality, dtype=np.int64)
-        for c, n in self.counts.items():
-            out[self.space.encode(c)] = n
-        return out
+        """Counts as a flat, read-only row-major integer array over the space."""
+        return self.grid.reshape(-1)
 
 
 def add_demos(dataset: Dataset, batch: DemoBatch) -> Dataset:
     """Return a new dataset with the batch merged in."""
-    c = dataset.space.validate(batch.composition)
-    counts = dict(dataset.counts)
-    counts[c] = counts.get(c, 0) + batch.count
-    return Dataset(dataset.space, counts)
+    return add_many(dataset, [batch])
 
 
 def add_many(dataset: Dataset, batches: Iterable[DemoBatch]) -> Dataset:
-    for batch in batches:
-        dataset = add_demos(dataset, batch)
-    return dataset
+    """Return a new dataset with every batch merged in."""
+    batches = list(batches)
+    grid = dataset.grid.copy()
+    if batches:
+        index = dataset.space.grid_index([b.composition for b in batches])
+        np.add.at(grid, index, [b.count for b in batches])
+    return Dataset.from_grid(dataset.space, grid)
 
 
 def support_and_ratios(
@@ -96,23 +123,19 @@ def support_and_ratios(
     Requesting ratios of an empty dataset is an error; the support of an
     empty dataset is the empty set.
     """
-    support = dataset.support
-    if not support:
+    counts = dataset.counts
+    if not counts:
         raise ValueError("empty dataset has no ratios")
     total = dataset.total
-    ordered = sorted(support, key=dataset.space.encode)
-    ratios = {c: dataset.counts[c] / total for c in ordered}
-    return support, ratios
+    return frozenset(counts), {c: n / total for c, n in counts.items()}
 
 
 def marginal_counts(dataset: Dataset, dim: int) -> np.ndarray:
     """Demo counts aggregated per level of one dimension."""
     if not 0 <= dim < dataset.space.ndim:
         raise ValueError(f"dimension {dim} out of range for {dataset.space.ndim} dims")
-    out = np.zeros(dataset.space.shape[dim], dtype=np.int64)
-    for c, n in dataset.counts.items():
-        out[c[dim]] += n
-    return out
+    others = tuple(m for m in range(dataset.space.ndim) if m != dim)
+    return dataset.grid.sum(axis=others)
 
 
 CSV_HEADER = ["composition_indices", "count"]
@@ -123,8 +146,8 @@ def dataset_to_csv(dataset: Dataset) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for c in sorted(dataset.counts, key=dataset.space.encode):
-        writer.writerow([format_composition(c), dataset.counts[c]])
+    for c, n in dataset.counts.items():
+        writer.writerow([format_composition(c), n])
     return buf.getvalue()
 
 
@@ -145,10 +168,7 @@ def dataset_from_csv(space: FactorSpace, text: str) -> Dataset:
 def dataset_to_json(dataset: Dataset) -> str:
     doc = {
         "space": json.loads(dataset.space.to_json()),
-        "counts": {
-            format_composition(c): dataset.counts[c]
-            for c in sorted(dataset.counts, key=dataset.space.encode)
-        },
+        "counts": {format_composition(c): n for c, n in dataset.counts.items()},
     }
     return json.dumps(doc)
 

@@ -42,6 +42,7 @@ from .spaces import (
     FactorSpace,
     Tensor,
     diagonal_init,
+    gather_slots,
     new_factor_subspace,
     product_space,
     reduced_product,
@@ -342,32 +343,17 @@ def apportion_counts(total: int, ratios: Sequence[float]) -> list[int]:
     return base
 
 
-def _slot_index_map(reduced: FactorSpace) -> tuple[list[Composition], dict[Composition, int]]:
-    bases = slot_base_compositions(reduced)
-    return bases, {c: j for j, c in enumerate(bases)}
-
-
 def _project_reduced(dataset: Dataset, reduced: FactorSpace) -> Dataset:
     """View a full-coordinate dataset in (slot, new-factor) coordinates."""
-    bases, index = _slot_index_map(reduced)
-    width = len(bases[0])
-    counts: dict[Composition, int] = {}
-    for comp, n in dataset.counts.items():
-        prefix = comp[:width]
-        if prefix not in index:
-            raise ValueError(f"dataset composition {prefix} is not an inherited slot")
-        key = (index[prefix],) + comp[width:]
-        counts[key] = counts.get(key, 0) + n
-    return Dataset(reduced, counts)
+    rows = gather_slots(dataset.grid, reduced, dataset.space)
+    if rows.sum() != dataset.total:
+        raise ValueError("dataset has demos outside the inherited slots")
+    return Dataset.from_grid(reduced, rows)
 
 
 def _project_suffix(dataset: Dataset, prefix_width: int, subgrid: FactorSpace) -> Dataset:
     """Collapse a full-coordinate dataset onto the new-factor grid."""
-    counts: dict[Composition, int] = {}
-    for comp, n in dataset.counts.items():
-        key = comp[prefix_width:]
-        counts[key] = counts.get(key, 0) + n
-    return Dataset(subgrid, counts)
+    return Dataset.from_grid(subgrid, dataset.grid.sum(axis=tuple(range(prefix_width))))
 
 
 def run_flywheel(
@@ -385,7 +371,8 @@ def run_flywheel(
     needs `world`, the full-coordinate space its demos live in; curation then
     works either on the whole (slot x new grid) in exact mode or on the
     new-factor grid alone in ratio_guided mode, with each emitted batch
-    spread over the inherited slots by their frozen ratios.
+    spread over the inherited slots by their frozen ratios.  ``threads`` is
+    accepted for compatibility and has no effect.
     """
     reduced = space.slot_ratios is not None
     if not reduced:
@@ -396,19 +383,10 @@ def run_flywheel(
     else:
         if world is None:
             raise ValueError("a reduced search space needs its full-coordinate world space")
-        bases, _ = _slot_index_map(space)
+        bases = slot_base_compositions(space)
         width = len(bases[0])
-        subgrid = new_factor_subspace(space)
-        if width + subgrid.ndim != world.ndim:
-            raise ValueError(
-                f"slot width {width} + new dims {subgrid.ndim} does not match world {world.ndim}"
-            )
-        for base in bases:
-            for value, size in zip(base, world.shape[:width]):
-                if not 0 <= value < size:
-                    raise ValueError(f"slot base {base} does not fit the world space")
         ratio_mode = cfg.evaluation_mode == "ratio_guided"
-        curation_space = subgrid if ratio_mode else space
+        curation_space = new_factor_subspace(space) if ratio_mode else space
 
     def to_world_batches(batch: DemoBatch) -> list[DemoBatch]:
         if not reduced:
@@ -438,49 +416,34 @@ def run_flywheel(
     for iteration in range(1, cfg.max_iterations + 1):
         tag = derive_tag(eval_tag_base, iteration)
         if not reduced:
-            report = simulate_evaluation(params, current, space, cfg.k, tag, threads=threads)
+            report = simulate_evaluation(params, current, space, cfg.k, tag)
         elif cfg.evaluation_mode == "ratio_guided":
             report = ratio_guided_evaluation(params, current, space, cfg.k, tag)
         else:
-            report = mapped_evaluation(params, current, space, cfg.k, tag, threads=threads)
+            report = mapped_evaluation(params, current, space, cfg.k, tag)
         rate = report.overall
-        total_before = current.total
-        support_before = len(current.support)
-
-        if rate >= cfg.tau:
-            records.append(
-                IterationRecord(
-                    iteration=iteration,
-                    total_before=total_before,
-                    support_before=support_before,
-                    report=report,
-                    overall_rate=rate,
-                    batches=(),
-                    trace=CurationTrace(steps=()),
-                    total_after=total_before,
-                    support_after=support_before,
-                    rollouts_spent=report.total_rollouts,
-                    dataset_after=current,
-                )
+        before = current
+        converged = rate >= cfg.tau
+        if converged:
+            batches, trace = [], CurationTrace(steps=())
+        else:
+            curation_view = (
+                current
+                if not reduced
+                else _project_suffix(current, width, curation_space)
+                if cfg.evaluation_mode == "ratio_guided"
+                else _project_reduced(current, space)
             )
-            converged = True
-            break
-
-        curation_view = (
-            current
-            if not reduced
-            else _project_suffix(current, width, curation_space)
-            if cfg.evaluation_mode == "ratio_guided"
-            else _project_reduced(current, space)
-        )
-        batches, _, trace = curate_expansion(report.rates, curation_view, cfg.tau, cfg.unit_size)
-        world_batches = [wb for b in batches for wb in to_world_batches(b)]
-        current = add_many(current, world_batches)
+            batches, _, trace = curate_expansion(
+                report.rates, curation_view, cfg.tau, cfg.unit_size
+            )
+            world_batches = [wb for b in batches for wb in to_world_batches(b)]
+            current = add_many(current, world_batches)
         records.append(
             IterationRecord(
                 iteration=iteration,
-                total_before=total_before,
-                support_before=support_before,
+                total_before=before.total,
+                support_before=len(before.support),
                 report=report,
                 overall_rate=rate,
                 batches=tuple(batches),
@@ -491,6 +454,8 @@ def run_flywheel(
                 dataset_after=current,
             )
         )
+        if converged:
+            break
 
     return RunHistory(
         stage=stage,
@@ -523,6 +488,7 @@ def sequential_expansion(
     stage j's dataset) x (next grid), with slot ratios frozen from that
     dataset.  Each stage curates a fresh dataset; earlier stages enter only
     through the inherited slots.  Stops after the first failing stage.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     if not stage_spaces:
         raise ValueError("at least one stage space is required")
@@ -538,7 +504,6 @@ def sequential_expansion(
         cfg,
         stage=labels[0],
         eval_tag_base=derive_tag(base_tag, 1),
-        threads=threads,
     )
     histories.append(history)
 
@@ -555,7 +520,6 @@ def sequential_expansion(
             world=world,
             stage=labels[index - 1],
             eval_tag_base=derive_tag(base_tag, index),
-            threads=threads,
         )
         histories.append(history)
     return histories

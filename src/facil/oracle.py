@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -26,8 +25,8 @@ from .spaces import (
     FactorSpace,
     Tensor,
     format_composition,
+    gather_slots,
     new_factor_subspace,
-    slot_base_compositions,
 )
 
 # One blacklist entry pins a level on each of two distinct dimensions:
@@ -235,7 +234,7 @@ def success_tensor(params: OracleParams, dataset: Dataset) -> Tensor:
     """Exact success probabilities over the dataset's space (no sampling)."""
     space = dataset.space
     params.check_space(space)
-    direct = dataset.count_array().astype(float)
+    direct = dataset.grid.reshape(-1).astype(float)
 
     weakest = np.full(space.shape, np.inf)
     for m in range(space.ndim):
@@ -310,29 +309,23 @@ class EvaluationReport:
         return buf.getvalue()
 
 
-def _rollout_cells(
-    probs: np.ndarray,
-    seed: int,
-    tag: int,
-    k: int,
-    threads: int,
-) -> np.ndarray:
-    """Per-cell Bernoulli success counts; identical for any thread count."""
-    n = probs.size
-    successes = np.zeros(n, dtype=np.int64)
-
-    def run_chunk(indices: np.ndarray) -> None:
-        for idx in indices:
-            gen = _cell_generator(seed, tag, int(idx))
-            successes[idx] = int(np.count_nonzero(gen.random(k) < probs[idx]))
-
-    if threads <= 1:
-        run_chunk(np.arange(n))
-    else:
-        chunks = np.array_split(np.arange(n), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, chunks))
+def _rollout_cells(probs: np.ndarray, seed: int, tag: int, k: int) -> np.ndarray:
+    """Per-cell Bernoulli success counts from each cell's own stream."""
+    successes = np.zeros(probs.size, dtype=np.int64)
+    for idx in range(probs.size):
+        gen = _cell_generator(seed, tag, idx)
+        successes[idx] = int(np.count_nonzero(gen.random(k) < probs[idx]))
     return successes
+
+
+def _report(space: FactorSpace, successes: np.ndarray, k: int) -> EvaluationReport:
+    return EvaluationReport(
+        space=space,
+        rates=Tensor(space, successes / k),
+        successes=successes,
+        k=k,
+        total_rollouts=space.cardinality * k,
+    )
 
 
 def simulate_evaluation(
@@ -347,7 +340,8 @@ def simulate_evaluation(
 
     The benchmark grid must be index-compatible with the dataset's space
     (same shape); rollout streams are keyed by (seed, tag, cell index) so the
-    report is reproducible under any parallel schedule.
+    report does not depend on evaluation order.  ``threads`` is accepted for
+    compatibility and has no effect.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -356,14 +350,12 @@ def simulate_evaluation(
             f"benchmark shape {bench_space.shape} does not match dataset space {dataset.space.shape}"
         )
     probs = success_tensor(params, dataset).values
-    successes = _rollout_cells(probs, params.seed, iteration_tag, k, threads)
-    return EvaluationReport(
-        space=bench_space,
-        rates=Tensor(bench_space, successes / k),
-        successes=successes,
-        k=k,
-        total_rollouts=bench_space.cardinality * k,
-    )
+    return _report(bench_space, _rollout_cells(probs, params.seed, iteration_tag, k), k)
+
+
+def _slot_success(params: OracleParams, dataset: Dataset, reduced: FactorSpace) -> np.ndarray:
+    """World success probabilities at every (slot, new-factor cell), one row per slot."""
+    return gather_slots(success_tensor(params, dataset).values, reduced, dataset.space)
 
 
 def mapped_evaluation(
@@ -379,31 +371,12 @@ def mapped_evaluation(
     Every (slot, new-factor) composition is expanded to its underlying
     composition in the dataset's space (slot labels carry the inherited
     prefix) and gets its own k rollouts: |slots| * |new grid| * k total.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    bases = slot_base_compositions(reduced)
-    sub = new_factor_subspace(reduced)
-    world = dataset.space
-    if len(bases[0]) + sub.ndim != world.ndim:
-        raise ValueError(
-            f"slot prefix width {len(bases[0])} + new grid dims {sub.ndim} "
-            f"does not match dataset dims {world.ndim}"
-        )
-    world_probs = success_tensor(params, dataset).values
-    probs = np.empty(reduced.cardinality, dtype=float)
-    for idx in range(reduced.cardinality):
-        comp = reduced.decode(idx)
-        world_comp = bases[comp[0]] + comp[1:]
-        probs[idx] = world_probs[world.encode(world_comp)]
-    successes = _rollout_cells(probs, params.seed, iteration_tag, k, threads)
-    return EvaluationReport(
-        space=reduced,
-        rates=Tensor(reduced, successes / k),
-        successes=successes,
-        k=k,
-        total_rollouts=reduced.cardinality * k,
-    )
+    probs = _slot_success(params, dataset, reduced).reshape(-1)
+    return _report(reduced, _rollout_cells(probs, params.seed, iteration_tag, k), k)
 
 
 def ratio_guided_evaluation(
@@ -421,34 +394,14 @@ def ratio_guided_evaluation(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if reduced.slot_ratios is None:
-        raise ValueError("ratio-guided evaluation needs a reduced space with slot ratios")
-    bases = slot_base_compositions(reduced)
-    sub = new_factor_subspace(reduced)
-    world = dataset.space
-    if len(bases[0]) + sub.ndim != world.ndim:
-        raise ValueError(
-            f"slot prefix width {len(bases[0])} + new grid dims {sub.ndim} "
-            f"does not match dataset dims {world.ndim}"
-        )
-    world_probs = success_tensor(params, dataset).values
+    slot_probs = _slot_success(params, dataset, reduced)
     cumulative = np.cumsum(np.asarray(reduced.slot_ratios, dtype=float))
     cumulative[-1] = 1.0
 
-    successes = np.zeros(sub.cardinality, dtype=np.int64)
-    for idx in range(sub.cardinality):
-        new_comp = sub.decode(idx)
-        slot_probs = np.array(
-            [world_probs[world.encode(base + new_comp)] for base in bases]
-        )
+    successes = np.zeros(slot_probs.shape[1], dtype=np.int64)
+    for idx in range(successes.size):
         gen = _cell_generator(params.seed, iteration_tag, idx)
         draws = gen.random(2 * k)
         slots = np.searchsorted(cumulative, draws[0::2], side="right")
-        successes[idx] = int(np.count_nonzero(draws[1::2] < slot_probs[slots]))
-    return EvaluationReport(
-        space=sub,
-        rates=Tensor(sub, successes / k),
-        successes=successes,
-        k=k,
-        total_rollouts=sub.cardinality * k,
-    )
+        successes[idx] = int(np.count_nonzero(draws[1::2] < slot_probs[slots, idx]))
+    return _report(new_factor_subspace(reduced), successes, k)

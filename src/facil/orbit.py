@@ -41,6 +41,20 @@ class MarkTensor:
     def mark_all(self, comps: Iterable[Composition]) -> int:
         return sum(self.mark(c) for c in comps)
 
+    def mark_spans(self, s: Composition, support: Iterable[Composition]) -> int:
+        """Mark s and its hypercube span with each support point; count new marks.
+
+        Same cells as ``mark(s)`` then ``mark_all(hypercube_span(s, d))`` for
+        every d, with one block assignment per support point.
+        """
+        s = self.space.validate(s)
+        grid = self.marked.reshape(self.space.shape)
+        before = np.count_nonzero(self.marked)
+        grid[s] = True
+        for d in support:
+            grid[np.ix_(*[(a,) if a == b else (a, b) for a, b in zip(s, d)])] = True
+        return int(np.count_nonzero(self.marked) - before)
+
     def all_marked(self) -> bool:
         return bool(self.marked.all())
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -74,7 +75,7 @@ class FactorSpace:
             if abs(math.fsum(ratios) - 1.0) > 1e-9:
                 raise ValueError(f"slot ratios sum to {math.fsum(ratios)!r}, not 1")
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(d) for d in self.dims)
 
@@ -82,7 +83,7 @@ class FactorSpace:
     def ndim(self) -> int:
         return len(self.dims)
 
-    @property
+    @cached_property
     def cardinality(self) -> int:
         return math.prod(self.shape)
 
@@ -95,13 +96,22 @@ class FactorSpace:
                 raise ValueError(f"composition {c}: index {v} out of range for dim {m} (size {size})")
         return c
 
+    def grid_index(self, comps: Sequence[Composition]) -> tuple[np.ndarray, ...]:
+        """Validated fancy index of many compositions into an array shaped like the space."""
+        try:
+            arr = np.array(comps, dtype=np.int64).reshape(len(comps), self.ndim)
+            fits = bool(np.all((arr >= 0) & (arr < self.shape)))
+        except (OverflowError, TypeError, ValueError):
+            fits = False
+        if not fits:
+            for c in comps:
+                self.validate(c)  # raises, naming the first composition that does not fit
+            raise ValueError(f"compositions {comps!r} do not fit shape {self.shape}")
+        return tuple(arr.T)
+
     def encode(self, c: Composition) -> int:
         """Row-major linear index of a composition."""
-        c = self.validate(c)
-        idx = 0
-        for v, size in zip(c, self.shape):
-            idx = idx * size + v
-        return idx
+        return int(np.ravel_multi_index(self.validate(c), self.shape))
 
     def decode(self, idx: int) -> Composition:
         """Composition at a row-major linear index."""
@@ -255,6 +265,22 @@ def slot_base_compositions(space: FactorSpace) -> list[Composition]:
     for label in space.dims[0].levels:
         out.append(tuple(int(part) for part in label.split(SLOT_SEP)))
     return out
+
+
+def gather_slots(values: np.ndarray, reduced: FactorSpace, world: FactorSpace) -> np.ndarray:
+    """A flat world array read at every (slot, new-factor cell) of a reduced space.
+
+    ``world`` is the full-coordinate space behind the reduced one: its leading
+    dimensions hold the slot base compositions, its trailing ones are the
+    new-factor grid.  Row j of the (slots, new-factor cells) result holds the
+    world cells whose prefix is slot j's base composition.
+    """
+    bases = np.array(slot_base_compositions(reduced), dtype=np.int64)
+    prefix, suffix = world.shape[: bases.shape[1]], world.shape[bases.shape[1] :]
+    if suffix != reduced.shape[1:] or np.any(bases >= prefix):
+        raise ValueError(f"slots of reduced shape {reduced.shape} do not fit world {world.shape}")
+    rows = np.ravel_multi_index(tuple(bases.T), prefix)
+    return np.asarray(values).reshape(-1, math.prod(suffix))[rows]
 
 
 def new_factor_subspace(space: FactorSpace) -> FactorSpace:

@@ -154,6 +154,48 @@ def test_fit_command(tmp_path, monkeypatch, capsys):
     assert main(["fit", "--input", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("row", ["200,nan", "inf,0.5", "200"])
+def test_fit_rejects_non_finite_or_missing_values(tmp_path, monkeypatch, capsys, row):
+    monkeypatch.setenv("FACIL_OUT", str(tmp_path / "out"))
+    table = tmp_path / "rates.csv"
+    table.write_text(f"n_demos,success_rate\n100,0.5\n400,0.7\n{row}\n", encoding="utf-8")
+    assert main(["fit", "--input", str(table)]) == 2
+    assert "error: fit.input:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scaling.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, field",
+    [
+        ("run", '{"oracle": {"kappa0": "abc"}}', "oracle.kappa0"),
+        ("run", '{"oracle": {"kappa0": 1e400}}', "oracle.kappa0"),
+        ("run", '{"oracle": {"beta": [1]}}', "oracle.beta"),
+        ("run", '{"oracle": {"p_max": true}}', "oracle.p_max"),
+        ("run", '{"flywheel": {"tau": null}}', "flywheel.tau"),
+        ("compare", '{"gaussian": {"sigma": "wide"}}', "gaussian.sigma"),
+        ("compare", '{"space": "pnp_object", "gaussian": {"mode": [1]}}', "gaussian.mode"),
+        (
+            "run",
+            '{"space": "pnp_object", "flywheel": {"initial_compositions": [[9, 9]]}}',
+            "flywheel.initial_compositions[0]",
+        ),
+        (
+            "expand",
+            '{"stages": ["pnp_object"], "flywheel": {"initial_compositions": [[0, 0, 0]]}}',
+            "flywheel.initial_compositions[0]",
+        ),
+    ],
+)
+def test_bad_config_values_exit_two_naming_the_field(
+    tmp_path, monkeypatch, capsys, command, text, field
+):
+    monkeypatch.setenv("FACIL_OUT", str(tmp_path / "out"))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+
+
 def test_run_command_writes_artifacts(tmp_path):
     cfg = write_config(
         tmp_path, {"space": "pnp_object", "seed": 7, "out": str(tmp_path / "out")}

@@ -64,6 +64,34 @@ def test_add_many_accumulates():
     assert d.total == 6
     assert d.count_at((0, 0)) == 4
     assert d.support == frozenset({(0, 0), (2, 1)})
+    with pytest.raises(ValueError):
+        add_many(d, [DemoBatch((0, 0), 1), DemoBatch((3, 0), 1)])
+    with pytest.raises(ValueError):
+        add_demos(d, DemoBatch((0, 0, 0), 1))
+
+
+def test_grid_is_read_only_and_counts_ascend_by_linear_index():
+    space = space3x2()
+    d = Dataset(space, {(2, 1): 4, (0, 1): 7, (1, 0): 2})
+    assert d.grid.shape == space.shape and d.grid.dtype == np.int64
+    with pytest.raises(ValueError):
+        d.grid[0, 0] = 1
+    with pytest.raises(ValueError):
+        d.count_array()[0] = 1
+    assert list(d.counts) == [(0, 1), (1, 0), (2, 1)]
+    assert dict(d.counts) == {(0, 1): 7, (1, 0): 2, (2, 1): 4}
+
+
+def test_from_grid_copies_and_validates():
+    space = space3x2()
+    raw = np.array([0, 7, 2, 0, 0, 4])
+    d = Dataset.from_grid(space, raw)
+    raw[0] = 99
+    assert d == Dataset(space, {(0, 1): 7, (1, 0): 2, (2, 1): 4})
+    with pytest.raises(ValueError):
+        Dataset.from_grid(space, [0, -1, 0, 0, 0, 0])
+    with pytest.raises(ValueError):
+        Dataset.from_grid(space, np.zeros(5))
 
 
 def test_count_array_row_major_layout():

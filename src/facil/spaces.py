@@ -277,9 +277,9 @@ def gather_slots(values: np.ndarray, reduced: FactorSpace, world: FactorSpace) -
     """
     bases = np.array(slot_base_compositions(reduced), dtype=np.int64)
     prefix, suffix = world.shape[: bases.shape[1]], world.shape[bases.shape[1] :]
-    if suffix != reduced.shape[1:] or np.any(bases >= prefix):
-        raise ValueError(f"slots of reduced shape {reduced.shape} do not fit world {world.shape}")
-    rows = np.ravel_multi_index(tuple(bases.T), prefix)
+    if suffix != reduced.shape[1:]:
+        raise ValueError(f"new grid {reduced.shape[1:]} does not end world shape {world.shape}")
+    rows = np.ravel_multi_index(tuple(bases.T), prefix)  # raises if a base lies outside
     return np.asarray(values).reshape(-1, math.prod(suffix))[rows]
 
 

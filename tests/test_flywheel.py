@@ -307,3 +307,24 @@ def test_reduced_run_requires_world():
     params = default_family(7).params_for(preset_space("environment"))
     with pytest.raises(ValueError):
         run_flywheel(reduced, params, FlywheelConfig())
+
+
+@pytest.mark.parametrize("mode", ["exact", "ratio_guided"])
+@pytest.mark.parametrize(
+    "world_sizes",
+    [
+        [2, 4, 3, 3],  # slot base (3, 1) does not fit the leading dimension
+        [4, 4, 3],  # one new-factor dimension short
+        [4, 4, 3, 2],  # new-factor grid shaped differently
+    ],
+)
+def test_reduced_run_rejects_a_world_the_slots_do_not_fit(mode, world_sizes):
+    from facil.spaces import product_space, reduced_product
+
+    nxt = preset_space("environment")
+    reduced = reduced_product([((0, 0), 0.5), ((3, 1), 0.5)], nxt)
+    world = build_space([(f"w{m}", [str(j) for j in range(n)]) for m, n in enumerate(world_sizes)])
+    assert world != product_space(preset_space("pnp_object"), nxt)
+    params = default_family(7).params_for(world)
+    with pytest.raises(ValueError):
+        run_flywheel(reduced, params, FlywheelConfig(evaluation_mode=mode), world=world)

@@ -17,6 +17,7 @@ from facil.spaces import (
     build_space,
     diagonal_init,
     format_composition,
+    gather_slots,
     new_factor_subspace,
     parse_composition,
     preset_space,
@@ -120,6 +121,26 @@ def test_reduced_product_slot_labels_and_ratios():
     assert slot_base_compositions(reduced) == [(0, 1), (2, 0)]
     assert new_factor_subspace(reduced).shape == (2,)
     assert new_factor_subspace(reduced).dims[0].name == "temp"
+
+
+def test_gather_slots_reads_world_rows_in_slot_order():
+    base = small_space()
+    nxt = build_space([("temp", ["cold", "hot"])])
+    world = product_space(base, nxt)
+    reduced = reduced_product([((2, 0), 0.25), ((0, 1), 0.75)], nxt)
+    values = np.arange(world.cardinality, dtype=float)
+    got = gather_slots(values, reduced, world)
+    expected = [[values[world.encode(b + (t,))] for t in range(2)] for b in [(2, 0), (0, 1)]]
+    assert got.tolist() == expected
+
+    two_colors = build_space([("color", ["red", "green"]), ("shape", ["round", "flat"])])
+    too_small = product_space(two_colors, nxt)
+    wider_new = product_space(base, build_space([("temp", ["cold", "warm", "hot"])]))
+    for bad in (too_small, wider_new, base, nxt):
+        with pytest.raises(ValueError):
+            gather_slots(np.zeros(bad.cardinality), reduced, bad)
+    with pytest.raises(ValueError):
+        gather_slots(values, world, world)  # no slot dimension
 
 
 def test_reduced_product_preserves_support_order():

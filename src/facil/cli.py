@@ -16,8 +16,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .analysis import (
     STRATEGY_NAMES,
@@ -42,6 +43,7 @@ from .oracle import (
     DEFAULT_BLACKLIST,
     DEFAULT_KAPPA0,
     DEFAULT_P_MAX,
+    BlacklistPair,
     OracleFamily,
     success_tensor,
 )
@@ -51,43 +53,172 @@ from .spaces import (
     PRESET_NAMES,
     build_space,
     preset_space,
+    product_space,
 )
-
-DEFAULT_OUT_DIR = "facil_out"
-DEFAULT_STAGES = ["pnp_object", "pnp_action", "environment"]
-DEFAULT_BUDGETS = [500, 2000, 8000, 32000, 128000]
 
 
 class ConfigError(ValueError):
     """Configuration problem; the message names the offending field path."""
 
 
-def _fail(path: str, message: str) -> None:
+def _fail(path: str, message: str) -> NoReturn:
     raise ConfigError(f"{path}: {message}")
 
 
-def _check_keys(doc: dict, allowed: set[str], path: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            _fail(f"{path}.{key}" if path else key, "unknown configuration key")
+# Type readers: each takes (raw JSON value, field path) and returns the typed
+# value or raises ConfigError.  Range checks belong to the dataclasses that
+# own a field; a reader checks a range only for fields no dataclass owns.
 
 
-def _finite(value, path: str) -> float:
-    """A config number as a finite float; anything else is a ConfigError."""
+def _number(value, path: str) -> float:
     try:
         if not isinstance(value, bool) and math.isfinite(value):
             return float(value)
     except (TypeError, OverflowError):
         pass
     _fail(path, f"must be a finite number, got {value!r}")
-    raise AssertionError("unreachable")
 
 
-def _check_in_space(space: FactorSpace, comp: Composition, path: str) -> None:
+def _integer(value, path: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool) and value < 2**63:
+        return value
+    _fail(path, f"must be an integer below 2**63, got {value!r}")
+
+
+def _seed(value, path: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64:
+        return value
+    _fail(path, f"must be an unsigned 64-bit integer, got {value!r}")
+
+
+def _positive(read):
+    def read_positive(value, path: str):
+        out = read(value, path)
+        if not out > 0:
+            _fail(path, f"must be > 0, got {out!r}")
+        return out
+
+    return read_positive
+
+
+def _list_of(read, nonempty: bool = False):
+    def read_list(value, path: str) -> tuple:
+        if not isinstance(value, list) or (nonempty and not value):
+            _fail(path, "must be a non-empty list" if nonempty else "must be a list")
+        return tuple(read(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return read_list
+
+
+def _optional(read):
+    return lambda value, path: None if value is None else read(value, path)
+
+
+def _indices(value, path: str) -> Composition:
+    comp = _list_of(_integer)(value, path)
+    if any(v < 0 for v in comp):
+        _fail(path, f"level indices must be >= 0, got {list(comp)}")
+    return comp
+
+
+def _choice(options: Sequence[str]):
+    def read_choice(value, path: str) -> str:
+        if value not in options:
+            _fail(path, f"must be one of {tuple(options)}, got {value!r}")
+        return value
+
+    return read_choice
+
+
+def _pair(value, path: str) -> BlacklistPair:
+    pair = _list_of(_list_of(_integer))(value, path)
+    if [len(end) for end in pair] != [2, 2]:
+        _fail(path, "must be a [[dim, level], [dim, level]] pair")
+    return pair
+
+
+def _selector(value, path: str):
+    _space_selector(value, path)
+    return value
+
+
+def _out_dir(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        _fail(path, "must be a non-empty path string")
+    return value
+
+
+def _budgets(value, path: str) -> tuple[int, ...]:
+    budgets = _list_of(_integer, nonempty=True)(value, path)
+    if budgets[0] < 0 or list(budgets) != sorted(budgets):
+        _fail(path, f"must ascend from a value >= 0, got {list(budgets)}")
+    return budgets
+
+
+# The config document: each key maps to (default, reader), or to a section.
+_SCHEMA: dict = {
+    "space": ("pnp_object", _selector),
+    "stages": (["pnp_object", "pnp_action", "environment"], _list_of(_selector, nonempty=True)),
+    "seed": (0, _seed),
+    "oracle": {
+        "kappa0": (DEFAULT_KAPPA0, _number),
+        "beta": (DEFAULT_BETA, _number),
+        "p_max": (DEFAULT_P_MAX, _number),
+        "blacklist": ([[list(a), list(b)] for a, b in DEFAULT_BLACKLIST], _list_of(_pair)),
+    },
+    "flywheel": {
+        "tau": (0.8, _number),
+        "unit_size": (50, _integer),
+        "k": (5, _integer),
+        "max_iterations": (20, _integer),
+        "evaluation_mode": ("ratio_guided", lambda value, path: value),
+        "initial_compositions": (None, _optional(_list_of(_indices))),
+    },
+    "strategies": (list(STRATEGY_NAMES), _list_of(_choice(STRATEGY_NAMES), nonempty=True)),
+    "budgets": ([500, 2000, 8000, 32000, 128000], _budgets),
+    "gaussian": {
+        "mode": (None, _optional(_indices)),
+        "sigma": (1.0, _positive(_number)),
+    },
+    "check": {
+        "train": (None, _optional(_list_of(_indices, nonempty=True))),
+        "demos_per_composition": (2400, _positive(_integer)),
+    },
+    "out": ("facil_out", _out_dir),
+}
+
+
+def _read_section(schema: dict, doc, path: str = "") -> dict:
+    """Read one object of the document against its schema, filling defaults."""
+    if not isinstance(doc, dict):
+        _fail(path or "config", "must be a JSON object")
+    prefix = f"{path}." if path else ""
+    for key in doc:
+        if key not in schema:
+            _fail(f"{prefix}{key}", "unknown configuration key")
+    out = {}
+    for key, entry in schema.items():
+        if isinstance(entry, dict):
+            out[key] = _read_section(entry, doc.get(key, {}), f"{prefix}{key}")
+        else:
+            default, read = entry
+            out[key] = read(doc.get(key, default), f"{prefix}{key}")
+    return out
+
+
+def _construct(section: str, cls, **fields):
+    """Build a dataclass whose ValueError messages start with the field name."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
+
+
+def _check_in_space(space: FactorSpace, comp: Composition, path: str, where: str = "") -> None:
     try:
         space.validate(comp)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {where}{exc}") from exc
 
 
 def _space_selector(value, path: str) -> FactorSpace:
@@ -101,7 +232,6 @@ def _space_selector(value, path: str) -> FactorSpace:
         except (TypeError, ValueError) as exc:
             _fail(path, f"invalid inline dimension specs ({exc})")
     _fail(path, "must be a preset name or a list of [name, [levels...]] pairs")
-    raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True)
@@ -169,170 +299,25 @@ class RunConfig:
 
 def build_config(doc: dict) -> RunConfig:
     """Validate a raw JSON document and fill defaults."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config: top level must be a JSON object")
-    _check_keys(
-        doc,
-        {
-            "space",
-            "stages",
-            "seed",
-            "oracle",
-            "flywheel",
-            "strategies",
-            "budgets",
-            "gaussian",
-            "check",
-            "out",
-        },
-        "",
-    )
-
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        _fail("seed", f"must be an unsigned 64-bit integer, got {seed!r}")
-
-    space_sel = doc.get("space", "pnp_object")
-    _space_selector(space_sel, "space")
-    stage_sels = doc.get("stages", DEFAULT_STAGES)
-    if not isinstance(stage_sels, list) or not stage_sels:
-        _fail("stages", "must be a non-empty list of space selectors")
-    for i, sel in enumerate(stage_sels):
-        _space_selector(sel, f"stages[{i}]")
-
-    oracle_doc = doc.get("oracle", {})
-    if not isinstance(oracle_doc, dict):
-        _fail("oracle", "must be an object")
-    _check_keys(oracle_doc, {"kappa0", "beta", "p_max", "blacklist"}, "oracle")
-    kappa0 = _finite(oracle_doc.get("kappa0", DEFAULT_KAPPA0), "oracle.kappa0")
-    if not kappa0 > 0:
-        _fail("oracle.kappa0", f"must be > 0, got {kappa0!r}")
-    beta = _finite(oracle_doc.get("beta", DEFAULT_BETA), "oracle.beta")
-    if beta < 0:
-        _fail("oracle.beta", f"must be >= 0, got {beta!r}")
-    p_max = _finite(oracle_doc.get("p_max", DEFAULT_P_MAX), "oracle.p_max")
-    if not 0 < p_max <= 1:
-        _fail("oracle.p_max", f"must be in (0, 1], got {p_max!r}")
-    raw_blacklist = oracle_doc.get("blacklist", [list(map(list, p)) for p in DEFAULT_BLACKLIST])
-    blacklist = []
-    try:
-        for pair in raw_blacklist:
-            (da, la), (db, lb) = pair
-            blacklist.append(((int(da), int(la)), (int(db), int(lb))))
-    except (TypeError, ValueError):
-        _fail("oracle.blacklist", "must be a list of [[dim, level], [dim, level]] pairs")
-    for (da, _), (db, _) in blacklist:
-        if da == db:
-            _fail("oracle.blacklist", f"pair on dimension {da} twice")
-
-    fw_doc = doc.get("flywheel", {})
-    if not isinstance(fw_doc, dict):
-        _fail("flywheel", "must be an object")
-    _check_keys(
-        fw_doc,
-        {"tau", "unit_size", "k", "max_iterations", "evaluation_mode", "initial_compositions"},
-        "flywheel",
-    )
-    tau = _finite(fw_doc.get("tau", 0.8), "flywheel.tau")
-    if not 0 < tau < 1:
-        _fail("flywheel.tau", f"must be in (0, 1), got {tau!r}")
-    unit_size = fw_doc.get("unit_size", 50)
-    if not isinstance(unit_size, int) or unit_size < 1:
-        _fail("flywheel.unit_size", f"must be an integer >= 1, got {unit_size!r}")
-    k = fw_doc.get("k", 5)
-    if not isinstance(k, int) or k < 1:
-        _fail("flywheel.k", f"must be an integer >= 1, got {k!r}")
-    max_iterations = fw_doc.get("max_iterations", 20)
-    if not isinstance(max_iterations, int) or max_iterations < 1:
-        _fail("flywheel.max_iterations", f"must be an integer >= 1, got {max_iterations!r}")
-    evaluation_mode = fw_doc.get("evaluation_mode", "ratio_guided")
-    if evaluation_mode not in ("exact", "ratio_guided"):
-        _fail(
-            "flywheel.evaluation_mode",
-            f"must be 'exact' or 'ratio_guided', got {evaluation_mode!r}",
-        )
-    initial = fw_doc.get("initial_compositions")
-    if initial is not None:
-        try:
-            initial = tuple(tuple(int(v) for v in c) for c in initial)
-        except (TypeError, ValueError):
-            _fail("flywheel.initial_compositions", "must be a list of index tuples")
-    flywheel = FlywheelConfig(
-        tau=tau,
-        unit_size=unit_size,
-        k=k,
-        max_iterations=max_iterations,
-        evaluation_mode=evaluation_mode,
-        initial_compositions=initial,
-    )
-
-    strategies = doc.get("strategies", list(STRATEGY_NAMES))
-    if not isinstance(strategies, list) or not strategies:
-        _fail("strategies", "must be a non-empty list")
-    for i, s in enumerate(strategies):
-        if s not in STRATEGY_NAMES:
-            _fail(f"strategies[{i}]", f"unknown strategy {s!r}; choose from {STRATEGY_NAMES}")
-
-    budgets = doc.get("budgets", DEFAULT_BUDGETS)
-    if (
-        not isinstance(budgets, list)
-        or not budgets
-        or any(not isinstance(b, int) or b < 0 for b in budgets)
-    ):
-        _fail("budgets", "must be a non-empty list of integers >= 0")
-    if budgets != sorted(budgets):
-        _fail("budgets", "must be sorted ascending")
-
-    gaussian_doc = doc.get("gaussian", {})
-    if not isinstance(gaussian_doc, dict):
-        _fail("gaussian", "must be an object")
-    _check_keys(gaussian_doc, {"mode", "sigma"}, "gaussian")
-    mode = gaussian_doc.get("mode")
-    if mode is not None:
-        try:
-            mode = tuple(int(v) for v in mode)
-        except (TypeError, ValueError):
-            _fail("gaussian.mode", "must be a list of level indices")
-    sigma = _finite(gaussian_doc.get("sigma", 1.0), "gaussian.sigma")
-    if not sigma > 0:
-        _fail("gaussian.sigma", f"must be > 0, got {sigma!r}")
-
-    check_doc = doc.get("check", {})
-    if not isinstance(check_doc, dict):
-        _fail("check", "must be an object")
-    _check_keys(check_doc, {"train", "demos_per_composition"}, "check")
-    train = check_doc.get("train")
-    if train is not None:
-        try:
-            train = tuple(tuple(int(v) for v in c) for c in train)
-        except (TypeError, ValueError):
-            _fail("check.train", "must be a list of index tuples")
-        if not train:
-            _fail("check.train", "must be non-empty when given")
-    demos_per_composition = check_doc.get("demos_per_composition", 2400)
-    if not isinstance(demos_per_composition, int) or demos_per_composition < 1:
-        _fail("check.demos_per_composition", "must be an integer >= 1")
-
-    out_dir = doc.get("out", DEFAULT_OUT_DIR)
-    if not isinstance(out_dir, str) or not out_dir:
-        _fail("out", "must be a non-empty path string")
-
+    fields = _read_section(_SCHEMA, doc)
+    oracle, gaussian, check = fields["oracle"], fields["gaussian"], fields["check"]
+    _construct("oracle", OracleFamily, seed=fields["seed"], **oracle)
     return RunConfig(
-        space_selector=space_sel,
-        stage_selectors=tuple(stage_sels),
-        seed=seed,
-        kappa0=kappa0,
-        beta=beta,
-        p_max=p_max,
-        blacklist=tuple(blacklist),
-        flywheel=flywheel,
-        strategies=tuple(strategies),
-        budgets=tuple(budgets),
-        gaussian_mode=mode,
-        gaussian_sigma=sigma,
-        train=train,
-        demos_per_composition=demos_per_composition,
-        out_dir=out_dir,
+        space_selector=fields["space"],
+        stage_selectors=fields["stages"],
+        seed=fields["seed"],
+        kappa0=oracle["kappa0"],
+        beta=oracle["beta"],
+        p_max=oracle["p_max"],
+        blacklist=oracle["blacklist"],
+        flywheel=_construct("flywheel", FlywheelConfig, **fields["flywheel"]),
+        strategies=fields["strategies"],
+        budgets=fields["budgets"],
+        gaussian_mode=gaussian["mode"],
+        gaussian_sigma=gaussian["sigma"],
+        train=check["train"],
+        demos_per_composition=check["demos_per_composition"],
+        out_dir=fields["out"],
     )
 
 
@@ -345,15 +330,18 @@ def parse_config(path: str | None) -> RunConfig:
         raise ConfigError(f"config: no such file {path!r}")
     try:
         doc = json.loads(file.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and integer literals too long to convert
         raise ConfigError(f"config: invalid JSON ({exc})") from exc
     return build_config(doc)
 
 
 def _resolve_out_dir(config: RunConfig) -> Path:
-    out = os.environ.get("FACIL_OUT") or config.out_dir
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    from_env = os.environ.get("FACIL_OUT")
+    path = Path(from_env or config.out_dir)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
+        _fail("FACIL_OUT" if from_env else "out", f"cannot create directory {str(path)!r} ({exc})")
     return path
 
 
@@ -370,27 +358,48 @@ def _write_history_files(out: Path, history: RunHistory, suffix: str = "") -> No
         _write(out / f"rates{tag}_iter_{rec.iteration:03d}.csv", rec.report.to_csv())
 
 
-def _check_initial(config: RunConfig, space: FactorSpace) -> None:
+def _check_initial(
+    config: RunConfig, space: FactorSpace, where: str = "", slot: bool = False
+) -> None:
+    """Initial compositions must fit the grid a run curates on.
+
+    A later exact-mode stage curates on (slot, grid).  Its slot count is the
+    previous stage's support size, known only at run time, so with ``slot``
+    the leading slot index is left unchecked.
+    """
     for i, comp in enumerate(config.flywheel.initial_compositions or ()):
-        _check_in_space(space, comp, f"flywheel.initial_compositions[{i}]")
+        path = f"flywheel.initial_compositions[{i}]"
+        _check_in_space(space, comp[1:] if slot else comp, path, where)
 
 
-def _cmd_run(config: RunConfig) -> int:
+def _cmd_run(config: RunConfig, out: Path) -> int:
     space = config.space()
     _check_initial(config, space)
     params = config.family().params_for(space)
     history = run_flywheel(space, params, config.flywheel)
-    out = _resolve_out_dir(config)
     _write_history_files(out, history)
     _write(out / "summary.json", json.dumps(history.summary(), indent=2) + "\n")
     return 0 if history.converged else 1
 
 
-def _cmd_expand(config: RunConfig) -> int:
+def _cmd_expand(config: RunConfig, out: Path) -> int:
     stages = config.stage_spaces()
-    _check_initial(config, stages[0])
-    histories = sequential_expansion(stages, config.family(), config.flywheel)
-    out = _resolve_out_dir(config)
+    try:
+        reduce(product_space, stages)
+    except ValueError as exc:
+        raise ConfigError(f"stages: {exc}") from exc
+    exact = config.flywheel.evaluation_mode == "exact"
+    for j, stage in enumerate(stages):
+        slot = exact and j > 0
+        where = f"stages[{j}] after the slot index: " if slot else f"stages[{j}]: "
+        _check_initial(config, stage, where, slot)
+    try:
+        histories = sequential_expansion(stages, config.family(), config.flywheel)
+    except ValueError as exc:
+        if not (exact and config.flywheel.initial_compositions):
+            raise
+        # the one input check left to run time: a slot index past a stage's support
+        raise ConfigError(f"flywheel.initial_compositions: {exc}") from exc
     for history in histories:
         _write_history_files(out, history, suffix=history.stage)
     summary = {
@@ -401,7 +410,7 @@ def _cmd_expand(config: RunConfig) -> int:
     return 0 if summary["all_converged"] else 1
 
 
-def _cmd_compare(config: RunConfig) -> int:
+def _cmd_compare(config: RunConfig, out: Path) -> int:
     space = config.space()
     _check_initial(config, space)
     if config.gaussian_mode is not None:
@@ -417,12 +426,11 @@ def _cmd_compare(config: RunConfig) -> int:
         gaussian_sigma=config.gaussian_sigma,
     )
     outcomes = [o for o in outcomes if o.strategy in config.strategies]
-    out = _resolve_out_dir(config)
     _write(out / "comparison.csv", comparison_csv(outcomes))
     return 0
 
 
-def _cmd_fit(config: RunConfig, input_path: str) -> int:
+def _cmd_fit(input_path: str, out: Path) -> int:
     file = Path(input_path)
     if not file.is_file():
         raise ConfigError(f"fit.input: no such file {input_path!r}")
@@ -431,12 +439,11 @@ def _cmd_fit(config: RunConfig, input_path: str) -> int:
         fits = {benchmark: fit_power_law(points) for benchmark, points in table.items()}
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"fit.input: {exc}") from exc
-    out = _resolve_out_dir(config)
     _write(out / "scaling.csv", scaling_csv(fits))
     return 0
 
 
-def _cmd_check_comp(config: RunConfig) -> int:
+def _cmd_check_comp(config: RunConfig, out: Path) -> int:
     space = config.space()
     params = config.family().params_for(space)
     train = config.train
@@ -444,10 +451,11 @@ def _cmd_check_comp(config: RunConfig) -> int:
         raise ConfigError("check.train: required for check-comp")
     for i, comp in enumerate(train):
         _check_in_space(space, comp, f"check.train[{i}]")
+    if config.demos_per_composition * len(set(train)) >= 2**63:
+        _fail("check.demos_per_composition", "times the training compositions must be below 2**63")
     dataset = Dataset(space, {comp: config.demos_per_composition for comp in train})
     probs = success_tensor(params, dataset)
     report = compositionality_check(set(train), probs, config.flywheel.tau)
-    out = _resolve_out_dir(config)
     _write(out / "violations.csv", violations_csv(report, probs))
     check_summary = {
         "predicted_size": report.predicted_size,
@@ -461,12 +469,11 @@ def _cmd_check_comp(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_budget(config: RunConfig, grid: int, base: int, slots: int, k: int) -> int:
+def _cmd_budget(grid: int, base: int, slots: int, k: int, out: Path) -> int:
     try:
         report = rollout_budget(grid, base, slots, k)
     except ValueError as exc:
         raise ConfigError(f"budget: {exc}") from exc
-    out = _resolve_out_dir(config)
     text = report.to_json() + "\n"
     _write(out / "budget.json", text)
     sys.stdout.write(text)
@@ -509,23 +516,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = parse_config(args.config)
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {args.seed}")
-            doc = config.to_doc()
-            doc["seed"] = args.seed
-            config = build_config(doc)
+            config = build_config({**config.to_doc(), "seed": args.seed})
+        out = _resolve_out_dir(config)
         if args.command == "run":
-            return _cmd_run(config)
+            return _cmd_run(config, out)
         if args.command == "expand":
-            return _cmd_expand(config)
+            return _cmd_expand(config, out)
         if args.command == "compare":
-            return _cmd_compare(config)
+            return _cmd_compare(config, out)
         if args.command == "fit":
-            return _cmd_fit(config, args.input)
+            return _cmd_fit(args.input, out)
         if args.command == "check-comp":
-            return _cmd_check_comp(config)
+            return _cmd_check_comp(config, out)
         if args.command == "budget":
-            return _cmd_budget(config, args.grid, args.base, args.slots, args.k)
+            return _cmd_budget(args.grid, args.base, args.slots, args.k, out)
         raise AssertionError(f"unhandled command {args.command!r}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -64,17 +64,18 @@ class FlywheelConfig:
     initial_compositions: tuple[Composition, ...] | None = None
 
     def __post_init__(self) -> None:
+        # Messages start with the field name so callers can prefix a section path.
         if not 0 < self.tau < 1:
-            raise ValueError(f"tau must be in (0, 1), got {self.tau!r}")
+            raise ValueError(f"tau: must be in (0, 1), got {self.tau!r}")
         if self.unit_size < 1:
-            raise ValueError(f"unit_size must be >= 1, got {self.unit_size}")
+            raise ValueError(f"unit_size: must be >= 1, got {self.unit_size}")
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise ValueError(f"k: must be >= 1, got {self.k}")
         if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+            raise ValueError(f"max_iterations: must be >= 1, got {self.max_iterations}")
         if self.evaluation_mode not in EVALUATION_MODES:
             raise ValueError(
-                f"evaluation_mode must be one of {EVALUATION_MODES}, got {self.evaluation_mode!r}"
+                f"evaluation_mode: must be one of {EVALUATION_MODES}, got {self.evaluation_mode!r}"
             )
         if self.initial_compositions is not None:
             object.__setattr__(
@@ -97,15 +98,7 @@ class FlywheelConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "FlywheelConfig":
-        init = doc.get("initial_compositions")
-        return cls(
-            tau=float(doc["tau"]),
-            unit_size=int(doc["unit_size"]),
-            k=int(doc["k"]),
-            max_iterations=int(doc["max_iterations"]),
-            evaluation_mode=str(doc["evaluation_mode"]),
-            initial_compositions=None if init is None else tuple(tuple(c) for c in init),
-        )
+        return cls(**doc)
 
 
 @dataclass(frozen=True)

@@ -55,9 +55,25 @@ def _normalize_pair(pair: BlacklistPair) -> BlacklistPair:
     (da, la), (db, lb) = pair
     a = (int(da), int(la))
     b = (int(db), int(lb))
+    if min(a + b) < 0:
+        raise ValueError(f"blacklist: pair {pair} has a negative index")
     if a[0] == b[0]:
-        raise ValueError(f"blacklist pair {pair} references one dimension twice")
+        raise ValueError(f"blacklist: pair {pair} references one dimension twice")
     return (a, b) if a[0] < b[0] else (b, a)
+
+
+def _check_constants(oracle: OracleParams | OracleFamily, blacklist_type: type) -> None:
+    """Checks shared by OracleParams and OracleFamily; messages start with the field name."""
+    object.__setattr__(
+        oracle, "blacklist", blacklist_type(_normalize_pair(p) for p in oracle.blacklist)
+    )
+    object.__setattr__(oracle, "seed", int(oracle.seed))
+    if not oracle.kappa0 > 0:
+        raise ValueError(f"kappa0: must be > 0, got {oracle.kappa0!r}")
+    if not 0 < oracle.p_max <= 1:
+        raise ValueError(f"p_max: must be in (0, 1], got {oracle.p_max!r}")
+    if not oracle.beta >= 0:
+        raise ValueError(f"beta: must be >= 0, got {oracle.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -82,19 +98,10 @@ class OracleParams:
         object.__setattr__(
             self, "level_weights", tuple(tuple(float(w) for w in row) for row in self.level_weights)
         )
-        object.__setattr__(
-            self, "blacklist", frozenset(_normalize_pair(p) for p in self.blacklist)
-        )
-        object.__setattr__(self, "seed", int(self.seed))
-        if not self.kappa0 > 0:
-            raise ValueError(f"kappa0 must be > 0, got {self.kappa0!r}")
-        if not 0 < self.p_max <= 1:
-            raise ValueError(f"p_max must be in (0, 1], got {self.p_max!r}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta!r}")
+        _check_constants(self, frozenset)
         for row in self.level_weights:
             if any(w < 1.0 for w in row):
-                raise ValueError("level weights must all be >= 1")
+                raise ValueError("level_weights: must all be >= 1")
 
     def check_space(self, space: FactorSpace) -> None:
         shape = tuple(len(row) for row in self.level_weights)
@@ -119,17 +126,7 @@ class OracleParams:
 
     @classmethod
     def from_json(cls, text: str) -> "OracleParams":
-        doc = json.loads(text)
-        return cls(
-            kappa0=float(doc["kappa0"]),
-            level_weights=tuple(tuple(row) for row in doc["level_weights"]),
-            beta=float(doc["beta"]),
-            p_max=float(doc["p_max"]),
-            blacklist=frozenset(
-                ((int(a[0]), int(a[1])), (int(b[0]), int(b[1]))) for a, b in doc["blacklist"]
-            ),
-            seed=int(doc["seed"]),
-        )
+        return cls(**json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -147,11 +144,14 @@ class OracleFamily:
     blacklist: tuple[BlacklistPair, ...]
     seed: int
 
+    def __post_init__(self) -> None:
+        _check_constants(self, tuple)
+
     def params_for(self, space: FactorSpace) -> OracleParams:
         weights = tuple((1.0,) * size for size in space.shape)
         kept = [
             pair
-            for pair in (_normalize_pair(p) for p in self.blacklist)
+            for pair in self.blacklist
             if pair[1][0] < space.ndim
             and pair[0][1] < space.shape[pair[0][0]]
             and pair[1][1] < space.shape[pair[1][0]]

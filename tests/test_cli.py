@@ -184,6 +184,47 @@ def test_fit_rejects_non_finite_or_missing_values(tmp_path, monkeypatch, capsys,
             '{"stages": ["pnp_object"], "flywheel": {"initial_compositions": [[0, 0, 0]]}}',
             "flywheel.initial_compositions[0]",
         ),
+        (
+            "expand",
+            '{"stages": ["pnp_object", "pnp_action"],'
+            ' "flywheel": {"initial_compositions": [[0, 0], [1, 1], [2, 2], [3, 3]]}}',
+            "flywheel.initial_compositions[0]",
+        ),
+        (
+            "expand",
+            '{"stages": ["pnp_object", "oc_action"], "flywheel": {"evaluation_mode": "exact",'
+            ' "initial_compositions": [[0, 0], [1, 1], [2, 2], [3, 3]]}}',
+            "flywheel.initial_compositions[0]",
+        ),
+        (
+            "expand",
+            '{"stages": [[["a", ["0", "1", "2"]], ["c", ["0"]]], [["b", ["0", "1"]]]],'
+            ' "flywheel": {"tau": 0.05, "evaluation_mode": "exact",'
+            ' "initial_compositions": [[2, 0]]}}',
+            "flywheel.initial_compositions",
+        ),
+        ("expand", '{"stages": ["pnp_action", "oc_action"]}', "stages"),
+        ("run", '{"oracle": {"blacklist": [[[-1, 0], [1, 0]]]}}', "oracle.blacklist"),
+        ("run", '{"oracle": {"blacklist": [[[0, 1.5], [1, 0]]]}}', "oracle.blacklist[0][0][1]"),
+        ("run", '{"flywheel": {"k": true}}', "flywheel.k"),
+        ("compare", '{"budgets": [true]}', "budgets[0]"),
+        ("compare", '{"budgets": [100000000000000000000000000000]}', "budgets[0]"),
+        (
+            "check-comp",
+            '{"check": {"train": [[0, 0]], "demos_per_composition": 100000000000000000000000}}',
+            "check.demos_per_composition",
+        ),
+        (
+            "check-comp",
+            '{"check": {"train": [[0, 0], [1, 1]], "demos_per_composition": 9223372036854775807}}',
+            "check.demos_per_composition",
+        ),
+        (
+            "run",
+            '{"flywheel": {"initial_compositions": [[0.7, 0]]}}',
+            "flywheel.initial_compositions[0][0]",
+        ),
+        ("run", '{"seed": 1' + "0" * 5000 + "}", "config"),
     ],
 )
 def test_bad_config_values_exit_two_naming_the_field(
@@ -194,6 +235,28 @@ def test_bad_config_values_exit_two_naming_the_field(
     cfg.write_text(text, encoding="utf-8")
     assert main([command, "--config", str(cfg)]) == 2
     assert f"error: {field}: " in capsys.readouterr().err
+
+
+def test_undecodable_config_file_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "error: config: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env", [False, True])
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_out_dir_that_cannot_be_created_exits_two(tmp_path, monkeypatch, capsys, env, target):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = str(tmp_path / target)
+    doc = {"seed": 7}
+    if env:
+        monkeypatch.setenv("FACIL_OUT", out)
+    else:
+        doc["out"] = out
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    field = "FACIL_OUT" if env else "out"
+    assert f"error: {field}: cannot create directory" in capsys.readouterr().err
 
 
 def test_run_command_writes_artifacts(tmp_path):

@@ -68,6 +68,25 @@ def test_params_validation():
         plain_params(space, blacklist=frozenset({((0, 0), (0, 1))}))
 
 
+def test_family_checks_constants_and_blacklist_at_construction():
+    with pytest.raises(ValueError, match="kappa0: must be > 0"):
+        OracleFamily(kappa0=-1.0, beta=1.0, p_max=1.0, blacklist=(), seed=0)
+    with pytest.raises(ValueError, match="beta: must be >= 0"):
+        OracleFamily(kappa0=1.0, beta=float("nan"), p_max=1.0, blacklist=(), seed=0)
+    with pytest.raises(ValueError, match="one dimension twice"):
+        OracleFamily(kappa0=1.0, beta=1.0, p_max=1.0, blacklist=(((1, 0), (1, 1)),), seed=0)
+
+
+def test_negative_blacklist_indices_are_rejected():
+    # numpy would read -1 as the last dimension or level and blacklist the wrong cells
+    space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1"])])
+    for pair in (((-1, 0), (1, 0)), ((0, 0), (1, -1))):
+        with pytest.raises(ValueError, match="blacklist: .* has a negative index"):
+            plain_params(space, blacklist=frozenset({pair}))
+        with pytest.raises(ValueError, match="blacklist: .* has a negative index"):
+            OracleFamily(kappa0=1.0, beta=1.0, p_max=1.0, blacklist=(pair,), seed=0)
+
+
 def test_blacklist_pairs_are_normalized():
     space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1"])])
     p = plain_params(space, blacklist=frozenset({((1, 0), (0, 1))}))

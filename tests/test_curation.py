@@ -9,6 +9,7 @@ import pytest
 
 from facil.curation import aggregated_tensor, curate_expansion, overall_rate
 from facil.dataset import Dataset
+from facil.orbit import hypercube_span
 from facil.spaces import Tensor, build_space
 
 
@@ -150,3 +151,47 @@ def test_trace_csv_format():
     assert lines[0] == "step,composition,S_value,newly_marked,batch_size"
     assert len(lines) == len(trace.steps) + 1
     assert lines[1].startswith("0,0/0,")
+
+
+def replay_curation(rates: Tensor, dataset: Dataset, tau: float) -> list[tuple]:
+    """The marking loop by its definition: marks are a set, spans come from hypercube_span."""
+    scores = aggregated_tensor(rates).values
+    cells = list(itertools.product(*(range(size) for size in rates.space.shape)))
+    marked = {c for c, rate in zip(cells, rates.values) if rate > tau}
+    support = set(dataset.support)
+    steps = []
+    while len(marked) < len(cells):
+        # min keeps the first of equal scores, so ties go to the smallest linear index
+        idx = min((i for i, c in enumerate(cells) if c not in marked), key=scores.__getitem__)
+        selected = cells[idx]
+        new = {selected}.union(*(hypercube_span(selected, d) for d in support)) - marked
+        marked |= new
+        support.add(selected)
+        steps.append((selected, float(scores[idx]), len(new)))
+    return steps
+
+
+@pytest.mark.parametrize("support_kind", ["empty", "sparse", "diagonal"])
+def test_curation_replays_hypercube_span_unions_in_4_to_6_dims(support_kind):
+    rng = np.random.default_rng({"empty": 41, "sparse": 42, "diagonal": 43}[support_kind])
+    for trial in range(8):
+        shape = tuple(int(v) for v in rng.integers(2, 4, size=int(rng.integers(4, 7))))
+        space = grid_space(shape)
+        # rates on a coarse lattice make score ties common; trial 0 ties every cell
+        rates = rng.integers(0, 3, size=space.cardinality) / 2
+        if trial == 0:
+            rates[:] = 0.0
+        if support_kind == "empty":
+            counts = {}
+        elif support_kind == "sparse":
+            points = rng.integers(0, shape, size=(int(rng.integers(1, 4)), len(shape)))
+            counts = {tuple(int(v) for v in p): 3 for p in points}
+        else:
+            counts = {tuple(j % size for size in shape): 2 for j in range(max(shape))}
+        d = Dataset(space, counts)
+        tensor = Tensor(space, rates)
+        batches, after, trace = curate_expansion(tensor, d, 0.6, 4)
+        want = replay_curation(tensor, d, 0.6)
+        assert [(s.selected, s.s_value, s.newly_marked) for s in trace.steps] == want
+        assert [b.composition for b in batches] == [s[0] for s in want]
+        assert after.total == d.total + 4 * len(want)

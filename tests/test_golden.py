@@ -2,8 +2,9 @@
 
 The other tests compare a run with itself (a rerun, more threads), so a
 changed random stream, score tie-break or float rounding would pass them.
-These pins catch that.  The cases iterate: 3-D and 4-D weak-transfer runs
-(the 4-D one hits the iteration cap), staged expansion in both evaluation
+These pins catch that.  The cases iterate: 3-D, 4-D and 5-D weak-transfer
+runs (the 4-D and 5-D ones hit the iteration cap, curating against a growing
+support), staged expansion in both evaluation
 modes (reduced-space projections and the blacklist), compare and check-comp.
 The tree hash covers each file's relative path, size and bytes, in path
 order, the same way the benchmark hashes its output trees.
@@ -35,6 +36,7 @@ STAGED = [grid("a", [4, 4]), grid("b", [3, 3])]
 CASES = {
     "run_6x6x6": ("run", {"space": grid("d", [6, 6, 6]), **WEAK}),
     "run_4x4x4x4": ("run", {"space": grid("d", [4, 4, 4, 4]), **WEAK}),
+    "run_3x3x3x3x3": ("run", {"space": grid("d", [3, 3, 3, 3, 3]), **WEAK}),
     "expand_exact": (
         "expand",
         {
@@ -64,6 +66,8 @@ GOLDEN = {
     ("run_6x6x6", 2**64 - 1): (0, "d2005bb112b8fb97a8c4dc7270cf8705e84070ddc4737578fcc226d8524582b4"),
     ("run_4x4x4x4", 7): (1, "aca7875c5dc212ae52298ee6534d1a2299c96b9f5ddd105523931d157f291093"),
     ("run_4x4x4x4", 2**64 - 1): (1, "a0fd839b0aa5ab6a68645617c493c5ef0f7ef46660f0878e4ea6ca5a96b76e69"),
+    ("run_3x3x3x3x3", 7): (1, "46c826d9cce4a7d5946b0a7b0527095eb0499a96f1f5e5fb315f7fb9d5d6b934"),
+    ("run_3x3x3x3x3", 2**64 - 1): (1, "bda0fdf987af8c5df3c2ed6b8d229bea6b70290c5ffe48c1fd7830b6a95c69fb"),
     ("expand_exact", 7): (1, "730e3c8054e0af8d5ef319aed188b121dc2071b94eab75723ba9c7a1c8b5eca2"),
     ("expand_exact", 2**64 - 1): (1, "7cabc34b358677c507ffdcf6532df6b4f865ff0b7a6b6cb17d5425bdff2ec9bd"),
     ("expand_ratio", 7): (1, "74223565b51d8cbc5df4812d924300a96f069556d0f63f472ae5ead18eba243a"),

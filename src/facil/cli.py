@@ -221,17 +221,27 @@ def _check_in_space(space: FactorSpace, comp: Composition, path: str, where: str
         raise ConfigError(f"{path}: {where}{exc}") from exc
 
 
+def _is_dim_spec(item) -> bool:
+    return (
+        isinstance(item, list)
+        and len(item) == 2
+        and isinstance(item[0], str)
+        and isinstance(item[1], list)
+        and all(isinstance(level, str) for level in item[1])
+    )
+
+
 def _space_selector(value, path: str) -> FactorSpace:
     if isinstance(value, str):
         if value not in PRESET_NAMES:
             _fail(path, f"unknown preset {value!r}; choose from {sorted(PRESET_NAMES)}")
         return preset_space(value)
-    if isinstance(value, list):
+    if isinstance(value, list) and all(map(_is_dim_spec, value)):
         try:
-            return build_space([(str(name), [str(x) for x in levels]) for name, levels in value])
-        except (TypeError, ValueError) as exc:
+            return build_space(value)
+        except ValueError as exc:
             _fail(path, f"invalid inline dimension specs ({exc})")
-    _fail(path, "must be a preset name or a list of [name, [levels...]] pairs")
+    _fail(path, "must be a preset name or a list of [name, [levels...]] string pairs")
 
 
 @dataclass(frozen=True)
@@ -480,6 +490,10 @@ def _cmd_budget(grid: int, base: int, slots: int, k: int, out: Path) -> int:
     return 0
 
 
+# Commands whose demo totals grow by flywheel.unit_size per batch.
+_FLYWHEEL_COMMANDS = {"run": _cmd_run, "expand": _cmd_expand, "compare": _cmd_compare}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="facil",
@@ -518,12 +532,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.seed is not None:
             config = build_config({**config.to_doc(), "seed": args.seed})
         out = _resolve_out_dir(config)
-        if args.command == "run":
-            return _cmd_run(config, out)
-        if args.command == "expand":
-            return _cmd_expand(config, out)
-        if args.command == "compare":
-            return _cmd_compare(config, out)
+        if args.command in _FLYWHEEL_COMMANDS:
+            try:
+                return _FLYWHEEL_COMMANDS[args.command](config, out)
+            except OverflowError as exc:  # a Dataset total would reach 2**63
+                _fail("flywheel.unit_size", str(exc))
         if args.command == "fit":
             return _cmd_fit(args.input, out)
         if args.command == "check-comp":

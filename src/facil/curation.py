@@ -4,6 +4,12 @@ The expansion loop scores every composition by summing all axis-aligned
 slices through it (minus the overcounted self terms), then repeatedly batches
 the unmarked composition with the lowest score, predicting coverage via
 hypercube spans against the dataset support until the whole grid is marked.
+
+Marks are one bool array shaped like the grid and the support is an (n, ndim)
+integer array.  A selection s marks the union of its spans with every support
+point in one pass over the axes: for each axis m, the rows whose coordinate m
+differs from s_m are copied with that coordinate set to s_m and appended.  The
+rows then hold every cell of every span, and one fancy-index write marks them.
 """
 
 from __future__ import annotations
@@ -11,14 +17,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 # add_demos stays importable from here: bench/tracer.py wraps it at this lookup site.
 from .dataset import Dataset, DemoBatch, add_demos, add_many  # noqa: F401
-from .orbit import MarkTensor
-from .spaces import Composition, FactorSpace, Tensor, format_composition
+from .spaces import Composition, Tensor, format_composition
 
 
 def aggregated_tensor(rates: Tensor) -> Tensor:
@@ -93,24 +97,30 @@ def curate_expansion(
         raise ValueError(f"tau must be in [0, 1], got {tau}")
 
     scores = aggregated_tensor(rates).values
-    marks = MarkTensor(space, rates.values > tau)
-    support = list(dataset.support)
+    marked = rates.values > tau
+    grid = marked.reshape(space.shape)
+    support = np.argwhere(dataset.grid)
     batches: list[DemoBatch] = []
     steps: list[CurationStep] = []
 
-    while not marks.all_marked():
-        candidates = marks.unmarked_indices()
+    while (candidates := np.flatnonzero(~marked)).size:
         selected_idx = int(candidates[np.argmin(scores[candidates])])
         selected = space.decode(selected_idx)
-        newly_count = marks.mark_spans(selected, support)
-        support.append(selected)
+        # span(s, s) is {s}, so adding s to the support first also marks s itself
+        support = np.vstack([support, selected])
+        rows = support
+        for m, level in enumerate(selected):
+            copies = rows[rows[:, m] != level]
+            copies[:, m] = level
+            rows = np.concatenate([rows, copies])
+        grid[tuple(rows.T)] = True
         batches.append(DemoBatch(selected, unit_size))
         steps.append(
             CurationStep(
                 step=len(steps),
                 selected=selected,
                 s_value=float(scores[selected_idx]),
-                newly_marked=newly_count,
+                newly_marked=candidates.size - int(np.count_nonzero(~marked)),
                 batch_size=unit_size,
             )
         )

@@ -4,6 +4,7 @@ A dataset is a multiset of demonstrations; every consumer in this package
 needs only its per-composition counts, held as one read-only int64 array
 shaped like the space (``Dataset.grid``).  Counts are validated where they
 enter from outside: the constructors, added batches and the CSV/JSON loaders.
+A total that would reach 2**63 raises OverflowError before it is stored.
 Updates are value-semantic: adding a batch returns a new snapshot and leaves
 the input untouched, so iteration histories can hold per-iteration datasets.
 """
@@ -63,6 +64,9 @@ class Dataset:
     def _freeze(self, space: FactorSpace, grid: np.ndarray) -> None:
         if (grid < 0).any():
             raise ValueError(f"negative count at {space.decode(int(np.argmin(grid)))}")
+        # int64 sums wrap, so a total near 2**63 is summed again exactly in Python ints
+        if grid.sum(dtype=float) >= 2.0**62 and sum(grid.ravel().tolist()) >= 2**63:
+            raise OverflowError("total demo count must stay below 2**63")
         grid.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "grid", grid)
@@ -107,10 +111,12 @@ def add_demos(dataset: Dataset, batch: DemoBatch) -> Dataset:
 def add_many(dataset: Dataset, batches: Iterable[DemoBatch]) -> Dataset:
     """Return a new dataset with every batch merged in."""
     batches = list(batches)
+    counts = [b.count for b in batches]
+    if dataset.total + sum(counts) >= 2**63:  # no cell can wrap if the total cannot
+        raise OverflowError("total demo count must stay below 2**63")
     grid = dataset.grid.copy()
     if batches:
-        index = dataset.space.grid_index([b.composition for b in batches])
-        np.add.at(grid, index, [b.count for b in batches])
+        np.add.at(grid, dataset.space.grid_index([b.composition for b in batches]), counts)
     return Dataset.from_grid(dataset.space, grid)
 
 

@@ -45,10 +45,17 @@ def derive_tag(*parts: int) -> int:
     return acc
 
 
-def _cell_generator(seed: int, tag: int, cell_index: int) -> np.random.Generator:
+def _cell_uniforms(seed: int, tag: int, cells: int, draws: int) -> np.ndarray:
+    """A (cells, draws) array of uniforms; row i is the start of cell i's stream.
+
+    Cell i's stream is Philox keyed by (seed, tag) from counter [0, i, 0, 0].
+    """
     key = np.array([seed & _MASK64, tag & _MASK64], dtype=np.uint64)
-    counter = np.array([0, cell_index & _MASK64, 0, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    out = np.empty((cells, draws))
+    for idx in range(cells):
+        counter = np.array([0, idx, 0, 0], dtype=np.uint64)
+        out[idx] = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(draws)
+    return out
 
 
 def _normalize_pair(pair: BlacklistPair) -> BlacklistPair:
@@ -297,25 +304,10 @@ class EvaluationReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["composition_indices", "successes", "k", "rate"])
-        for idx in range(self.space.cardinality):
-            writer.writerow(
-                [
-                    format_composition(self.space.decode(idx)),
-                    int(self.successes[idx]),
-                    self.k,
-                    repr(float(self.rates.values[idx])),
-                ]
-            )
+        cells = zip(self.space.compositions(), self.successes.tolist(), self.rates.values.tolist())
+        for c, successes, rate in cells:
+            writer.writerow([format_composition(c), successes, self.k, repr(rate)])
         return buf.getvalue()
-
-
-def _rollout_cells(probs: np.ndarray, seed: int, tag: int, k: int) -> np.ndarray:
-    """Per-cell Bernoulli success counts from each cell's own stream."""
-    successes = np.zeros(probs.size, dtype=np.int64)
-    for idx in range(probs.size):
-        gen = _cell_generator(seed, tag, idx)
-        successes[idx] = int(np.count_nonzero(gen.random(k) < probs[idx]))
-    return successes
 
 
 def _report(space: FactorSpace, successes: np.ndarray, k: int) -> EvaluationReport:
@@ -350,7 +342,8 @@ def simulate_evaluation(
             f"benchmark shape {bench_space.shape} does not match dataset space {dataset.space.shape}"
         )
     probs = success_tensor(params, dataset).values
-    return _report(bench_space, _rollout_cells(probs, params.seed, iteration_tag, k), k)
+    draws = _cell_uniforms(params.seed, iteration_tag, probs.size, k)
+    return _report(bench_space, np.count_nonzero(draws < probs[:, None], axis=1), k)
 
 
 def _slot_success(params: OracleParams, dataset: Dataset, reduced: FactorSpace) -> np.ndarray:
@@ -376,7 +369,8 @@ def mapped_evaluation(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     probs = _slot_success(params, dataset, reduced).reshape(-1)
-    return _report(reduced, _rollout_cells(probs, params.seed, iteration_tag, k), k)
+    draws = _cell_uniforms(params.seed, iteration_tag, probs.size, k)
+    return _report(reduced, np.count_nonzero(draws < probs[:, None], axis=1), k)
 
 
 def ratio_guided_evaluation(
@@ -398,10 +392,8 @@ def ratio_guided_evaluation(
     cumulative = np.cumsum(np.asarray(reduced.slot_ratios, dtype=float))
     cumulative[-1] = 1.0
 
-    successes = np.zeros(slot_probs.shape[1], dtype=np.int64)
-    for idx in range(successes.size):
-        gen = _cell_generator(params.seed, iteration_tag, idx)
-        draws = gen.random(2 * k)
-        slots = np.searchsorted(cumulative, draws[0::2], side="right")
-        successes[idx] = int(np.count_nonzero(draws[1::2] < slot_probs[slots, idx]))
-    return _report(new_factor_subspace(reduced), successes, k)
+    cells = slot_probs.shape[1]
+    draws = _cell_uniforms(params.seed, iteration_tag, cells, 2 * k)
+    slots = np.searchsorted(cumulative, draws[:, 0::2], side="right")
+    hits = draws[:, 1::2] < slot_probs[slots, np.arange(cells)[:, None]]
+    return _report(new_factor_subspace(reduced), np.count_nonzero(hits, axis=1), k)

@@ -4,62 +4,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
 import numpy as np
 
-from .spaces import Composition, FactorSpace, Tensor, format_composition
-
-
-class MarkTensor:
-    """Boolean coverage mask over a space, mutated during curation."""
-
-    def __init__(self, space: FactorSpace, marked: np.ndarray | None = None):
-        self.space = space
-        if marked is None:
-            self.marked = np.zeros(space.cardinality, dtype=bool)
-        else:
-            marked = np.asarray(marked, dtype=bool).reshape(-1)
-            if marked.size != space.cardinality:
-                raise ValueError(
-                    f"mask has {marked.size} entries for cardinality {space.cardinality}"
-                )
-            self.marked = marked.copy()
-
-    def is_marked(self, c: Composition) -> bool:
-        return bool(self.marked[self.space.encode(c)])
-
-    def mark(self, c: Composition) -> bool:
-        """Mark one composition; True if it was previously unmarked."""
-        idx = self.space.encode(c)
-        was_new = not self.marked[idx]
-        self.marked[idx] = True
-        return was_new
-
-    def mark_all(self, comps: Iterable[Composition]) -> int:
-        return sum(self.mark(c) for c in comps)
-
-    def mark_spans(self, s: Composition, support: Iterable[Composition]) -> int:
-        """Mark s and its hypercube span with each support point; count new marks.
-
-        Same cells as ``mark(s)`` then ``mark_all(hypercube_span(s, d))`` for
-        every d, with one block assignment per support point.
-        """
-        s = self.space.validate(s)
-        grid = self.marked.reshape(self.space.shape)
-        before = np.count_nonzero(self.marked)
-        grid[s] = True
-        for d in support:
-            grid[np.ix_(*[(a,) if a == b else (a, b) for a, b in zip(s, d)])] = True
-        return int(np.count_nonzero(self.marked) - before)
-
-    def all_marked(self) -> bool:
-        return bool(self.marked.all())
-
-    def unmarked_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.marked)
+from .spaces import Composition, Tensor, format_composition
 
 
 def hypercube_span(s: Composition, d: Composition) -> set[Composition]:
@@ -83,11 +33,8 @@ def empirical_orbit(rates: Tensor, tau: float, strict: bool = True) -> frozenset
         raise ValueError(f"tau must be in [0, 1], got {tau}")
     if not rates.is_rates():
         raise ValueError("tensor is not a success-rate tensor (values outside [0, 1])")
-    if strict:
-        hits = np.flatnonzero(rates.values > tau)
-    else:
-        hits = np.flatnonzero(rates.values >= tau)
-    return frozenset(rates.space.decode(int(i)) for i in hits)
+    hits = rates.grid > tau if strict else rates.grid >= tau
+    return frozenset(map(tuple, np.argwhere(hits).tolist()))
 
 
 def product_closure(comps: Iterable[Composition]) -> set[Composition]:

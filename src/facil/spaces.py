@@ -8,6 +8,7 @@ stored flat in row-major order over the declared dimension order.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -126,8 +127,7 @@ class FactorSpace:
 
     def compositions(self) -> Iterator[Composition]:
         """All compositions in ascending linear-index order."""
-        for idx in range(self.cardinality):
-            yield self.decode(idx)
+        return itertools.product(*map(range, self.shape))
 
     def to_json(self) -> str:
         doc: dict = {"dims": [{"name": d.name, "levels": list(d.levels)} for d in self.dims]}

@@ -225,6 +225,15 @@ def test_fit_rejects_non_finite_or_missing_values(tmp_path, monkeypatch, capsys,
             "flywheel.initial_compositions[0][0]",
         ),
         ("run", '{"seed": 1' + "0" * 5000 + "}", "config"),
+        ("run", '{"flywheel": {"unit_size": 4611686018427387904}}', "flywheel.unit_size"),
+        (
+            "run",
+            '{"flywheel": {"unit_size": 4611686018427387904,'
+            ' "initial_compositions": [[0, 0], [0, 0], [1, 1], [1, 1]]}}',
+            "flywheel.unit_size",
+        ),
+        ("run", '{"space": [["side", "lr"], [7, [null, 1.5]]]}', "space"),
+        ("expand", '{"stages": ["pnp_object", [["side", ["l", 2]]]]}', "stages[1]"),
     ],
 )
 def test_bad_config_values_exit_two_naming_the_field(

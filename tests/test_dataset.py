@@ -94,6 +94,21 @@ def test_from_grid_copies_and_validates():
         Dataset.from_grid(space, np.zeros(5))
 
 
+def test_totals_that_would_reach_2_to_the_63_are_rejected():
+    space = space3x2()
+    half = 2**62
+    d = add_many(Dataset.empty(space), [DemoBatch((0, 0), half - 1), DemoBatch((1, 1), half)])
+    assert d.total == 2**63 - 1
+    with pytest.raises(OverflowError):
+        add_demos(d, DemoBatch((2, 0), 1))
+    # two batches at one cell would wrap that cell, not only the total
+    with pytest.raises(OverflowError):
+        add_many(Dataset.empty(space), [DemoBatch((0, 0), half), DemoBatch((0, 0), half)])
+    # an int64 grid whose sum wraps to a small positive total
+    with pytest.raises(OverflowError):
+        Dataset.from_grid(space, [2**63 - 1, 2**63 - 1, 2, 0, 0, 0])
+
+
 def test_count_array_row_major_layout():
     space = space3x2()
     d = Dataset(space, {(0, 1): 7, (2, 0): 9})

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from facil.orbit import (
-    MarkTensor,
     empirical_orbit,
     hypercube_span,
     orbit_to_csv,
@@ -17,28 +16,6 @@ from facil.spaces import Tensor, build_space
 
 def space2x3():
     return build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1", "b2"])])
-
-
-def test_mark_tensor_basic_lifecycle():
-    space = space2x3()
-    marks = MarkTensor(space)
-    assert not marks.all_marked()
-    assert marks.mark((0, 1)) is True
-    assert marks.mark((0, 1)) is False  # second mark is a no-op
-    assert marks.is_marked((0, 1))
-    assert marks.mark_all([(0, 0), (0, 1), (1, 2)]) == 2
-    remaining = [space.decode(int(i)) for i in marks.unmarked_indices()]
-    assert remaining == [(0, 2), (1, 0), (1, 1)]  # ascending linear index
-
-
-def test_mark_tensor_from_mask_copies():
-    space = space2x3()
-    mask = np.zeros(space.cardinality, dtype=bool)
-    marks = MarkTensor(space, mask)
-    marks.mark((0, 0))
-    assert not mask[0]
-    with pytest.raises(ValueError):
-        MarkTensor(space, np.zeros(5, dtype=bool))
 
 
 def test_hypercube_span_known_cases():

@@ -45,6 +45,7 @@ from .oracle import (
     DEFAULT_P_MAX,
     BlacklistPair,
     OracleFamily,
+    RolloutMemoryError,
     success_tensor,
 )
 from .spaces import (
@@ -537,6 +538,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return _FLYWHEEL_COMMANDS[args.command](config, out)
             except OverflowError as exc:  # a Dataset total would reach 2**63
                 _fail("flywheel.unit_size", str(exc))
+            except RolloutMemoryError as exc:
+                _fail("flywheel.k", str(exc))
         if args.command == "fit":
             return _cmd_fit(args.input, out)
         if args.command == "check-comp":

@@ -5,8 +5,9 @@ probability through a saturating exponential in an "effective demonstration
 energy": direct demos at the composition plus a compositional-transfer term
 proportional to the weakest per-dimension level marginal.  Level-pair
 blacklists cut the transfer term only; direct demos always count.  Rollouts
-are Bernoulli draws from counter-based streams keyed by (seed, tag, cell),
-so results never depend on execution order or thread count.
+are Bernoulli draws from Philox4x64-10 streams keyed by (seed, tag) with the
+cell index in the counter, computed for every cell at once in numpy integer
+arithmetic, so results never depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -45,16 +46,78 @@ def derive_tag(*parts: int) -> int:
     return acc
 
 
+# Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
+# SC'11) with numpy's constants.  Every operand is a uint64 array or np.uint64
+# so the arithmetic wraps silently under any promotion rules.
+_U64 = np.uint64
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=_U64)
+_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=_U64)
+_PHILOX_ROUNDS = np.arange(10, dtype=_U64)[:, None, None]
+_LO32 = _U64(0xFFFFFFFF)
+_SHIFT32 = _U64(32)
+_MUL_LO = _PHILOX_MUL & _LO32
+_MUL_HI = _PHILOX_MUL >> _SHIFT32
+# Cells per pass: bounds the uint64 temporaries while keeping numpy calls few.
+_CHUNK_CELLS = 2048
+
+
+class RolloutMemoryError(MemoryError):
+    """The draws of one evaluation do not fit in memory; k is too large."""
+
+
+def _philox4x64_10(
+    a: np.ndarray, b: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ten Philox rounds on (2, n) lanes a = (x0, x2) and b = (x1, x3).
+
+    keys holds the (2, 1) key of each round.  A round multiplies a by the
+    two constants; mulhi comes from 32-bit half products.
+    """
+    for key in keys:
+        a_lo = a & _LO32
+        a_hi = a >> _SHIFT32
+        t = a_hi * _MUL_LO
+        t += (a_lo * _MUL_LO) >> _SHIFT32
+        mid = a_lo * _MUL_HI
+        mid += t & _LO32
+        hi = a_hi * _MUL_HI
+        hi += t >> _SHIFT32
+        hi += mid >> _SHIFT32
+        lo = a * _PHILOX_MUL
+        # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
+        a = hi[::-1] ^ b ^ key
+        b = lo[::-1]
+    return a, b
+
+
 def _cell_uniforms(seed: int, tag: int, cells: int, draws: int) -> np.ndarray:
     """A (cells, draws) array of uniforms; row i is the start of cell i's stream.
 
-    Cell i's stream is Philox keyed by (seed, tag) from counter [0, i, 0, 0].
+    Cell i's stream is numpy's ``Philox(key=[seed, tag], counter=[0, i, 0, 0])``
+    read through ``Generator.random``, reproduced bit for bit: block j of
+    cell i is Philox4x64-10 of counter (j + 1, i, 0, 0) under key
+    (seed, tag), its four words are drawn in order, and a word u becomes
+    (u >> 11) * 2**-53.  All blocks of up to _CHUNK_CELLS cells are computed
+    in one pass.  Raises RolloutMemoryError when the result cannot be allocated.
     """
-    key = np.array([seed & _MASK64, tag & _MASK64], dtype=np.uint64)
-    out = np.empty((cells, draws))
-    for idx in range(cells):
-        counter = np.array([0, idx, 0, 0], dtype=np.uint64)
-        out[idx] = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(draws)
+    try:
+        out = np.empty((cells, draws))
+    except MemoryError as exc:
+        raise RolloutMemoryError(f"{cells} cells x {draws} draws do not fit in memory") from exc
+    key = np.array([[seed & _MASK64], [tag & _MASK64]], dtype=_U64)
+    keys = key + _PHILOX_ROUNDS * _PHILOX_BUMP  # round r runs under key + r * bump
+    blocks = -(-draws // 4)
+    for start in range(0, cells, _CHUNK_CELLS):
+        stop = min(start + _CHUNK_CELLS, cells)
+        a = np.zeros((2, (stop - start) * blocks), dtype=_U64)
+        b = np.zeros_like(a)
+        a[0] = np.tile(np.arange(1, blocks + 1, dtype=_U64), stop - start)
+        b[0] = np.repeat(np.arange(start, stop, dtype=_U64), blocks)
+        a, b = _philox4x64_10(a, b, keys)
+        # Stacked as (lane, a|b) the words read x0, x1, x2, x3.
+        words = np.stack((a, b), axis=1).reshape(4, stop - start, blocks)
+        words = words.transpose(1, 2, 0).reshape(stop - start, 4 * blocks)[:, :draws]
+        np.multiply(words >> _U64(11), 2.0**-53, out=out[start:stop])
     return out
 
 

@@ -234,6 +234,8 @@ def test_fit_rejects_non_finite_or_missing_values(tmp_path, monkeypatch, capsys,
         ),
         ("run", '{"space": [["side", "lr"], [7, [null, 1.5]]]}', "space"),
         ("expand", '{"stages": ["pnp_object", [["side", ["l", 2]]]]}', "stages[1]"),
+        # Rollout draws past any address space, so allocation fails at once.
+        ("run", '{"space": "pnp_object", "flywheel": {"k": 10000000000000000}}', "flywheel.k"),
     ],
 )
 def test_bad_config_values_exit_two_naming_the_field(

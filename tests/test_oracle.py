@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from facil.dataset import Dataset, DemoBatch, add_many
 from facil.oracle import (
+    _CHUNK_CELLS,
     DEFAULT_BETA,
     DEFAULT_BLACKLIST,
     DEFAULT_KAPPA0,
     DEFAULT_P_MAX,
     OracleFamily,
     OracleParams,
+    _cell_uniforms,
     blacklist_mask,
     compositional_family,
     default_family,
@@ -233,6 +236,49 @@ def test_simulate_evaluation_rejects_shape_mismatch():
         simulate_evaluation(params, d, preset_space("environment"), k=2)
     with pytest.raises(ValueError):
         simulate_evaluation(params, d, space, k=0)
+
+
+@pytest.mark.parametrize("draws", [1, 3, 4, 5, 8, 10, 20])
+def test_cell_uniforms_match_numpy_philox(draws):
+    top = 2**64 - 1
+    sizes = [1, _CHUNK_CELLS - 1, _CHUNK_CELLS, _CHUNK_CELLS + 1]
+    for seed in (0, 7, top):
+        for tag in (0, 7, top):
+            # uint64 arrays: numpy reads the list [0, 2**64 - 1] as float64.
+            key = np.array([seed, tag], dtype=np.uint64)
+            expected = np.array([
+                np.random.Generator(
+                    np.random.Philox(key=key, counter=np.array([0, i, 0, 0], dtype=np.uint64))
+                ).random(draws)
+                for i in range(max(sizes))
+            ])
+            for cells in sizes:
+                got = _cell_uniforms(seed, tag, cells, draws)
+                assert got.shape == (cells, draws)
+                assert np.array_equal(got, expected[:cells]), (seed, tag, cells)
+
+
+def test_rollout_paths_build_no_numpy_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rollout path built a numpy bit generator")
+
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    base = preset_space("pnp_object")
+    nxt = build_space([("temp", ["cold", "hot"])])
+    world = build_space(
+        [("texture", list(base.dims[0].levels)), ("geometry", list(base.dims[1].levels)),
+         ("temp", ["cold", "hot"])]
+    )
+    reduced = reduced_product([((0, 0), 0.25), ((1, 1), 0.75)], nxt)
+    params = plain_params(world, seed=2**64 - 1)
+    d = Dataset(world, {(0, 0, 0): 7, (1, 1, 1): 7})
+    tag = 2**64 - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate_evaluation(params, d, world, k=7, iteration_tag=tag)
+        mapped_evaluation(params, d, reduced, k=7, iteration_tag=tag)
+        ratio_guided_evaluation(params, d, reduced, k=7, iteration_tag=tag)
 
 
 def test_rollouts_are_deterministic_and_thread_invariant():

@@ -29,7 +29,7 @@ from .oracle import (
     simulate_evaluation,
 )
 from .orbit import empirical_orbit, product_closure
-from .spaces import Composition, FactorSpace, Tensor, format_composition
+from .spaces import Composition, FactorSpace, Tensor, csv_text, format_composition
 
 STRATEGY_NAMES = ("facil_ratio", "factors_mixture", "gaussian")
 
@@ -178,14 +178,12 @@ def compare_strategies(
     gaussian_mode: Composition | None = None,
     gaussian_sigma: float = 1.0,
     benchmark: str = "O",
-    threads: int = 1,
 ) -> list[StrategyOutcome]:
     """Budget-matched comparison of curation against baseline samplers.
 
     The flywheel runs once; each budget evaluates its truncation.  Baselines
     draw budget-many demos directly.  Every (strategy, budget) cell gets its
     own rollout streams, so outcomes are order-independent and reproducible.
-    ``threads`` is accepted for compatibility and has no effect.
     """
     if list(budgets) != sorted(int(b) for b in budgets):
         raise ValueError("budgets must be sorted ascending")
@@ -236,12 +234,10 @@ def compare_strategies(
 
 
 def comparison_csv(outcomes: Sequence[StrategyOutcome]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["strategy", "benchmark", "budget", "success"])
-    for o in outcomes:
-        writer.writerow([o.strategy, o.benchmark, o.budget, repr(o.success)])
-    return buf.getvalue()
+    return csv_text(
+        ["strategy", "benchmark", "budget", "success"],
+        ((o.strategy, o.benchmark, o.budget, repr(o.success)) for o in outcomes),
+    )
 
 
 def generalization_gap(
@@ -328,22 +324,17 @@ def compositionality_check(
 
 
 def violations_csv(report: CompositionalityReport, rates: Tensor) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["composition_indices", "predicted_p_or_rate"])
-    for comp in report.violations:
-        writer.writerow([format_composition(comp), repr(float(rates[comp]))])
-    return buf.getvalue()
+    return csv_text(
+        ["composition_indices", "predicted_p_or_rate"],
+        ((format_composition(c), repr(float(rates[c]))) for c in report.violations),
+    )
 
 
 def scaling_csv(fits: Mapping[str, ScalingFit]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["benchmark", "alpha", "r2", "points"])
-    for benchmark in fits:
-        fit = fits[benchmark]
-        writer.writerow([benchmark, repr(fit.alpha), repr(fit.r_squared), fit.n_points])
-    return buf.getvalue()
+    return csv_text(
+        ["benchmark", "alpha", "r2", "points"],
+        ((name, repr(f.alpha), repr(f.r_squared), f.n_points) for name, f in fits.items()),
+    )
 
 
 def bundled_rates(name: str) -> str:

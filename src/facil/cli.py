@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 from pathlib import Path
 from typing import NoReturn, Sequence
@@ -485,7 +485,7 @@ def _cmd_budget(grid: int, base: int, slots: int, k: int, out: Path) -> int:
         report = rollout_budget(grid, base, slots, k)
     except ValueError as exc:
         raise ConfigError(f"budget: {exc}") from exc
-    text = report.to_json() + "\n"
+    text = json.dumps(asdict(report), indent=2) + "\n"
     _write(out / "budget.json", text)
     sys.stdout.write(text)
     return 0
@@ -505,6 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--seed", type=int, help="override the config seed")
+        # --threads is a no-op kept so existing scripts and bench/run.py still parse
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect")
 
     common(sub.add_parser("run", help="single-space flywheel"))

@@ -14,15 +14,13 @@ rows then hold every cell of every span, and one fancy-index write marks them.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 # add_demos stays importable from here: bench/tracer.py wraps it at this lookup site.
 from .dataset import Dataset, DemoBatch, add_demos, add_many  # noqa: F401
-from .spaces import Composition, Tensor, format_composition
+from .spaces import Composition, Tensor, csv_text, format_composition
 
 
 def aggregated_tensor(rates: Tensor) -> Tensor:
@@ -61,14 +59,12 @@ class CurationTrace:
     steps: tuple[CurationStep, ...]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["step", "composition", "S_value", "newly_marked", "batch_size"])
-        for s in self.steps:
-            writer.writerow(
-                [s.step, format_composition(s.selected), repr(s.s_value), s.newly_marked, s.batch_size]
-            )
-        return buf.getvalue()
+        header = ["step", "composition", "S_value", "newly_marked", "batch_size"]
+        rows = (
+            (s.step, format_composition(s.selected), repr(s.s_value), s.newly_marked, s.batch_size)
+            for s in self.steps
+        )
+        return csv_text(header, rows)
 
 
 def curate_expansion(

@@ -3,7 +3,9 @@
 A dataset is a multiset of demonstrations; every consumer in this package
 needs only its per-composition counts, held as one read-only int64 array
 shaped like the space (``Dataset.grid``).  Counts are validated where they
-enter from outside: the constructors, added batches and the CSV/JSON loaders.
+enter from outside: the constructors, added batches and the CSV and
+plain-dict loaders.  ``dataset_to_doc`` gives the dict form that JSON
+writers nest; JSON text itself is made only where a file is written.
 A total that would reach 2**63 raises OverflowError before it is stored.
 Updates are value-semantic: adding a batch returns a new snapshot and leaves
 the input untouched, so iteration histories can hold per-iteration datasets.
@@ -13,14 +15,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .spaces import Composition, FactorSpace, format_composition, parse_composition
+from .spaces import Composition, FactorSpace, csv_text, format_composition, parse_composition
 
 
 @dataclass(frozen=True)
@@ -149,12 +150,7 @@ CSV_HEADER = ["composition_indices", "count"]
 
 def dataset_to_csv(dataset: Dataset) -> str:
     """CSV with one row per support composition, ascending linear index."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for c, n in dataset.counts.items():
-        writer.writerow([format_composition(c), n])
-    return buf.getvalue()
+    return csv_text(CSV_HEADER, ((format_composition(c), n) for c, n in dataset.counts.items()))
 
 
 def dataset_from_csv(space: FactorSpace, text: str) -> Dataset:
@@ -171,16 +167,13 @@ def dataset_from_csv(space: FactorSpace, text: str) -> Dataset:
     return Dataset(space, counts)
 
 
-def dataset_to_json(dataset: Dataset) -> str:
-    doc = {
-        "space": json.loads(dataset.space.to_json()),
+def dataset_to_doc(dataset: Dataset) -> dict:
+    return {
+        "space": dataset.space.to_doc(),
         "counts": {format_composition(c): n for c, n in dataset.counts.items()},
     }
-    return json.dumps(doc)
 
 
-def dataset_from_json(text: str) -> Dataset:
-    doc = json.loads(text)
-    space = FactorSpace.from_json(json.dumps(doc["space"]))
+def dataset_from_doc(doc: dict) -> Dataset:
     counts = {parse_composition(key): int(n) for key, n in doc["counts"].items()}
-    return Dataset(space, counts)
+    return Dataset(FactorSpace.from_doc(doc["space"]), counts)

@@ -10,22 +10,18 @@ full-coordinate dataset.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .curation import CurationStep, CurationTrace, curate_expansion
 from .dataset import (
     Dataset,
     DemoBatch,
     add_many,
-    dataset_from_json,
-    dataset_to_json,
+    dataset_from_doc,
+    dataset_to_doc,
     support_and_ratios,
 )
 from .oracle import (
@@ -40,7 +36,7 @@ from .oracle import (
 from .spaces import (
     Composition,
     FactorSpace,
-    Tensor,
+    csv_text,
     diagonal_init,
     gather_slots,
     new_factor_subspace,
@@ -96,46 +92,73 @@ class FlywheelConfig:
             else [list(c) for c in self.initial_compositions],
         }
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "FlywheelConfig":
-        return cls(**doc)
-
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One evaluate(-curate) cycle; batches are empty on the converged pass."""
+    """One evaluate(-curate) cycle; batches are empty on the converged pass.
+
+    ``dataset_before`` is the previous record's ``dataset_after`` (the run's
+    initial dataset for the first record).  Rates, totals and support sizes
+    are read from the report and the two datasets.
+    """
 
     iteration: int
-    total_before: int
-    support_before: int
     report: EvaluationReport
-    overall_rate: float
     batches: tuple[DemoBatch, ...]
     trace: CurationTrace
-    total_after: int
-    support_after: int
-    rollouts_spent: int
+    dataset_before: Dataset
     dataset_after: Dataset
+
+    @property
+    def overall_rate(self) -> float:
+        return self.report.overall
+
+    @property
+    def rollouts_spent(self) -> int:
+        return self.report.total_rollouts
+
+    @property
+    def total_before(self) -> int:
+        return self.dataset_before.total
+
+    @property
+    def support_before(self) -> int:
+        return len(self.dataset_before.support)
+
+    @property
+    def total_after(self) -> int:
+        return self.dataset_after.total
+
+    @property
+    def support_after(self) -> int:
+        return len(self.dataset_after.support)
 
 
 @dataclass(frozen=True)
 class RunHistory:
-    """Complete record of one flywheel run over one search space."""
+    """Complete record of one flywheel run over one search space.
+
+    The world space, the final dataset and convergence are read from the
+    initial dataset and the records.
+    """
 
     stage: str
     space: FactorSpace
-    world_space: FactorSpace
     config: FlywheelConfig
-    records: tuple[IterationRecord, ...]
-    converged: bool
-    dataset: Dataset
     initial_dataset: Dataset
+    records: tuple[IterationRecord, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        if self.converged:
-            if not self.records or self.records[-1].overall_rate < self.config.tau:
-                raise ValueError("converged history must end at or above tau")
+    @property
+    def world_space(self) -> FactorSpace:
+        return self.initial_dataset.space
+
+    @property
+    def dataset(self) -> Dataset:
+        return self.records[-1].dataset_after if self.records else self.initial_dataset
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.records) and self.records[-1].overall_rate >= self.config.tau
 
     @property
     def iterations(self) -> int:
@@ -153,22 +176,12 @@ class RunHistory:
         raise ValueError(f"no iteration {iteration} in this history")
 
     def iterations_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["iteration", "total_demos", "support_size", "overall_rate", "rollouts_spent"]
+        header = ["iteration", "total_demos", "support_size", "overall_rate", "rollouts_spent"]
+        rows = (
+            (r.iteration, r.total_after, r.support_after, repr(r.overall_rate), r.rollouts_spent)
+            for r in self.records
         )
-        for rec in self.records:
-            writer.writerow(
-                [
-                    rec.iteration,
-                    rec.total_after,
-                    rec.support_after,
-                    repr(rec.overall_rate),
-                    rec.rollouts_spent,
-                ]
-            )
-        return buf.getvalue()
+        return csv_text(header, rows)
 
     def summary(self) -> dict:
         return {
@@ -186,22 +199,17 @@ class RunHistory:
             "stage": self.stage,
             "converged": self.converged,
             "config": self.config.to_doc(),
-            "space": json.loads(self.space.to_json()),
-            "world_space": json.loads(self.world_space.to_json()),
-            "final_dataset": json.loads(dataset_to_json(self.dataset)),
-            "initial_dataset": json.loads(dataset_to_json(self.initial_dataset)),
+            "space": self.space.to_doc(),
+            "world_space": self.world_space.to_doc(),
+            "final_dataset": dataset_to_doc(self.dataset),
+            "initial_dataset": dataset_to_doc(self.initial_dataset),
             "iterations": [
                 {
                     "iteration": rec.iteration,
                     "total_before": rec.total_before,
                     "support_before": rec.support_before,
                     "overall_rate": rec.overall_rate,
-                    "report": {
-                        "space": json.loads(rec.report.space.to_json()),
-                        "successes": [int(s) for s in rec.report.successes],
-                        "k": rec.report.k,
-                        "total_rollouts": rec.report.total_rollouts,
-                    },
+                    "report": rec.report.to_doc(),
                     "batches": [[list(b.composition), b.count] for b in rec.batches],
                     "trace": [
                         [s.step, list(s.selected), s.s_value, s.newly_marked, s.batch_size]
@@ -210,7 +218,7 @@ class RunHistory:
                     "total_after": rec.total_after,
                     "support_after": rec.support_after,
                     "rollouts_spent": rec.rollouts_spent,
-                    "dataset_after": json.loads(dataset_to_json(rec.dataset_after)),
+                    "dataset_after": dataset_to_doc(rec.dataset_after),
                 }
                 for rec in self.records
             ],
@@ -219,56 +227,33 @@ class RunHistory:
 
     @classmethod
     def from_json(cls, text: str) -> "RunHistory":
+        """Rebuild a history; fields derivable from the others are not read back."""
         doc = json.loads(text)
+        initial = before = dataset_from_doc(doc["initial_dataset"])
         records = []
         for rd in doc["iterations"]:
-            rspace = FactorSpace.from_json(json.dumps(rd["report"]["space"]))
-            k = int(rd["report"]["k"])
-            successes = np.asarray(rd["report"]["successes"], dtype=np.int64)
-            report = EvaluationReport(
-                space=rspace,
-                rates=Tensor(rspace, successes / k),
-                successes=successes,
-                k=k,
-                total_rollouts=int(rd["report"]["total_rollouts"]),
+            after = dataset_from_doc(rd["dataset_after"])
+            steps = tuple(
+                CurationStep(int(s[0]), tuple(s[1]), float(s[2]), int(s[3]), int(s[4]))
+                for s in rd["trace"]
             )
             records.append(
                 IterationRecord(
                     iteration=int(rd["iteration"]),
-                    total_before=int(rd["total_before"]),
-                    support_before=int(rd["support_before"]),
-                    report=report,
-                    overall_rate=float(rd["overall_rate"]),
-                    batches=tuple(
-                        DemoBatch(tuple(c), int(n)) for c, n in rd["batches"]
-                    ),
-                    trace=CurationTrace(
-                        steps=tuple(
-                            CurationStep(
-                                step=int(s[0]),
-                                selected=tuple(s[1]),
-                                s_value=float(s[2]),
-                                newly_marked=int(s[3]),
-                                batch_size=int(s[4]),
-                            )
-                            for s in rd["trace"]
-                        )
-                    ),
-                    total_after=int(rd["total_after"]),
-                    support_after=int(rd["support_after"]),
-                    rollouts_spent=int(rd["rollouts_spent"]),
-                    dataset_after=dataset_from_json(json.dumps(rd["dataset_after"])),
+                    report=EvaluationReport.from_doc(rd["report"]),
+                    batches=tuple(DemoBatch(tuple(c), int(n)) for c, n in rd["batches"]),
+                    trace=CurationTrace(steps),
+                    dataset_before=before,
+                    dataset_after=after,
                 )
             )
+            before = after
         return cls(
             stage=str(doc["stage"]),
-            space=FactorSpace.from_json(json.dumps(doc["space"])),
-            world_space=FactorSpace.from_json(json.dumps(doc["world_space"])),
-            config=FlywheelConfig.from_doc(doc["config"]),
+            space=FactorSpace.from_doc(doc["space"]),
+            config=FlywheelConfig(**doc["config"]),
+            initial_dataset=initial,
             records=tuple(records),
-            converged=bool(doc["converged"]),
-            dataset=dataset_from_json(json.dumps(doc["final_dataset"])),
-            initial_dataset=dataset_from_json(json.dumps(doc["initial_dataset"])),
         )
 
 
@@ -281,18 +266,6 @@ class BudgetReport:
     sampled_rollouts: int
     full_rollouts: int
     speedup: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "full_possibilities": self.full_possibilities,
-                "reduced_possibilities": self.reduced_possibilities,
-                "sampled_rollouts": self.sampled_rollouts,
-                "full_rollouts": self.full_rollouts,
-                "speedup": self.speedup,
-            },
-            indent=2,
-        )
 
 
 def rollout_budget(grid_cells: int, base_cardinality: int, slot_count: int, k: int) -> BudgetReport:
@@ -356,7 +329,6 @@ def run_flywheel(
     world: FactorSpace | None = None,
     stage: str = "O",
     eval_tag_base: int = 0,
-    threads: int = 1,
 ) -> RunHistory:
     """Run the evaluate-curate loop on one search space.
 
@@ -364,8 +336,7 @@ def run_flywheel(
     needs `world`, the full-coordinate space its demos live in; curation then
     works either on the whole (slot x new grid) in exact mode or on the
     new-factor grid alone in ratio_guided mode, with each emitted batch
-    spread over the inherited slots by their frozen ratios.  ``threads`` is
-    accepted for compatibility and has no effect.
+    spread over the inherited slots by their frozen ratios.
     """
     reduced = space.slot_ratios is not None
     if not reduced:
@@ -405,7 +376,6 @@ def run_flywheel(
     current = initial
 
     records: list[IterationRecord] = []
-    converged = False
     for iteration in range(1, cfg.max_iterations + 1):
         tag = derive_tag(eval_tag_base, iteration)
         if not reduced:
@@ -414,9 +384,8 @@ def run_flywheel(
             report = ratio_guided_evaluation(params, current, space, cfg.k, tag)
         else:
             report = mapped_evaluation(params, current, space, cfg.k, tag)
-        rate = report.overall
         before = current
-        converged = rate >= cfg.tau
+        converged = report.overall >= cfg.tau
         if converged:
             batches, trace = [], CurationTrace(steps=())
         else:
@@ -432,34 +401,10 @@ def run_flywheel(
             )
             world_batches = [wb for b in batches for wb in to_world_batches(b)]
             current = add_many(current, world_batches)
-        records.append(
-            IterationRecord(
-                iteration=iteration,
-                total_before=before.total,
-                support_before=len(before.support),
-                report=report,
-                overall_rate=rate,
-                batches=tuple(batches),
-                trace=trace,
-                total_after=current.total,
-                support_after=len(current.support),
-                rollouts_spent=report.total_rollouts,
-                dataset_after=current,
-            )
-        )
+        records.append(IterationRecord(iteration, report, tuple(batches), trace, before, current))
         if converged:
             break
-
-    return RunHistory(
-        stage=stage,
-        space=space,
-        world_space=world,
-        config=cfg,
-        records=tuple(records),
-        converged=converged,
-        dataset=current,
-        initial_dataset=initial,
-    )
+    return RunHistory(stage, space, cfg, initial, tuple(records))
 
 
 def stage_labels(count: int) -> list[str]:
@@ -473,7 +418,6 @@ def sequential_expansion(
     family: OracleFamily,
     cfg: FlywheelConfig,
     base_tag: int = 0,
-    threads: int = 1,
 ) -> list[RunHistory]:
     """Chain flywheel runs over progressively larger factor products.
 
@@ -481,7 +425,6 @@ def sequential_expansion(
     stage j's dataset) x (next grid), with slot ratios frozen from that
     dataset.  Each stage curates a fresh dataset; earlier stages enter only
     through the inherited slots.  Stops after the first failing stage.
-    ``threads`` is accepted for compatibility and has no effect.
     """
     if not stage_spaces:
         raise ValueError("at least one stage space is required")

@@ -7,15 +7,14 @@ proportional to the weakest per-dimension level marginal.  Level-pair
 blacklists cut the transfer term only; direct demos always count.  Rollouts
 are Bernoulli draws from Philox4x64-10 streams keyed by (seed, tag) with the
 cell index in the counter, computed for every cell at once in numpy integer
-arithmetic, so results never depend on evaluation order.
+arithmetic, so results never depend on evaluation order.  A report keeps
+only the per-cell success counts and k; rates and rollout totals are derived.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ from .spaces import (
     Composition,
     FactorSpace,
     Tensor,
+    csv_text,
     format_composition,
     gather_slots,
     new_factor_subspace,
@@ -98,11 +98,12 @@ def _cell_uniforms(seed: int, tag: int, cells: int, draws: int) -> np.ndarray:
     cell i is Philox4x64-10 of counter (j + 1, i, 0, 0) under key
     (seed, tag), its four words are drawn in order, and a word u becomes
     (u >> 11) * 2**-53.  All blocks of up to _CHUNK_CELLS cells are computed
-    in one pass.  Raises RolloutMemoryError when the result cannot be allocated.
+    in one pass.  Raises RolloutMemoryError when numpy cannot size or allocate
+    the result.
     """
     try:
         out = np.empty((cells, draws))
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:  # ValueError: past what numpy can size
         raise RolloutMemoryError(f"{cells} cells x {draws} draws do not fit in memory") from exc
     key = np.array([[seed & _MASK64], [tag & _MASK64]], dtype=_U64)
     keys = key + _PHILOX_ROUNDS * _PHILOX_BUMP  # round r runs under key + r * bump
@@ -183,8 +184,9 @@ class OracleParams:
                     f"blacklist pair (({da},{la}),({db},{lb})) is invalid for shape {space.shape}"
                 )
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        """Plain-dict form; ``OracleParams(**doc)`` rebuilds the params."""
+        return {
             "kappa0": self.kappa0,
             "level_weights": [list(row) for row in self.level_weights],
             "beta": self.beta,
@@ -192,11 +194,6 @@ class OracleParams:
             "blacklist": sorted([list(a), list(b)] for a, b in self.blacklist),
             "seed": self.seed,
         }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OracleParams":
-        return cls(**json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -342,13 +339,14 @@ def success_prob(params: OracleParams, dataset: Dataset, c: Composition) -> floa
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Empirical per-composition rates from k Bernoulli rollouts each."""
+    """Empirical per-composition rates from k Bernoulli rollouts each.
+
+    Only the success counts and k are stored; ``rates`` is computed on first use.
+    """
 
     space: FactorSpace
-    rates: Tensor
     successes: np.ndarray
     k: int
-    total_rollouts: int
 
     def __post_init__(self) -> None:
         succ = np.asarray(self.successes, dtype=np.int64).reshape(-1).copy()
@@ -359,28 +357,36 @@ class EvaluationReport:
         succ.setflags(write=False)
         object.__setattr__(self, "successes", succ)
 
+    @cached_property
+    def rates(self) -> Tensor:
+        return Tensor(self.space, self.successes / self.k)
+
+    @property
+    def total_rollouts(self) -> int:
+        return self.space.cardinality * self.k
+
     @property
     def overall(self) -> float:
         return float(self.rates.values.mean())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["composition_indices", "successes", "k", "rate"])
         cells = zip(self.space.compositions(), self.successes.tolist(), self.rates.values.tolist())
-        for c, successes, rate in cells:
-            writer.writerow([format_composition(c), successes, self.k, repr(rate)])
-        return buf.getvalue()
+        return csv_text(
+            ["composition_indices", "successes", "k", "rate"],
+            ((format_composition(c), n, self.k, repr(rate)) for c, n, rate in cells),
+        )
 
+    def to_doc(self) -> dict:
+        return {
+            "space": self.space.to_doc(),
+            "successes": self.successes.tolist(),
+            "k": self.k,
+            "total_rollouts": self.total_rollouts,
+        }
 
-def _report(space: FactorSpace, successes: np.ndarray, k: int) -> EvaluationReport:
-    return EvaluationReport(
-        space=space,
-        rates=Tensor(space, successes / k),
-        successes=successes,
-        k=k,
-        total_rollouts=space.cardinality * k,
-    )
+    @classmethod
+    def from_doc(cls, doc: dict) -> "EvaluationReport":
+        return cls(FactorSpace.from_doc(doc["space"]), doc["successes"], int(doc["k"]))
 
 
 def simulate_evaluation(
@@ -389,14 +395,12 @@ def simulate_evaluation(
     bench_space: FactorSpace,
     k: int,
     iteration_tag: int = 0,
-    threads: int = 1,
 ) -> EvaluationReport:
     """Evaluate every composition of the benchmark grid with k rollouts.
 
     The benchmark grid must be index-compatible with the dataset's space
     (same shape); rollout streams are keyed by (seed, tag, cell index) so the
-    report does not depend on evaluation order.  ``threads`` is accepted for
-    compatibility and has no effect.
+    report does not depend on evaluation order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -406,7 +410,7 @@ def simulate_evaluation(
         )
     probs = success_tensor(params, dataset).values
     draws = _cell_uniforms(params.seed, iteration_tag, probs.size, k)
-    return _report(bench_space, np.count_nonzero(draws < probs[:, None], axis=1), k)
+    return EvaluationReport(bench_space, np.count_nonzero(draws < probs[:, None], axis=1), k)
 
 
 def _slot_success(params: OracleParams, dataset: Dataset, reduced: FactorSpace) -> np.ndarray:
@@ -420,20 +424,18 @@ def mapped_evaluation(
     reduced: FactorSpace,
     k: int,
     iteration_tag: int = 0,
-    threads: int = 1,
 ) -> EvaluationReport:
     """Exact-mode evaluation of a reduced product grid.
 
     Every (slot, new-factor) composition is expanded to its underlying
     composition in the dataset's space (slot labels carry the inherited
     prefix) and gets its own k rollouts: |slots| * |new grid| * k total.
-    ``threads`` is accepted for compatibility and has no effect.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     probs = _slot_success(params, dataset, reduced).reshape(-1)
     draws = _cell_uniforms(params.seed, iteration_tag, probs.size, k)
-    return _report(reduced, np.count_nonzero(draws < probs[:, None], axis=1), k)
+    return EvaluationReport(reduced, np.count_nonzero(draws < probs[:, None], axis=1), k)
 
 
 def ratio_guided_evaluation(
@@ -459,4 +461,4 @@ def ratio_guided_evaluation(
     draws = _cell_uniforms(params.seed, iteration_tag, cells, 2 * k)
     slots = np.searchsorted(cumulative, draws[:, 0::2], side="right")
     hits = draws[:, 1::2] < slot_probs[slots, np.arange(cells)[:, None]]
-    return _report(new_factor_subspace(reduced), np.count_nonzero(hits, axis=1), k)
+    return EvaluationReport(new_factor_subspace(reduced), np.count_nonzero(hits, axis=1), k)

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from itertools import product
 from typing import Iterable
 
 import numpy as np
 
-from .spaces import Composition, Tensor, format_composition
+from .spaces import Composition, Tensor, csv_text, format_composition
 
 
 def hypercube_span(s: Composition, d: Composition) -> set[Composition]:
@@ -54,9 +52,4 @@ def product_closure(comps: Iterable[Composition]) -> set[Composition]:
 
 
 def orbit_to_csv(comps: Iterable[Composition]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["composition_indices"])
-    for c in sorted(comps):
-        writer.writerow([format_composition(c)])
-    return buf.getvalue()
+    return csv_text(["composition_indices"], ([format_composition(c)] for c in sorted(comps)))

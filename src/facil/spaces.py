@@ -8,8 +8,9 @@ stored flat in row-major order over the declared dimension order.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,6 +76,10 @@ class FactorSpace:
                 raise ValueError("slot ratios must be positive")
             if abs(math.fsum(ratios) - 1.0) > 1e-9:
                 raise ValueError(f"slot ratios sum to {math.fsum(ratios)!r}, not 1")
+        try:  # numpy sizes a zero-stride int64 view of the grid without allocating it
+            np.broadcast_to(np.int64(0), self.shape)
+        except ValueError as exc:
+            raise ValueError(f"grid of shape {self.shape} is too large for numpy ({exc})") from None
 
     @cached_property
     def shape(self) -> tuple[int, ...]:
@@ -129,15 +134,14 @@ class FactorSpace:
         """All compositions in ascending linear-index order."""
         return itertools.product(*map(range, self.shape))
 
-    def to_json(self) -> str:
+    def to_doc(self) -> dict:
         doc: dict = {"dims": [{"name": d.name, "levels": list(d.levels)} for d in self.dims]}
         if self.slot_ratios is not None:
             doc["slot_ratios"] = list(self.slot_ratios)
-        return json.dumps(doc)
+        return doc
 
     @classmethod
-    def from_json(cls, text: str) -> "FactorSpace":
-        doc = json.loads(text)
+    def from_doc(cls, doc: dict) -> "FactorSpace":
         dims = tuple(FactorDimension(d["name"], tuple(d["levels"])) for d in doc["dims"])
         ratios = doc.get("slot_ratios")
         return cls(dims, tuple(ratios) if ratios is not None else None)
@@ -301,3 +305,12 @@ def format_composition(c: Composition) -> str:
 
 def parse_composition(text: str) -> Composition:
     return tuple(int(part) for part in text.split(SLOT_SEP))
+
+
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """CSV text: the header row, then every row, with bare newline line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -236,6 +236,8 @@ def test_fit_rejects_non_finite_or_missing_values(tmp_path, monkeypatch, capsys,
         ("expand", '{"stages": ["pnp_object", [["side", ["l", 2]]]]}', "stages[1]"),
         # Rollout draws past any address space, so allocation fails at once.
         ("run", '{"space": "pnp_object", "flywheel": {"k": 10000000000000000}}', "flywheel.k"),
+        # Draws numpy cannot even size: it raises ValueError, not MemoryError.
+        ("run", '{"space": "pnp_object", "flywheel": {"k": 1000000000000000000}}', "flywheel.k"),
     ],
 )
 def test_bad_config_values_exit_two_naming_the_field(
@@ -246,6 +248,31 @@ def test_bad_config_values_exit_two_naming_the_field(
     cfg.write_text(text, encoding="utf-8")
     assert main([command, "--config", str(cfg)]) == 2
     assert f"error: {field}: " in capsys.readouterr().err
+
+
+def inline_dims(first: int, count: int, levels: int) -> list:
+    return [[f"d{i}", [str(v) for v in range(levels)]] for i in range(first, first + count)]
+
+
+# 5 axes of 10**4 levels is 10**20 cells: numpy refuses the int64 count grid
+# before allocating anything, and so does a 65-axis grid.
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("run", {"space": inline_dims(0, 5, 10**4)}, "space"),
+        ("compare", {"space": inline_dims(0, 5, 10**4)}, "space"),
+        ("run", {"space": inline_dims(0, 65, 1)}, "space"),
+        ("expand", {"stages": [inline_dims(0, 5, 10**4)]}, "stages[0]"),
+    ],
+    ids=["run", "compare", "run-65-axes", "expand"],
+)
+def test_grid_numpy_cannot_size_exits_two_naming_the_field(
+    tmp_path, monkeypatch, capsys, command, doc, field
+):
+    monkeypatch.setenv("FACIL_OUT", str(tmp_path / "out"))
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def test_undecodable_config_file_exits_two(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,9 @@ from facil.dataset import (
     add_demos,
     add_many,
     dataset_from_csv,
-    dataset_from_json,
+    dataset_from_doc,
     dataset_to_csv,
-    dataset_to_json,
+    dataset_to_doc,
     marginal_counts,
     support_and_ratios,
 )
@@ -162,6 +164,6 @@ def test_csv_round_trip():
 def test_json_round_trip_carries_space():
     space = space3x2()
     d = Dataset(space, {(2, 1): 4})
-    again = dataset_from_json(dataset_to_json(d))
+    again = dataset_from_doc(json.loads(json.dumps(dataset_to_doc(d))))
     assert again == d
     assert again.space == space

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -64,7 +63,7 @@ def test_rollout_budget_validation_and_json():
         rollout_budget(0, 16, 7, 5)
     with pytest.raises(ValueError):
         rollout_budget(24, 16, 7, 0)
-    doc = json.loads(rollout_budget(2, 3, 1, 4).to_json())
+    doc = dataclasses.asdict(rollout_budget(2, 3, 1, 4))
     assert set(doc) == {
         "full_possibilities",
         "reduced_possibilities",
@@ -114,7 +113,7 @@ def test_flywheel_config_validation_and_doc_round_trip():
         tau=0.9, unit_size=7, k=3, max_iterations=4,
         evaluation_mode="exact", initial_compositions=((0, 0), (1, 1)),
     )
-    assert FlywheelConfig.from_doc(cfg.to_doc()) == cfg
+    assert FlywheelConfig(**cfg.to_doc()) == cfg
 
 
 def test_immediate_convergence_keeps_diagonal_support():
@@ -219,11 +218,28 @@ def test_history_json_round_trip_is_bit_exact():
         assert a.dataset_after == b.dataset_after
 
 
-def test_converged_history_must_end_above_tau():
-    space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1"])])
-    history = run_flywheel(space, hard_params(space), FlywheelConfig(max_iterations=1))
-    with pytest.raises(ValueError):
-        dataclasses.replace(history, converged=True)
+def test_history_fields_derive_from_records():
+    space = preset_space("pnp_object")
+    params = dataclasses.replace(default_params(space, 7), beta=0.0)
+    for max_iterations, converged in ((3, False), (300, True)):
+        cfg = FlywheelConfig(max_iterations=max_iterations)
+        run = run_flywheel(space, params, cfg)
+        for history in (run, RunHistory.from_json(run.to_json())):
+            records = history.records
+            assert len(records) >= 3
+            assert records[0].dataset_before is history.initial_dataset
+            for prev, rec in zip(records, records[1:]):
+                assert rec.dataset_before is prev.dataset_after
+            assert history.dataset is records[-1].dataset_after
+            assert history.world_space == history.initial_dataset.space
+            assert history.converged == (records[-1].overall_rate >= cfg.tau) == converged
+            for rec in records:
+                assert rec.total_before == rec.dataset_before.total
+                assert rec.support_before == len(rec.dataset_before.support)
+                assert rec.total_after == rec.dataset_after.total
+                assert rec.support_after == len(rec.dataset_after.support)
+                assert rec.overall_rate == rec.report.overall
+                assert rec.rollouts_spent == rec.report.total_rollouts == space.cardinality * 5
 
 
 def test_stage_labels():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 
@@ -110,7 +111,7 @@ def test_check_space_rejects_mismatches():
 def test_params_json_round_trip():
     space = preset_space("pnp_object")
     p = default_params(space, 42)
-    assert OracleParams.from_json(p.to_json()) == p
+    assert OracleParams(**json.loads(json.dumps(p.to_doc()))) == p
 
 
 def test_family_instantiates_per_space():
@@ -285,10 +286,9 @@ def test_rollouts_are_deterministic_and_thread_invariant():
     space = preset_space("pnp_object")
     params = default_params(space, 11)
     d = Dataset(space, {(0, 0): 20, (1, 2): 35})
-    a = simulate_evaluation(params, d, space, k=16, iteration_tag=3, threads=1)
-    b = simulate_evaluation(params, d, space, k=16, iteration_tag=3, threads=4)
-    c = simulate_evaluation(params, d, space, k=16, iteration_tag=3, threads=16)
-    assert a.successes.tolist() == b.successes.tolist() == c.successes.tolist()
+    a = simulate_evaluation(params, d, space, k=16, iteration_tag=3)
+    b = simulate_evaluation(params, d, space, k=16, iteration_tag=3)
+    assert a.successes.tolist() == b.successes.tolist()
     assert a.to_csv() == b.to_csv()
 
 

@@ -181,9 +181,20 @@ def test_space_json_round_trip_preserves_slot_ratios():
     nxt = build_space([("temp", ["cold", "hot"])])
     reduced = reduced_product([((0, 0), 0.5), ((1, 1), 0.5)], nxt)
     for space in (base, reduced):
-        again = FactorSpace.from_json(space.to_json())
+        again = FactorSpace.from_doc(json.loads(json.dumps(space.to_doc())))
         assert again == space
         assert again.slot_ratios == space.slot_ratios
+
+
+def test_grid_numpy_cannot_size_is_rejected():
+    def dims(first, count):
+        return [(f"d{i}", [str(v) for v in range(10**4)]) for i in range(first, first + count)]
+
+    with pytest.raises(ValueError, match="too large for numpy"):
+        build_space(dims(0, 5))
+    # each factor is 10**8 or 10**12 cells; their 10**20-cell product is refused
+    with pytest.raises(ValueError, match="too large for numpy"):
+        product_space(build_space(dims(0, 2)), build_space(dims(2, 3)))
 
 
 def test_composition_text_round_trip():

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from pathlib import Path
 from typing import NoReturn, Sequence
@@ -44,7 +44,7 @@ from .oracle import (
     DEFAULT_KAPPA0,
     DEFAULT_P_MAX,
     BlacklistPair,
-    OracleFamily,
+    OracleParams,
     RolloutMemoryError,
     success_tensor,
 )
@@ -138,9 +138,27 @@ def _pair(value, path: str) -> BlacklistPair:
     return pair
 
 
-def _selector(value, path: str):
-    _space_selector(value, path)
-    return value
+def _is_dim_spec(item) -> bool:
+    return (
+        isinstance(item, list)
+        and len(item) == 2
+        and isinstance(item[0], str)
+        and isinstance(item[1], list)
+        and all(isinstance(level, str) for level in item[1])
+    )
+
+
+def _space(value, path: str) -> FactorSpace:
+    if isinstance(value, str):
+        if value not in PRESET_NAMES:
+            _fail(path, f"unknown preset {value!r}; choose from {sorted(PRESET_NAMES)}")
+        return preset_space(value)
+    if isinstance(value, list) and all(map(_is_dim_spec, value)):
+        try:
+            return build_space(value)
+        except ValueError as exc:
+            _fail(path, f"invalid inline dimension specs ({exc})")
+    _fail(path, "must be a preset name or a list of [name, [levels...]] string pairs")
 
 
 def _out_dir(value, path: str) -> str:
@@ -158,8 +176,8 @@ def _budgets(value, path: str) -> tuple[int, ...]:
 
 # The config document: each key maps to (default, reader), or to a section.
 _SCHEMA: dict = {
-    "space": ("pnp_object", _selector),
-    "stages": (["pnp_object", "pnp_action", "environment"], _list_of(_selector, nonempty=True)),
+    "space": ("pnp_object", _space),
+    "stages": (["pnp_object", "pnp_action", "environment"], _list_of(_space, nonempty=True)),
     "seed": (0, _seed),
     "oracle": {
         "kappa0": (DEFAULT_KAPPA0, _number),
@@ -222,40 +240,17 @@ def _check_in_space(space: FactorSpace, comp: Composition, path: str, where: str
         raise ConfigError(f"{path}: {where}{exc}") from exc
 
 
-def _is_dim_spec(item) -> bool:
-    return (
-        isinstance(item, list)
-        and len(item) == 2
-        and isinstance(item[0], str)
-        and isinstance(item[1], list)
-        and all(isinstance(level, str) for level in item[1])
-    )
-
-
-def _space_selector(value, path: str) -> FactorSpace:
-    if isinstance(value, str):
-        if value not in PRESET_NAMES:
-            _fail(path, f"unknown preset {value!r}; choose from {sorted(PRESET_NAMES)}")
-        return preset_space(value)
-    if isinstance(value, list) and all(map(_is_dim_spec, value)):
-        try:
-            return build_space(value)
-        except ValueError as exc:
-            _fail(path, f"invalid inline dimension specs ({exc})")
-    _fail(path, "must be a preset name or a list of [name, [levels...]] string pairs")
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration with every default filled in."""
+    """Validated configuration with every default filled in.
 
-    space_selector: object
-    stage_selectors: tuple
-    seed: int
-    kappa0: float
-    beta: float
-    p_max: float
-    blacklist: tuple
+    ``oracle`` carries the whole blacklist; each command narrows it to its
+    space with ``params_for``.
+    """
+
+    space: FactorSpace
+    stages: tuple[FactorSpace, ...]
+    oracle: OracleParams
     flywheel: FlywheelConfig
     strategies: tuple[str, ...]
     budgets: tuple[int, ...]
@@ -265,62 +260,19 @@ class RunConfig:
     demos_per_composition: int
     out_dir: str
 
-    def space(self) -> FactorSpace:
-        return _space_selector(self.space_selector, "space")
-
-    def stage_spaces(self) -> list[FactorSpace]:
-        return [
-            _space_selector(sel, f"stages[{i}]") for i, sel in enumerate(self.stage_selectors)
-        ]
-
-    def family(self) -> OracleFamily:
-        return OracleFamily(
-            kappa0=self.kappa0,
-            beta=self.beta,
-            p_max=self.p_max,
-            blacklist=self.blacklist,
-            seed=self.seed,
-        )
-
-    def to_doc(self) -> dict:
-        return {
-            "space": self.space_selector,
-            "stages": list(self.stage_selectors),
-            "seed": self.seed,
-            "oracle": {
-                "kappa0": self.kappa0,
-                "beta": self.beta,
-                "p_max": self.p_max,
-                "blacklist": [[list(a), list(b)] for a, b in self.blacklist],
-            },
-            "flywheel": self.flywheel.to_doc(),
-            "strategies": list(self.strategies),
-            "budgets": list(self.budgets),
-            "gaussian": {
-                "mode": None if self.gaussian_mode is None else list(self.gaussian_mode),
-                "sigma": self.gaussian_sigma,
-            },
-            "check": {
-                "train": None if self.train is None else [list(c) for c in self.train],
-                "demos_per_composition": self.demos_per_composition,
-            },
-            "out": self.out_dir,
-        }
+    @property
+    def seed(self) -> int:
+        return self.oracle.seed
 
 
 def build_config(doc: dict) -> RunConfig:
     """Validate a raw JSON document and fill defaults."""
     fields = _read_section(_SCHEMA, doc)
-    oracle, gaussian, check = fields["oracle"], fields["gaussian"], fields["check"]
-    _construct("oracle", OracleFamily, seed=fields["seed"], **oracle)
+    gaussian, check = fields["gaussian"], fields["check"]
     return RunConfig(
-        space_selector=fields["space"],
-        stage_selectors=fields["stages"],
-        seed=fields["seed"],
-        kappa0=oracle["kappa0"],
-        beta=oracle["beta"],
-        p_max=oracle["p_max"],
-        blacklist=oracle["blacklist"],
+        space=fields["space"],
+        stages=fields["stages"],
+        oracle=_construct("oracle", OracleParams, seed=fields["seed"], **fields["oracle"]),
         flywheel=_construct("flywheel", FlywheelConfig, **fields["flywheel"]),
         strategies=fields["strategies"],
         budgets=fields["budgets"],
@@ -384,17 +336,16 @@ def _check_initial(
 
 
 def _cmd_run(config: RunConfig, out: Path) -> int:
-    space = config.space()
+    space = config.space
     _check_initial(config, space)
-    params = config.family().params_for(space)
-    history = run_flywheel(space, params, config.flywheel)
+    history = run_flywheel(space, config.oracle.params_for(space), config.flywheel)
     _write_history_files(out, history)
     _write(out / "summary.json", json.dumps(history.summary(), indent=2) + "\n")
     return 0 if history.converged else 1
 
 
 def _cmd_expand(config: RunConfig, out: Path) -> int:
-    stages = config.stage_spaces()
+    stages = config.stages
     try:
         reduce(product_space, stages)
     except ValueError as exc:
@@ -405,7 +356,7 @@ def _cmd_expand(config: RunConfig, out: Path) -> int:
         where = f"stages[{j}] after the slot index: " if slot else f"stages[{j}]: "
         _check_initial(config, stage, where, slot)
     try:
-        histories = sequential_expansion(stages, config.family(), config.flywheel)
+        histories = sequential_expansion(stages, config.oracle, config.flywheel)
     except ValueError as exc:
         if not (exact and config.flywheel.initial_compositions):
             raise
@@ -422,14 +373,13 @@ def _cmd_expand(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_compare(config: RunConfig, out: Path) -> int:
-    space = config.space()
+    space = config.space
     _check_initial(config, space)
     if config.gaussian_mode is not None:
         _check_in_space(space, config.gaussian_mode, "gaussian.mode")
-    params = config.family().params_for(space)
     outcomes = compare_strategies(
         space,
-        params,
+        config.oracle.params_for(space),
         list(config.budgets),
         config.flywheel,
         config.seed,
@@ -455,8 +405,7 @@ def _cmd_fit(input_path: str, out: Path) -> int:
 
 
 def _cmd_check_comp(config: RunConfig, out: Path) -> int:
-    space = config.space()
-    params = config.family().params_for(space)
+    space = config.space
     train = config.train
     if train is None:
         raise ConfigError("check.train: required for check-comp")
@@ -465,7 +414,7 @@ def _cmd_check_comp(config: RunConfig, out: Path) -> int:
     if config.demos_per_composition * len(set(train)) >= 2**63:
         _fail("check.demos_per_composition", "times the training compositions must be below 2**63")
     dataset = Dataset(space, {comp: config.demos_per_composition for comp in train})
-    probs = success_tensor(params, dataset)
+    probs = success_tensor(config.oracle.params_for(space), dataset)
     report = compositionality_check(set(train), probs, config.flywheel.tau)
     _write(out / "violations.csv", violations_csv(report, probs))
     check_summary = {
@@ -532,7 +481,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = parse_config(args.config)
         if args.seed is not None:
-            config = build_config({**config.to_doc(), "seed": args.seed})
+            config = replace(config, oracle=replace(config.oracle, seed=_seed(args.seed, "seed")))
         out = _resolve_out_dir(config)
         if args.command in _FLYWHEEL_COMMANDS:
             try:

@@ -26,7 +26,6 @@ from .dataset import (
 )
 from .oracle import (
     EvaluationReport,
-    OracleFamily,
     OracleParams,
     derive_tag,
     mapped_evaluation,
@@ -95,19 +94,24 @@ class FlywheelConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One evaluate(-curate) cycle; batches are empty on the converged pass.
+    """One evaluate(-curate) cycle; the converged pass has no curation steps.
 
     ``dataset_before`` is the previous record's ``dataset_after`` (the run's
-    initial dataset for the first record).  Rates, totals and support sizes
-    are read from the report and the two datasets.
+    initial dataset for the first record).  Rates, totals, support sizes and
+    the emitted batches are read from the report, the two datasets and the
+    trace.
     """
 
     iteration: int
     report: EvaluationReport
-    batches: tuple[DemoBatch, ...]
     trace: CurationTrace
     dataset_before: Dataset
     dataset_after: Dataset
+
+    @property
+    def batches(self) -> tuple[DemoBatch, ...]:
+        """Each curation step emits one batch at its selection."""
+        return tuple(DemoBatch(s.selected, s.batch_size) for s in self.trace.steps)
 
     @property
     def overall_rate(self) -> float:
@@ -241,7 +245,6 @@ class RunHistory:
                 IterationRecord(
                     iteration=int(rd["iteration"]),
                     report=EvaluationReport.from_doc(rd["report"]),
-                    batches=tuple(DemoBatch(tuple(c), int(n)) for c, n in rd["batches"]),
                     trace=CurationTrace(steps),
                     dataset_before=before,
                     dataset_after=after,
@@ -387,7 +390,7 @@ def run_flywheel(
         before = current
         converged = report.overall >= cfg.tau
         if converged:
-            batches, trace = [], CurationTrace(steps=())
+            trace = CurationTrace(steps=())
         else:
             curation_view = (
                 current
@@ -401,7 +404,7 @@ def run_flywheel(
             )
             world_batches = [wb for b in batches for wb in to_world_batches(b)]
             current = add_many(current, world_batches)
-        records.append(IterationRecord(iteration, report, tuple(batches), trace, before, current))
+        records.append(IterationRecord(iteration, report, trace, before, current))
         if converged:
             break
     return RunHistory(stage, space, cfg, initial, tuple(records))
@@ -415,7 +418,7 @@ def stage_labels(count: int) -> list[str]:
 
 def sequential_expansion(
     stage_spaces: Sequence[FactorSpace],
-    family: OracleFamily,
+    oracle: OracleParams,
     cfg: FlywheelConfig,
     base_tag: int = 0,
 ) -> list[RunHistory]:
@@ -436,7 +439,7 @@ def sequential_expansion(
     world = stage_spaces[0]
     history = run_flywheel(
         world,
-        family.params_for(world),
+        oracle.params_for(world),
         cfg,
         stage=labels[0],
         eval_tag_base=derive_tag(base_tag, 1),
@@ -451,7 +454,7 @@ def sequential_expansion(
         world = product_space(world, next_space)
         history = run_flywheel(
             reduced,
-            family.params_for(world),
+            oracle.params_for(world),
             cfg,
             world=world,
             stage=labels[index - 1],

@@ -4,16 +4,20 @@ The oracle maps (training dataset, evaluation composition) to a success
 probability through a saturating exponential in an "effective demonstration
 energy": direct demos at the composition plus a compositional-transfer term
 proportional to the weakest per-dimension level marginal.  Level-pair
-blacklists cut the transfer term only; direct demos always count.  Rollouts
-are Bernoulli draws from Philox4x64-10 streams keyed by (seed, tag) with the
-cell index in the counter, computed for every cell at once in numpy integer
-arithmetic, so results never depend on evaluation order.  A report keeps
-only the per-cell success counts and k; rates and rollout totals are derived.
+blacklists cut the transfer term only; direct demos always count.  One frozen
+``OracleParams`` holds the constants (kappa0, beta, p_max, blacklist, seed):
+``default_family(seed)`` returns the pinned defaults, and ``params_for(space)``
+drops the blacklist pairs a space does not have, so one instance drives every
+stage of an expansion.  Rollouts are Bernoulli draws from Philox4x64-10
+streams keyed by (seed, tag) with the cell index in the counter, computed for
+every cell at once in numpy integer arithmetic, so results never depend on
+evaluation order.  A report keeps only the per-cell success counts and k;
+rates and rollout totals are derived.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -133,104 +137,60 @@ def _normalize_pair(pair: BlacklistPair) -> BlacklistPair:
     return (a, b) if a[0] < b[0] else (b, a)
 
 
-def _check_constants(oracle: OracleParams | OracleFamily, blacklist_type: type) -> None:
-    """Checks shared by OracleParams and OracleFamily; messages start with the field name."""
-    object.__setattr__(
-        oracle, "blacklist", blacklist_type(_normalize_pair(p) for p in oracle.blacklist)
-    )
-    object.__setattr__(oracle, "seed", int(oracle.seed))
-    if not oracle.kappa0 > 0:
-        raise ValueError(f"kappa0: must be > 0, got {oracle.kappa0!r}")
-    if not 0 < oracle.p_max <= 1:
-        raise ValueError(f"p_max: must be in (0, 1], got {oracle.p_max!r}")
-    if not oracle.beta >= 0:
-        raise ValueError(f"beta: must be >= 0, got {oracle.beta!r}")
+def _fits(pair: BlacklistPair, space: FactorSpace) -> bool:
+    (da, la), (db, lb) = pair
+    return db < space.ndim and la < space.shape[da] and lb < space.shape[db]
 
 
 @dataclass(frozen=True)
 class OracleParams:
-    """Frozen knobs of the synthetic policy model for one factor space.
+    """Frozen knobs of the synthetic policy model.
 
-    kappa0 is the demos-to-saturation scale; level_weights multiply it per
-    composition (kappa(c) = kappa0 * prod_m w_m(c_m)); beta converts the
-    weakest level marginal into transfer energy; p_max caps the success
-    probability; blacklist lists level pairs whose joint presence disables
-    transfer for a composition.
+    kappa0 is the demos-to-saturation scale; beta converts the weakest level
+    marginal into transfer energy; p_max caps the success probability;
+    blacklist lists level pairs whose joint presence disables transfer for a
+    composition.  One instance drives every stage of a sequential expansion:
+    ``params_for(space)`` keeps only the pairs a given space has.  Range
+    error messages start with the field name.
     """
 
     kappa0: float
-    level_weights: tuple[tuple[float, ...], ...]
     beta: float
     p_max: float
     blacklist: frozenset[BlacklistPair]
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "level_weights", tuple(tuple(float(w) for w in row) for row in self.level_weights)
-        )
-        _check_constants(self, frozenset)
-        for row in self.level_weights:
-            if any(w < 1.0 for w in row):
-                raise ValueError("level_weights: must all be >= 1")
+        object.__setattr__(self, "blacklist", frozenset(map(_normalize_pair, self.blacklist)))
+        object.__setattr__(self, "seed", int(self.seed))
+        if not self.kappa0 > 0:
+            raise ValueError(f"kappa0: must be > 0, got {self.kappa0!r}")
+        if not 0 < self.p_max <= 1:
+            raise ValueError(f"p_max: must be in (0, 1], got {self.p_max!r}")
+        if not self.beta >= 0:
+            raise ValueError(f"beta: must be >= 0, got {self.beta!r}")
 
     def check_space(self, space: FactorSpace) -> None:
-        shape = tuple(len(row) for row in self.level_weights)
-        if shape != space.shape:
-            raise ValueError(f"level_weights shaped {shape} do not match space {space.shape}")
-        for (da, la), (db, lb) in self.blacklist:
-            if db >= space.ndim or la >= space.shape[da] or lb >= space.shape[db]:
+        for pair in self.blacklist:
+            if not _fits(pair, space):
+                (da, la), (db, lb) = pair
                 raise ValueError(
                     f"blacklist pair (({da},{la}),({db},{lb})) is invalid for shape {space.shape}"
                 )
+
+    def params_for(self, space: FactorSpace) -> OracleParams:
+        """A copy whose blacklist keeps only the pairs that fit the space."""
+        return replace(self, blacklist=frozenset(p for p in self.blacklist if _fits(p, space)))
 
     def to_doc(self) -> dict:
         """Plain-dict form; ``OracleParams(**doc)`` rebuilds the params."""
         return {
             "kappa0": self.kappa0,
-            "level_weights": [list(row) for row in self.level_weights],
             "beta": self.beta,
             "p_max": self.p_max,
             "blacklist": sorted([list(a), list(b)] for a, b in self.blacklist),
             "seed": self.seed,
         }
-
-
-@dataclass(frozen=True)
-class OracleFamily:
-    """Space-independent oracle settings, instantiated per factor space.
-
-    Blacklist pairs that reference dimensions or levels a space does not
-    have are dropped for that space, so one family drives every stage of a
-    sequential expansion.
-    """
-
-    kappa0: float
-    beta: float
-    p_max: float
-    blacklist: tuple[BlacklistPair, ...]
-    seed: int
-
-    def __post_init__(self) -> None:
-        _check_constants(self, tuple)
-
-    def params_for(self, space: FactorSpace) -> OracleParams:
-        weights = tuple((1.0,) * size for size in space.shape)
-        kept = [
-            pair
-            for pair in self.blacklist
-            if pair[1][0] < space.ndim
-            and pair[0][1] < space.shape[pair[0][0]]
-            and pair[1][1] < space.shape[pair[1][0]]
-        ]
-        return OracleParams(
-            kappa0=self.kappa0,
-            level_weights=weights,
-            beta=self.beta,
-            p_max=self.p_max,
-            blacklist=frozenset(kept),
-            seed=self.seed,
-        )
 
 
 # Pinned default regime.  The blacklisted 3-cycle (cells (0,1), (1,2), (2,0)
@@ -250,8 +210,8 @@ DEFAULT_BLACKLIST: tuple[BlacklistPair, ...] = (
 )
 
 
-def default_family(seed: int) -> OracleFamily:
-    return OracleFamily(
+def default_family(seed: int) -> OracleParams:
+    return OracleParams(
         kappa0=DEFAULT_KAPPA0,
         beta=DEFAULT_BETA,
         p_max=DEFAULT_P_MAX,
@@ -260,9 +220,9 @@ def default_family(seed: int) -> OracleFamily:
     )
 
 
-def compositional_family(seed: int) -> OracleFamily:
+def compositional_family(seed: int) -> OracleParams:
     """Default constants with no blacklisted interactions at all."""
-    return OracleFamily(
+    return OracleParams(
         kappa0=DEFAULT_KAPPA0,
         beta=DEFAULT_BETA,
         p_max=DEFAULT_P_MAX,
@@ -273,17 +233,6 @@ def compositional_family(seed: int) -> OracleFamily:
 
 def default_params(space: FactorSpace, seed: int) -> OracleParams:
     return default_family(seed).params_for(space)
-
-
-def kappa_grid(params: OracleParams, space: FactorSpace) -> np.ndarray:
-    """Per-composition difficulty scale, flat row-major."""
-    params.check_space(space)
-    kap = np.full(space.shape, params.kappa0, dtype=float)
-    for m, row in enumerate(params.level_weights):
-        shape = [1] * space.ndim
-        shape[m] = len(row)
-        kap = kap * np.asarray(row, dtype=float).reshape(shape)
-    return kap.reshape(-1)
 
 
 def blacklist_mask(params: OracleParams, space: FactorSpace) -> np.ndarray:
@@ -313,7 +262,7 @@ def success_tensor(params: OracleParams, dataset: Dataset) -> Tensor:
     transfer[blacklist_mask(params, space)] = 0.0
 
     energy = direct + transfer
-    probs = np.minimum(params.p_max, 1.0 - np.exp(-energy / kappa_grid(params, space)))
+    probs = np.minimum(params.p_max, 1.0 - np.exp(-energy / params.kappa0))
     return Tensor(space, probs)
 
 
@@ -331,13 +280,10 @@ def success_prob(params: OracleParams, dataset: Dataset, c: Composition) -> floa
     else:
         weakest = min(float(marginal_counts(dataset, m)[c[m]]) for m in range(space.ndim))
         transfer = params.beta * weakest
-    kappa = params.kappa0
-    for m, row in enumerate(params.level_weights):
-        kappa *= row[c[m]]
-    return float(min(params.p_max, 1.0 - np.exp(-(direct + transfer) / kappa)))
+    return float(min(params.p_max, 1.0 - np.exp(-(direct + transfer) / params.kappa0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationReport:
     """Empirical per-composition rates from k Bernoulli rollouts each.
 
@@ -356,6 +302,15 @@ class EvaluationReport:
             raise ValueError("per-cell successes must lie in 0..k")
         succ.setflags(write=False)
         object.__setattr__(self, "successes", succ)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EvaluationReport):
+            return NotImplemented
+        return (
+            self.space == other.space
+            and self.k == other.k
+            and np.array_equal(self.successes, other.successes)
+        )
 
     @cached_property
     def rates(self) -> Tensor:

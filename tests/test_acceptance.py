@@ -328,7 +328,6 @@ def test_criterion_9_compositionality_checker(capsys):
         dataset = Dataset(light, {c: 2400 for c in train})
         params = OracleParams(
             kappa0=230.0,
-            level_weights=((1.0, 1.0), (1.0, 1.0)),
             beta=690.0,
             p_max=1.0,
             blacklist=frozenset({((0, 0), (1, 0)), ((0, 1), (1, 1))}),
@@ -344,9 +343,7 @@ def test_criterion_9_compositionality_checker(capsys):
         )
         train2 = {(2, 0), (0, 1)}
         dataset2 = Dataset(shadow, {c: 2400 for c in train2})
-        params2 = dataclasses.replace(
-            params, level_weights=((1.0,) * 3, (1.0,) * 3), blacklist=frozenset()
-        )
+        params2 = dataclasses.replace(params, blacklist=frozenset())
         report2 = compositionality_check(train2, success_tensor(params2, dataset2), 0.8)
         assert report2.violations == ()
         assert {(2, 1), (0, 0)} <= report2.predicted & report2.empirical

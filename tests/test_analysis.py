@@ -147,7 +147,7 @@ def test_strategy_outcome_validation():
 def test_truncate_history_picks_last_affordable_state():
     space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1"])])
     params = OracleParams(
-        kappa0=1e9, level_weights=((1.0, 1.0), (1.0, 1.0)), beta=0.0,
+        kappa0=1e9, beta=0.0,
         p_max=1.0, blacklist=frozenset(), seed=3,
     )
     history = run_flywheel(space, params, FlywheelConfig(max_iterations=3))
@@ -226,7 +226,7 @@ def test_compositionality_check_flags_blocked_cells():
     train = {(1, 0), (0, 1)}
     d = Dataset(space, {c: 2400 for c in train})
     params = OracleParams(
-        kappa0=230.0, level_weights=((1.0, 1.0), (1.0, 1.0)), beta=690.0,
+        kappa0=230.0, beta=690.0,
         p_max=1.0, blacklist=frozenset({((0, 0), (1, 0)), ((0, 1), (1, 1))}), seed=0,
     )
     probs = success_tensor(params, d)
@@ -254,7 +254,7 @@ def test_compositionality_check_passes_clean_design():
     train = {(2, 0), (0, 1)}
     d = Dataset(space, {c: 2400 for c in train})
     params = OracleParams(
-        kappa0=230.0, level_weights=((1.0,) * 3, (1.0,) * 3), beta=690.0,
+        kappa0=230.0, beta=690.0,
         p_max=1.0, blacklist=frozenset(), seed=0,
     )
     report = compositionality_check(train, success_tensor(params, d), 0.8)

@@ -9,7 +9,14 @@ import pytest
 
 from facil.cli import ConfigError, build_config, main, parse_config
 from facil.flywheel import FlywheelConfig
-from facil.oracle import DEFAULT_BETA, DEFAULT_BLACKLIST, DEFAULT_KAPPA0, DEFAULT_P_MAX
+from facil.oracle import (
+    DEFAULT_BETA,
+    DEFAULT_BLACKLIST,
+    DEFAULT_KAPPA0,
+    DEFAULT_P_MAX,
+    OracleParams,
+)
+from facil.spaces import preset_space
 
 
 @pytest.fixture(autouse=True)
@@ -30,35 +37,37 @@ def read_tree(root: Path) -> dict[str, bytes]:
 
 def test_defaults_fill_every_field():
     config = parse_config(None)
-    assert config.space_selector == "pnp_object"
-    assert config.stage_selectors == ("pnp_object", "pnp_action", "environment")
-    assert config.seed == 0
-    assert (config.kappa0, config.beta, config.p_max) == (
+    assert config.space == preset_space("pnp_object")
+    assert config.stages == tuple(
+        preset_space(name) for name in ("pnp_object", "pnp_action", "environment")
+    )
+    assert config.seed == config.oracle.seed == 0
+    assert (config.oracle.kappa0, config.oracle.beta, config.oracle.p_max) == (
         DEFAULT_KAPPA0,
         DEFAULT_BETA,
         DEFAULT_P_MAX,
     )
-    assert config.blacklist == DEFAULT_BLACKLIST
+    assert config.oracle.blacklist == frozenset(DEFAULT_BLACKLIST)
     assert config.flywheel == FlywheelConfig()
     assert config.budgets == (500, 2000, 8000, 32000, 128000)
     assert config.gaussian_mode is None
     assert config.train is None
     assert config.out_dir == "facil_out"
-    assert config.space().shape == (4, 4)
+    assert config.space.shape == (4, 4)
 
 
 def test_minimal_config_document():
     config = build_config({"space": "pnp_object", "seed": 7})
     assert config.seed == 7
-    assert config.space().shape == (4, 4)
+    assert config.space.shape == (4, 4)
 
 
 def test_inline_space_selector():
     config = build_config(
         {"space": [["side", ["left", "right"]], ["light", ["l0", "l1", "l2"]]]}
     )
-    assert config.space().shape == (2, 3)
-    assert [d.name for d in config.space().dims] == ["side", "light"]
+    assert config.space.shape == (2, 3)
+    assert [d.name for d in config.space.dims] == ["side", "light"]
 
 
 def test_config_error_messages_name_field_paths():
@@ -97,8 +106,17 @@ def test_config_document_round_trip():
         "out": "results",
     }
     config = build_config(doc)
-    assert build_config(config.to_doc()) == config
-    assert build_config(config.to_doc()).to_doc() == config.to_doc()
+    assert config.space == preset_space("oc_object")
+    assert config.stages == (preset_space("oc_object"), preset_space("oc_action"))
+    assert config.oracle == OracleParams(
+        kappa0=40.0, beta=0.5, p_max=0.97, blacklist=(((0, 1), (1, 0)),), seed=11
+    )
+    assert config.seed == 11
+    assert config.flywheel == FlywheelConfig(**doc["flywheel"])
+    assert (config.strategies, config.budgets) == (("gaussian",), (10, 20))
+    assert (config.gaussian_mode, config.gaussian_sigma) == ((1, 1), 0.5)
+    assert (config.train, config.demos_per_composition) == (((0, 0), (1, 1)), 10)
+    assert config.out_dir == "results"
 
 
 def test_missing_or_invalid_config_file(tmp_path, capsys):
@@ -350,6 +368,15 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     main(["run", "--config", cfg_seed8, "--seed", "7"])
     main(["run", "--config", cfg_seed7])
     assert read_tree(out_a) == read_tree(out_b)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_flag_out_of_range_exits_two(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"space": "pnp_object", "out": str(out)})
+    assert main(["run", "--config", cfg, "--seed", seed]) == 2
+    assert "error: seed:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_thread_count_does_not_change_outputs(tmp_path):

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from facil.dataset import Dataset
+from facil.dataset import Dataset, add_many
 from facil.flywheel import (
     FlywheelConfig,
     RunHistory,
@@ -18,7 +18,6 @@ from facil.flywheel import (
     stage_labels,
 )
 from facil.oracle import (
-    OracleFamily,
     OracleParams,
     compositional_family,
     default_family,
@@ -32,7 +31,6 @@ def hard_params(space, kappa0=1e9, seed=3):
     """No transfer, enormous difficulty: nothing ever clears tau."""
     return OracleParams(
         kappa0=kappa0,
-        level_weights=tuple((1.0,) * s for s in space.shape),
         beta=0.0,
         p_max=1.0,
         blacklist=frozenset(),
@@ -218,6 +216,37 @@ def test_history_json_round_trip_is_bit_exact():
         assert a.dataset_after == b.dataset_after
 
 
+def grid_space(prefix, sizes):
+    return build_space([(f"{prefix}{m}", [f"l{j}" for j in range(n)]) for m, n in enumerate(sizes)])
+
+
+def round_trip_runs():
+    """A curating 4-D weak-transfer run, and the second stage of each expansion mode."""
+    weak = dataclasses.replace(default_family(7), beta=1.0)
+    space = grid_space("d", [4, 4, 4, 4])
+    yield run_flywheel(space, weak.params_for(space), FlywheelConfig(tau=0.9))
+    stages = [grid_space("a", [4, 4]), grid_space("b", [3, 3])]
+    oracle = dataclasses.replace(default_family(7), beta=10.0)
+    for mode in ("exact", "ratio_guided"):
+        cfg = FlywheelConfig(tau=0.9, evaluation_mode=mode)
+        histories = sequential_expansion(stages, oracle, cfg)
+        assert len(histories) == 2
+        yield histories[1]
+
+
+def test_history_round_trip_compares_equal():
+    for history in round_trip_runs():
+        assert any(rec.trace.steps for rec in history.records)
+        again = RunHistory.from_json(history.to_json())
+        assert again == history
+        rec = again.records[0]
+        flipped = rec.report.successes.copy()
+        flipped[0] = rec.report.k - flipped[0]
+        report = dataclasses.replace(rec.report, successes=flipped)
+        changed = dataclasses.replace(rec, report=report)
+        assert again != dataclasses.replace(again, records=(changed,) + again.records[1:])
+
+
 def test_history_fields_derive_from_records():
     space = preset_space("pnp_object")
     params = dataclasses.replace(default_params(space, 7), beta=0.0)
@@ -240,6 +269,8 @@ def test_history_fields_derive_from_records():
                 assert rec.support_after == len(rec.dataset_after.support)
                 assert rec.overall_rate == rec.report.overall
                 assert rec.rollouts_spent == rec.report.total_rollouts == space.cardinality * 5
+                assert len(rec.batches) == len(rec.trace.steps)
+                assert rec.dataset_after == add_many(rec.dataset_before, rec.batches)
 
 
 def test_stage_labels():
@@ -280,7 +311,7 @@ def test_sequential_expansion_converges_across_presets():
 
 def test_sequential_expansion_stops_after_failure():
     stages = [preset_space("pnp_object"), preset_space("environment")]
-    family = OracleFamily(kappa0=1e9, beta=0.0, p_max=1.0, blacklist=(), seed=3)
+    family = OracleParams(kappa0=1e9, beta=0.0, p_max=1.0, blacklist=(), seed=3)
     histories = sequential_expansion(stages, family, FlywheelConfig(max_iterations=2))
     assert len(histories) == 1
     assert not histories[0].converged

@@ -20,7 +20,6 @@ from .curation import (
     CurationTrace,
     aggregated_tensor,
     curate_expansion,
-    overall_rate,
 )
 from .dataset import (
     Dataset,
@@ -114,7 +113,6 @@ __all__ = [
     "hypercube_span",
     "mapped_evaluation",
     "marginal_counts",
-    "overall_rate",
     "preset_space",
     "product_closure",
     "product_space",

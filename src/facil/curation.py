@@ -40,11 +40,6 @@ def aggregated_tensor(rates: Tensor) -> Tensor:
     return Tensor(rates.space, scores.reshape(-1))
 
 
-def overall_rate(rates: Tensor) -> float:
-    """Arithmetic mean success over all compositions."""
-    return float(rates.values.mean())
-
-
 @dataclass(frozen=True)
 class CurationStep:
     step: int

@@ -2,17 +2,20 @@
 
 One flywheel run seeds a dataset on the diagonal of its search grid, then
 alternates evaluation and curation until the overall success rate clears the
-threshold or an iteration cap trips.  Staged expansion chains runs: each new
-stage searches (inherited slots) x (new factor grid), keeping demo ratios of
-the inherited slots frozen, while the oracle always scores the underlying
-full-coordinate dataset.
+threshold or an iteration cap trips.  Staged expansion chains runs in one
+loop: each new stage searches (inherited slots) x (new factor grid), keeping
+demo ratios of the inherited slots frozen, while the oracle always scores the
+underlying full-coordinate (world) dataset.  A run works out its stage's slot
+map once (mode, slot base compositions, the evaluator and, in ratio_guided
+mode, each slot's share of a batch); every batch goes to the world through
+that map, and curation reads the world dataset back through ``gather_slots``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .curation import CurationStep, CurationTrace, curate_expansion
@@ -80,16 +83,8 @@ class FlywheelConfig:
             )
 
     def to_doc(self) -> dict:
-        return {
-            "tau": self.tau,
-            "unit_size": self.unit_size,
-            "k": self.k,
-            "max_iterations": self.max_iterations,
-            "evaluation_mode": self.evaluation_mode,
-            "initial_compositions": None
-            if self.initial_compositions is None
-            else [list(c) for c in self.initial_compositions],
-        }
+        """Plain-dict form; ``FlywheelConfig(**doc)`` rebuilds the config."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -312,19 +307,6 @@ def apportion_counts(total: int, ratios: Sequence[float]) -> list[int]:
     return base
 
 
-def _project_reduced(dataset: Dataset, reduced: FactorSpace) -> Dataset:
-    """View a full-coordinate dataset in (slot, new-factor) coordinates."""
-    rows = gather_slots(dataset.grid, reduced, dataset.space)
-    if rows.sum() != dataset.total:
-        raise ValueError("dataset has demos outside the inherited slots")
-    return Dataset.from_grid(reduced, rows)
-
-
-def _project_suffix(dataset: Dataset, prefix_width: int, subgrid: FactorSpace) -> Dataset:
-    """Collapse a full-coordinate dataset onto the new-factor grid."""
-    return Dataset.from_grid(subgrid, dataset.grid.sum(axis=tuple(range(prefix_width))))
-
-
 def run_flywheel(
     space: FactorSpace,
     params: OracleParams,
@@ -336,74 +318,67 @@ def run_flywheel(
     """Run the evaluate-curate loop on one search space.
 
     A plain space is searched directly.  A reduced space (slot ratios set)
-    needs `world`, the full-coordinate space its demos live in; curation then
-    works either on the whole (slot x new grid) in exact mode or on the
-    new-factor grid alone in ratio_guided mode, with each emitted batch
-    spread over the inherited slots by their frozen ratios.
+    needs `world`, the full-coordinate space its demos live in, and is read
+    from it through ``gather_slots``.  Exact mode curates the whole
+    (slot x new grid); ratio_guided mode curates the new-factor grid alone
+    and spreads each batch over the inherited slots by shares apportioned
+    once per run from their frozen ratios.
     """
-    reduced = space.slot_ratios is not None
-    if not reduced:
+    mode = "plain" if space.slot_ratios is None else cfg.evaluation_mode
+    if mode == "plain":
         if world is not None and world is not space and world.shape != space.shape:
             raise ValueError("world space does not match a plain search space")
-        world = space
-        curation_space = space
+        world = curation_space = space
+        evaluate = simulate_evaluation
+    elif world is None:
+        raise ValueError("a reduced search space needs its full-coordinate world space")
     else:
-        if world is None:
-            raise ValueError("a reduced search space needs its full-coordinate world space")
         bases = slot_base_compositions(space)
-        width = len(bases[0])
-        ratio_mode = cfg.evaluation_mode == "ratio_guided"
-        curation_space = new_factor_subspace(space) if ratio_mode else space
+        if mode == "exact":
+            curation_space = space
+            evaluate = mapped_evaluation
+        else:
+            curation_space = new_factor_subspace(space)
+            shares = apportion_counts(cfg.unit_size, space.slot_ratios)
+            evaluate = ratio_guided_evaluation
 
-    def to_world_batches(batch: DemoBatch) -> list[DemoBatch]:
-        if not reduced:
-            return [batch]
-        comp = batch.composition
-        if cfg.evaluation_mode == "ratio_guided":
-            counts = apportion_counts(batch.count, space.slot_ratios)
-            return [
-                DemoBatch(bases[j] + comp, c) for j, c in enumerate(counts) if c > 0
-            ]
-        return [DemoBatch(bases[comp[0]] + comp[1:], batch.count)]
+    def to_world(selection: Composition) -> list[DemoBatch]:
+        """The world batches of one unit_size batch at a curation cell."""
+        if mode == "plain":
+            return [DemoBatch(selection, cfg.unit_size)]
+        if mode == "exact":
+            return [DemoBatch(bases[selection[0]] + selection[1:], cfg.unit_size)]
+        return [DemoBatch(b + selection, n) for b, n in zip(bases, shares) if n > 0]
 
     init_comps = (
         list(cfg.initial_compositions)
         if cfg.initial_compositions is not None
         else diagonal_init(curation_space)
     )
-    init_batches: list[DemoBatch] = []
-    for comp in init_comps:
-        curation_space.validate(comp)
-        init_batches.extend(to_world_batches(DemoBatch(comp, cfg.unit_size)))
-    initial = add_many(Dataset.empty(world), init_batches)
+    initial = add_many(
+        Dataset.empty(world),
+        [wb for c in init_comps for wb in to_world(curation_space.validate(c))],
+    )
     current = initial
 
     records: list[IterationRecord] = []
     for iteration in range(1, cfg.max_iterations + 1):
-        tag = derive_tag(eval_tag_base, iteration)
-        if not reduced:
-            report = simulate_evaluation(params, current, space, cfg.k, tag)
-        elif cfg.evaluation_mode == "ratio_guided":
-            report = ratio_guided_evaluation(params, current, space, cfg.k, tag)
-        else:
-            report = mapped_evaluation(params, current, space, cfg.k, tag)
+        report = evaluate(params, current, space, cfg.k, derive_tag(eval_tag_base, iteration))
         before = current
         converged = report.overall >= cfg.tau
         if converged:
             trace = CurationTrace(steps=())
         else:
-            curation_view = (
-                current
-                if not reduced
-                else _project_suffix(current, width, curation_space)
-                if cfg.evaluation_mode == "ratio_guided"
-                else _project_reduced(current, space)
-            )
-            batches, _, trace = curate_expansion(
-                report.rates, curation_view, cfg.tau, cfg.unit_size
-            )
-            world_batches = [wb for b in batches for wb in to_world_batches(b)]
-            current = add_many(current, world_batches)
+            view = current
+            if mode != "plain":
+                rows = gather_slots(current.grid, space, world)
+                if rows.sum() != current.total:
+                    raise ValueError("dataset has demos outside the inherited slots")
+                view = Dataset.from_grid(
+                    curation_space, rows if mode == "exact" else rows.sum(axis=0)
+                )
+            batches, _, trace = curate_expansion(report.rates, view, cfg.tau, cfg.unit_size)
+            current = add_many(current, [wb for b in batches for wb in to_world(b.composition)])
         records.append(IterationRecord(iteration, report, trace, before, current))
         if converged:
             break
@@ -433,32 +408,25 @@ def sequential_expansion(
         raise ValueError("at least one stage space is required")
     if stage_spaces[0].slot_ratios is not None:
         raise ValueError("stage 1 must be a plain factor space")
-    labels = stage_labels(len(stage_spaces))
 
     histories: list[RunHistory] = []
-    world = stage_spaces[0]
-    history = run_flywheel(
-        world,
-        oracle.params_for(world),
-        cfg,
-        stage=labels[0],
-        eval_tag_base=derive_tag(base_tag, 1),
-    )
-    histories.append(history)
-
-    for index, next_space in enumerate(stage_spaces[1:], start=2):
-        if not histories[-1].converged:
-            break
-        _, ratios = support_and_ratios(histories[-1].dataset)
-        reduced = reduced_product(list(ratios.items()), next_space)
-        world = product_space(world, next_space)
-        history = run_flywheel(
-            reduced,
-            oracle.params_for(world),
-            cfg,
-            world=world,
-            stage=labels[index - 1],
-            eval_tag_base=derive_tag(base_tag, index),
+    space = world = stage_spaces[0]
+    labels = stage_labels(len(stage_spaces))
+    for index, (label, grid) in enumerate(zip(labels, stage_spaces), start=1):
+        if histories:
+            if not histories[-1].converged:
+                break
+            _, ratios = support_and_ratios(histories[-1].dataset)
+            space = reduced_product(list(ratios.items()), grid)
+            world = product_space(world, grid)
+        histories.append(
+            run_flywheel(
+                space,
+                oracle.params_for(world),
+                cfg,
+                world=world,
+                stage=label,
+                eval_tag_base=derive_tag(base_tag, index),
+            )
         )
-        histories.append(history)
     return histories

@@ -163,6 +163,8 @@ class OracleParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "blacklist", frozenset(map(_normalize_pair, self.blacklist)))
         object.__setattr__(self, "seed", int(self.seed))
+        if not 0 <= self.seed <= _MASK64:  # streams are keyed by the seed as one uint64
+            raise ValueError(f"seed: must be in 0..2**64 - 1, got {self.seed}")
         if not self.kappa0 > 0:
             raise ValueError(f"kappa0: must be > 0, got {self.kappa0!r}")
         if not 0 < self.p_max <= 1:

@@ -240,25 +240,17 @@ def reduced_product(
     Each slot level stands for one support composition of some base space and
     carries that composition's dataset ratio.  Slot labels encode the base
     composition indices joined by '/'; ratios are kept as slot metadata so
-    ratio-guided evaluation can sample inherited compositions.
+    ratio-guided evaluation can sample inherited compositions.  The slot
+    dimension rejects a repeated composition (duplicate labels) and
+    ``FactorSpace`` rejects ratios that are not positive or do not sum to 1.
     """
     if not support:
         raise ValueError("support must be non-empty")
     comps = [tuple(int(v) for v in c) for c, _ in support]
-    weights = [float(w) for _, w in support]
-    width = len(comps[0])
-    if any(len(c) != width for c in comps):
+    if any(len(c) != len(comps[0]) for c in comps):
         raise ValueError("support compositions must share one base space")
-    if len(set(comps)) != len(comps):
-        raise ValueError("support compositions must be unique")
-    if any(w <= 0.0 for w in weights):
-        raise ValueError("support weights must be positive")
-    total = math.fsum(weights)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"support weights sum to {total!r}, expected 1 within 1e-9")
-    labels = tuple(SLOT_SEP.join(str(v) for v in c) for c in comps)
-    slot_dim = FactorDimension(slot_dim_name, labels)
-    return FactorSpace((slot_dim,) + next_space.dims, slot_ratios=tuple(weights))
+    slot_dim = FactorDimension(slot_dim_name, tuple(map(format_composition, comps)))
+    return FactorSpace((slot_dim,) + next_space.dims, slot_ratios=tuple(w for _, w in support))
 
 
 def slot_base_compositions(space: FactorSpace) -> list[Composition]:

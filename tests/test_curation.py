@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from facil.curation import aggregated_tensor, curate_expansion, overall_rate
+from facil.curation import aggregated_tensor, curate_expansion
 from facil.dataset import Dataset
 from facil.orbit import hypercube_span
 from facil.spaces import Tensor, build_space
@@ -55,12 +55,6 @@ def test_aggregated_tensor_matches_brute_force():
         got = aggregated_tensor(Tensor(space, grid.reshape(-1))).grid
         want = brute_force_scores(grid)
         assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_overall_rate_is_mean():
-    space = grid_space((2, 3))
-    rates = Tensor(space, np.array([0.0, 0.5, 1.0, 0.25, 0.75, 0.5]))
-    assert overall_rate(rates) == pytest.approx(0.5)
 
 
 def test_no_expansion_when_everything_clears_tau():

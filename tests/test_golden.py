@@ -4,8 +4,9 @@ The other tests compare a run with itself (a rerun, more threads), so a
 changed random stream, score tie-break or float rounding would pass them.
 These pins catch that.  The cases iterate: 3-D, 4-D and 5-D weak-transfer
 runs (the 4-D and 5-D ones hit the iteration cap, curating against a growing
-support), staged expansion in both evaluation
-modes (reduced-space projections and the blacklist), compare and check-comp.
+support), two- and three-stage expansion in both evaluation modes (a reduced
+stage read from a reduced stage's world, and the blacklist), compare and
+check-comp.
 The tree hash covers each file's relative path, size and bytes, in path
 order, the same way the benchmark hashes its output trees.
 """
@@ -32,6 +33,8 @@ def grid(prefix: str, sizes: list[int]) -> list:
 
 WEAK = {"oracle": {"beta": 1.0}, "flywheel": {"tau": 0.9}}
 STAGED = [grid("a", [4, 4]), grid("b", [3, 3])]
+# Weak enough transfer that every case reaches stage OAE and curates there.
+THREE_STAGES = {"stages": STAGED + [grid("c", [2, 3])], "oracle": {"beta": 3.0}}
 
 CASES = {
     "run_6x6x6": ("run", {"space": grid("d", [6, 6, 6]), **WEAK}),
@@ -53,6 +56,14 @@ CASES = {
             "flywheel": {"tau": 0.9, "evaluation_mode": "ratio_guided"},
         },
     ),
+    "expand_three_exact": (
+        "expand",
+        {**THREE_STAGES, "flywheel": {"tau": 0.8, "evaluation_mode": "exact"}},
+    ),
+    "expand_three_ratio": (
+        "expand",
+        {**THREE_STAGES, "flywheel": {"tau": 0.8, "evaluation_mode": "ratio_guided"}},
+    ),
     "compare_pnp": ("compare", {"space": "pnp_object"}),
     "check_comp_pnp": (
         "check-comp",
@@ -72,6 +83,10 @@ GOLDEN = {
     ("expand_exact", 2**64 - 1): (1, "7cabc34b358677c507ffdcf6532df6b4f865ff0b7a6b6cb17d5425bdff2ec9bd"),
     ("expand_ratio", 7): (1, "74223565b51d8cbc5df4812d924300a96f069556d0f63f472ae5ead18eba243a"),
     ("expand_ratio", 2**64 - 1): (1, "93e01085bc6b61380c377367bc7f880d92617106390f09ccce32ea29c52b220e"),
+    ("expand_three_exact", 7): (0, "a019759a4c97b14fb125c496a1298e1047386a6c897eda76706dee3c6bf5d15e"),
+    ("expand_three_exact", 2**64 - 1): (1, "7113f08493f4b2c8704e343fdb10edd3493cb3fcc15bd8389f5a260cd663efbb"),
+    ("expand_three_ratio", 7): (0, "4ea05e411858b976d3e72e3eb51c8b712e37a4c4f8fdf20bb016247eec615b56"),
+    ("expand_three_ratio", 2**64 - 1): (1, "bdd79e52cf93c20f199de284e17ef7a4ea547c970007ebc9f22b35bc0949b1e8"),
     ("compare_pnp", 7): (0, "2c0a76cc6d549c30f72153086b12202e07c43eef926bda0221b1c4c006400d9e"),
     ("compare_pnp", 2**64 - 1): (0, "a0af0b0de7dc89856547e260151490929b2dd44ffc3e41728bbfc0ee01025bfa"),
     ("check_comp_pnp", 7): (0, "0414f1a0958a136baf9bcb951c726aa5a40db6927a6b11fe1d84993bfe778eb8"),

@@ -76,6 +76,16 @@ def test_family_checks_constants_and_blacklist_at_construction():
         OracleParams(kappa0=1.0, beta=1.0, p_max=1.0, blacklist=(((1, 0), (1, 1)),), seed=0)
 
 
+def test_seed_outside_uint64_is_rejected():
+    # the streams key on the seed as one uint64, so -1 and 2**64 would alias 2**64 - 1 and 0
+    space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1"])])
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed: must be in 0\.\.2\*\*64 - 1"):
+            default_params(space, seed)
+    for seed in (0, 2**64 - 1):
+        assert default_params(space, seed).seed == seed
+
+
 def test_negative_blacklist_indices_are_rejected():
     # numpy would read -1 as the last dimension or level and blacklist the wrong cells
     space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1"])])

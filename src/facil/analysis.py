@@ -29,7 +29,7 @@ from .oracle import (
     simulate_evaluation,
 )
 from .orbit import empirical_orbit, product_closure
-from .spaces import Composition, FactorSpace, Tensor, csv_text, format_composition
+from .spaces import Composition, FactorSpace, Tensor, composition_labels, csv_text
 
 STRATEGY_NAMES = ("facil_ratio", "factors_mixture", "gaussian")
 
@@ -324,10 +324,9 @@ def compositionality_check(
 
 
 def violations_csv(report: CompositionalityReport, rates: Tensor) -> str:
-    return csv_text(
-        ["composition_indices", "predicted_p_or_rate"],
-        ((format_composition(c), repr(float(rates[c]))) for c in report.violations),
-    )
+    points = np.array(report.violations, dtype=np.int64).reshape(-1, rates.space.ndim)
+    rows = zip(composition_labels(points), map(repr, rates.grid[tuple(points.T)].tolist()))
+    return csv_text(["composition_indices", "predicted_p_or_rate"], rows)
 
 
 def scaling_csv(fits: Mapping[str, ScalingFit]) -> str:

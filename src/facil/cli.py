@@ -30,7 +30,7 @@ from .analysis import (
     scaling_csv,
     violations_csv,
 )
-from .dataset import Dataset, dataset_to_csv
+from .dataset import Dataset, InputMemoryError, dataset_to_csv
 from .flywheel import (
     FlywheelConfig,
     RunHistory,
@@ -45,7 +45,6 @@ from .oracle import (
     DEFAULT_P_MAX,
     BlacklistPair,
     OracleParams,
-    RolloutMemoryError,
     success_tensor,
 )
 from .spaces import (
@@ -488,8 +487,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return _FLYWHEEL_COMMANDS[args.command](config, out)
             except OverflowError as exc:  # a Dataset total would reach 2**63
                 _fail("flywheel.unit_size", str(exc))
-            except RolloutMemoryError as exc:
-                _fail("flywheel.k", str(exc))
         if args.command == "fit":
             return _cmd_fit(args.input, out)
         if args.command == "check-comp":
@@ -497,7 +494,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "budget":
             return _cmd_budget(args.grid, args.base, args.slots, args.k, out)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, InputMemoryError) as exc:  # both messages start with the field
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

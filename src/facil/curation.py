@@ -20,7 +20,7 @@ import numpy as np
 
 # add_demos stays importable from here: bench/tracer.py wraps it at this lookup site.
 from .dataset import Dataset, DemoBatch, add_demos, add_many  # noqa: F401
-from .spaces import Composition, Tensor, csv_text, format_composition
+from .spaces import Composition, Tensor, composition_labels, csv_text
 
 
 def aggregated_tensor(rates: Tensor) -> Tensor:
@@ -56,8 +56,8 @@ class CurationTrace:
     def to_csv(self) -> str:
         header = ["step", "composition", "S_value", "newly_marked", "batch_size"]
         rows = (
-            (s.step, format_composition(s.selected), repr(s.s_value), s.newly_marked, s.batch_size)
-            for s in self.steps
+            (s.step, label, repr(s.s_value), s.newly_marked, s.batch_size)
+            for s, label in zip(self.steps, composition_labels([s.selected for s in self.steps]))
         )
         return csv_text(header, rows)
 

@@ -5,8 +5,11 @@ needs only its per-composition counts, held as one read-only int64 array
 shaped like the space (``Dataset.grid``).  Counts are validated where they
 enter from outside: the constructors, added batches and the CSV and
 plain-dict loaders.  ``dataset_to_doc`` gives the dict form that JSON
-writers nest; JSON text itself is made only where a file is written.
-A total that would reach 2**63 raises OverflowError before it is stored.
+writers nest; JSON text itself is made only where a file is written.  Both
+writers read the support with one ``argwhere`` and label it one axis at a
+time (``composition_labels``).  A total that would reach 2**63 raises
+OverflowError before it is stored; a count grid the host cannot allocate
+raises InputMemoryError naming the ``space``.
 Updates are value-semantic: adding a batch returns a new snapshot and leaves
 the input untouched, so iteration histories can hold per-iteration datasets.
 """
@@ -21,7 +24,15 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .spaces import Composition, FactorSpace, csv_text, format_composition, parse_composition
+from .spaces import Composition, FactorSpace, composition_labels, csv_text, parse_composition
+
+
+class InputMemoryError(MemoryError):
+    """An array sized by config field ``field`` does not fit in memory; str() starts with it."""
+
+    def __init__(self, field: str, detail: str) -> None:
+        super().__init__(f"{field}: {detail}")
+        self.field, self.detail = field, detail
 
 
 @dataclass(frozen=True)
@@ -50,7 +61,11 @@ class Dataset:
     grid: np.ndarray
 
     def __init__(self, space: FactorSpace, counts: Mapping[Composition, int] | None = None):
-        grid = np.zeros(space.shape, dtype=np.int64)
+        try:
+            grid = np.zeros(space.shape, dtype=np.int64)
+        except MemoryError as exc:
+            detail = f"the demo count grid does not fit in memory ({exc})"
+            raise InputMemoryError("space", detail) from exc
         if counts:
             grid[space.grid_index(list(counts))] = [int(n) for n in counts.values()]
         self._freeze(space, grid)
@@ -148,9 +163,14 @@ def marginal_counts(dataset: Dataset, dim: int) -> np.ndarray:
 CSV_HEADER = ["composition_indices", "count"]
 
 
+def _support_columns(dataset: Dataset) -> tuple[list[str], list[int]]:
+    points = np.argwhere(dataset.grid)  # row-major, so ascending linear index
+    return composition_labels(points), dataset.grid[tuple(points.T)].tolist()
+
+
 def dataset_to_csv(dataset: Dataset) -> str:
     """CSV with one row per support composition, ascending linear index."""
-    return csv_text(CSV_HEADER, ((format_composition(c), n) for c, n in dataset.counts.items()))
+    return csv_text(CSV_HEADER, zip(*_support_columns(dataset)))
 
 
 def dataset_from_csv(space: FactorSpace, text: str) -> Dataset:
@@ -170,7 +190,7 @@ def dataset_from_csv(space: FactorSpace, text: str) -> Dataset:
 def dataset_to_doc(dataset: Dataset) -> dict:
     return {
         "space": dataset.space.to_doc(),
-        "counts": {format_composition(c): n for c, n in dataset.counts.items()},
+        "counts": dict(zip(*_support_columns(dataset))),
     }
 
 

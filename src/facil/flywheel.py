@@ -9,6 +9,9 @@ underlying full-coordinate (world) dataset.  A run works out its stage's slot
 map once (mode, slot base compositions, the evaluator and, in ratio_guided
 mode, each slot's share of a batch); every batch goes to the world through
 that map, and curation reads the world dataset back through ``gather_slots``.
+``RunHistory.to_json`` nests the records' plain-dict forms and writes them
+with ``json_text``, the exact ``json.dumps(indent=2)`` layout without the
+pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -18,10 +21,13 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .curation import CurationStep, CurationTrace, curate_expansion
 from .dataset import (
     Dataset,
     DemoBatch,
+    InputMemoryError,
     add_many,
     dataset_from_doc,
     dataset_to_doc,
@@ -41,6 +47,7 @@ from .spaces import (
     csv_text,
     diagonal_init,
     gather_slots,
+    json_text,
     new_factor_subspace,
     product_space,
     reduced_product,
@@ -122,7 +129,7 @@ class IterationRecord:
 
     @property
     def support_before(self) -> int:
-        return len(self.dataset_before.support)
+        return int(np.count_nonzero(self.dataset_before.grid))
 
     @property
     def total_after(self) -> int:
@@ -130,7 +137,7 @@ class IterationRecord:
 
     @property
     def support_after(self) -> int:
-        return len(self.dataset_after.support)
+        return int(np.count_nonzero(self.dataset_after.grid))
 
 
 @dataclass(frozen=True)
@@ -222,7 +229,7 @@ class RunHistory:
                 for rec in self.records
             ],
         }
-        return json.dumps(doc, indent=2)
+        return json_text(doc)
 
     @classmethod
     def from_json(cls, text: str) -> "RunHistory":
@@ -419,8 +426,8 @@ def sequential_expansion(
             _, ratios = support_and_ratios(histories[-1].dataset)
             space = reduced_product(list(ratios.items()), grid)
             world = product_space(world, grid)
-        histories.append(
-            run_flywheel(
+        try:
+            history = run_flywheel(
                 space,
                 oracle.params_for(world),
                 cfg,
@@ -428,5 +435,9 @@ def sequential_expansion(
                 stage=label,
                 eval_tag_base=derive_tag(base_tag, index),
             )
-        )
+        except InputMemoryError as exc:
+            if exc.field == "space":  # this stage's grid grew the world past memory
+                raise InputMemoryError(f"stages[{index - 1}]", exc.detail) from exc
+            raise
+        histories.append(history)
     return histories

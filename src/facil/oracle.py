@@ -12,7 +12,9 @@ stage of an expansion.  Rollouts are Bernoulli draws from Philox4x64-10
 streams keyed by (seed, tag) with the cell index in the counter, computed for
 every cell at once in numpy integer arithmetic, so results never depend on
 evaluation order.  A report keeps only the per-cell success counts and k;
-rates and rollout totals are derived.
+rates and rollout totals are derived.  Its rates CSV is written from arrays:
+the grid's label column plus, per cell, one of the at most k + 1 row
+suffixes ",n,k,rate", each formatted once.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, marginal_counts
+from .dataset import Dataset, InputMemoryError, marginal_counts
 from .spaces import (
     Composition,
     FactorSpace,
     Tensor,
-    csv_text,
-    format_composition,
     gather_slots,
+    label_column,
     new_factor_subspace,
 )
 
@@ -63,10 +64,6 @@ _MUL_LO = _PHILOX_MUL & _LO32
 _MUL_HI = _PHILOX_MUL >> _SHIFT32
 # Cells per pass: bounds the uint64 temporaries while keeping numpy calls few.
 _CHUNK_CELLS = 2048
-
-
-class RolloutMemoryError(MemoryError):
-    """The draws of one evaluation do not fit in memory; k is too large."""
 
 
 def _philox4x64_10(
@@ -102,13 +99,14 @@ def _cell_uniforms(seed: int, tag: int, cells: int, draws: int) -> np.ndarray:
     cell i is Philox4x64-10 of counter (j + 1, i, 0, 0) under key
     (seed, tag), its four words are drawn in order, and a word u becomes
     (u >> 11) * 2**-53.  All blocks of up to _CHUNK_CELLS cells are computed
-    in one pass.  Raises RolloutMemoryError when numpy cannot size or allocate
-    the result.
+    in one pass.  Raises InputMemoryError naming ``flywheel.k`` when numpy
+    cannot size or allocate the result.
     """
     try:
         out = np.empty((cells, draws))
     except (MemoryError, ValueError) as exc:  # ValueError: past what numpy can size
-        raise RolloutMemoryError(f"{cells} cells x {draws} draws do not fit in memory") from exc
+        detail = f"{cells} cells x {draws} draws do not fit in memory"
+        raise InputMemoryError("flywheel.k", detail) from exc
     key = np.array([[seed & _MASK64], [tag & _MASK64]], dtype=_U64)
     keys = key + _PHILOX_ROUNDS * _PHILOX_BUMP  # round r runs under key + r * bump
     blocks = -(-draws // 4)
@@ -327,11 +325,12 @@ class EvaluationReport:
         return float(self.rates.values.mean())
 
     def to_csv(self) -> str:
-        cells = zip(self.space.compositions(), self.successes.tolist(), self.rates.values.tolist())
-        return csv_text(
-            ["composition_indices", "successes", "k", "rate"],
-            ((format_composition(c), n, self.k, repr(rate)) for c, n, rate in cells),
-        )
+        # A rate is n / k, so a row is its label plus one suffix per distinct count n.
+        counts, which = np.unique(self.successes, return_inverse=True)
+        rates = (counts / self.k).tolist()  # the same division as ``rates``
+        suffix = [f",{n},{self.k},{r!r}\n" for n, r in zip(counts.tolist(), rates)]
+        rows = np.stack([label_column(self.space.shape), np.array(suffix, dtype=object)[which]], 1)
+        return "composition_indices,successes,k,rate\n" + "".join(rows.ravel().tolist())
 
     def to_doc(self) -> dict:
         return {

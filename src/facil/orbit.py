@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .spaces import Composition, Tensor, csv_text, format_composition
+from .spaces import Composition, Tensor, composition_labels, csv_text
 
 
 def hypercube_span(s: Composition, d: Composition) -> set[Composition]:
@@ -52,4 +52,4 @@ def product_closure(comps: Iterable[Composition]) -> set[Composition]:
 
 
 def orbit_to_csv(comps: Iterable[Composition]) -> str:
-    return csv_text(["composition_indices"], ([format_composition(c)] for c in sorted(comps)))
+    return csv_text(["composition_indices"], zip(composition_labels(sorted(comps))))

@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -72,8 +74,8 @@ class FactorSpace:
                     f"slot_ratios has {len(ratios)} entries for "
                     f"{len(self.dims[0])} slot levels"
                 )
-            if any(r <= 0.0 for r in ratios):
-                raise ValueError("slot ratios must be positive")
+            if not all(0.0 < r < math.inf for r in ratios):  # also false for NaN
+                raise ValueError(f"slot ratios must be finite and positive, got {ratios}")
             if abs(math.fsum(ratios) - 1.0) > 1e-9:
                 raise ValueError(f"slot ratios sum to {math.fsum(ratios)!r}, not 1")
         try:  # numpy sizes a zero-stride int64 view of the grid without allocating it
@@ -257,10 +259,7 @@ def slot_base_compositions(space: FactorSpace) -> list[Composition]:
     """Decode the base compositions stored in a reduced space's slot labels."""
     if space.slot_ratios is None:
         raise ValueError("space has no slot dimension with ratios")
-    out = []
-    for label in space.dims[0].levels:
-        out.append(tuple(int(part) for part in label.split(SLOT_SEP)))
-    return out
+    return [parse_composition(label) for label in space.dims[0].levels]
 
 
 def gather_slots(values: np.ndarray, reduced: FactorSpace, world: FactorSpace) -> np.ndarray:
@@ -299,6 +298,31 @@ def parse_composition(text: str) -> Composition:
     return tuple(int(part) for part in text.split(SLOT_SEP))
 
 
+def _level_labels(axis: int, size: int) -> np.ndarray:
+    """Object array of the label pieces of one axis: "0", "1", ... or "/0", "/1", ..."""
+    lead = SLOT_SEP if axis else ""
+    return np.array([f"{lead}{v}" for v in range(size)], dtype=object)
+
+
+def label_column(shape: Sequence[int]) -> np.ndarray:
+    """Labels of every cell of a grid in row-major order, as an object array.
+
+    Built by one outer string concatenation per axis.  Writers build it per
+    call and drop it: the column of a 32**4 grid holds about 67 MB.
+    """
+    parts = map(_level_labels, range(len(shape)), shape)
+    return reduce(lambda column, part: np.add.outer(column, part).ravel(), parts)
+
+
+def composition_labels(points) -> list[str]:
+    """Labels of the rows of an (n, ndim) index array, one gather per axis."""
+    points = np.asarray(points, dtype=np.int64)
+    labels = np.full(len(points), "", dtype=object)
+    for axis, column in enumerate(points.T):  # an empty list has no columns
+        labels = labels + _level_labels(axis, int(column.max(initial=-1)) + 1)[column]
+    return labels.tolist()
+
+
 def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
     """CSV text: the header row, then every row, with bare newline line ends."""
     buf = io.StringIO()
@@ -306,3 +330,25 @@ def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def json_text(doc, newline: str = "\n") -> str:
+    """``json.dumps(doc, indent=2)`` of a document with string keys, without its pure-Python walk.
+
+    ``newline`` is a line break plus the indent of the level ``doc`` sits at.
+    A list of plain ints (``type(v) is int``, so no bools) is joined in one
+    ``str.join``; other scalars go through ``json.dumps`` itself.
+    """
+    if type(doc) is int:
+        return int.__repr__(doc)
+    inner = newline + "  "
+    if isinstance(doc, (list, tuple)) and doc:
+        if set(map(type, doc)) == {int}:
+            items = map(int.__repr__, doc)
+        else:
+            items = (json_text(v, inner) for v in doc)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(doc, dict) and doc:
+        items = (_quote(k) + ": " + json_text(v, inner) for k, v in doc.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(doc)  # strings, null, booleans, floats, [] and {}

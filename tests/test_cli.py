@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,8 @@ from facil.oracle import (
     OracleParams,
 )
 from facil.spaces import preset_space
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -291,6 +296,41 @@ def test_grid_numpy_cannot_size_exits_two_naming_the_field(
     assert main([command, "--config", write_config(tmp_path, doc)]) == 2
     assert f"error: {field}: " in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*"))
+
+
+# Run under a 1 GiB address-space limit, so that the grid can never be allocated.
+LIMITED_MAIN = """
+import resource, sys
+from facil.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+# 6 axes of 100 levels: numpy sizes the 8 TB count grid but cannot allocate it.
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("run", {"space": inline_dims(0, 6, 100)}, "space"),
+        ("compare", {"space": inline_dims(0, 6, 100)}, "space"),
+        ("expand", {"stages": ["pnp_object", inline_dims(0, 6, 100)]}, "stages[1]"),
+    ],
+    ids=["run", "compare", "expand"],
+)
+def test_grid_the_host_cannot_allocate_exits_two_naming_the_field(tmp_path, command, doc, field):
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+        "FACIL_OUT": str(tmp_path / "out"),
+    }
+    argv = [sys.executable, "-c", LIMITED_MAIN, command, "--config", write_config(tmp_path, doc)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {field}: the demo count grid does not fit in memory")
+    assert "Traceback" not in proc.stderr
 
 
 def test_undecodable_config_file_exits_two(tmp_path, capsys):

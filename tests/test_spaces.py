@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -168,6 +169,18 @@ def test_reduced_product_rejects_bad_inputs():
         reduced_product([((0, 0), 0.4), ((1, 1), 0.4)], nxt)  # ratios must sum to 1
     with pytest.raises(ValueError):
         reduced_product([((0, 0), 1.5), ((1, 1), -0.5)], nxt)
+
+
+def test_slot_ratios_must_be_finite_and_positive():
+    nxt = build_space([("temp", ["cold", "hot"])])
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            reduced_product([((0, 0), bad), ((1, 1), 1.0)], nxt)
+    # a space document read from a file: json.loads accepts the NaN literal
+    doc = reduced_product([((0, 0), 0.5), ((1, 1), 0.5)], nxt).to_doc()
+    text = json.dumps(doc).replace("[0.5, 0.5]", "[NaN, 1.0]")
+    with pytest.raises(ValueError, match="finite and positive"):
+        FactorSpace.from_doc(json.loads(text))
 
 
 def test_product_space_concatenates_dimensions():

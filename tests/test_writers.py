@@ -1,0 +1,169 @@
+"""The array-native writers against the row-at-a-time writers they replace.
+
+Each reference below builds its rows one composition at a time with
+``"/".join`` labels and writes them through ``csv.writer``, or dumps with
+``json.dumps(doc, indent=2)``: the way these files were written before the
+label column, the rate suffix table and the ``indent=2`` emitter.  The
+properties are derandomized, so a failure reproduces on every run.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import itertools
+import json
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from facil.analysis import compositionality_check, violations_csv  # noqa: E402
+from facil.curation import CurationStep, CurationTrace  # noqa: E402
+from facil.dataset import Dataset, dataset_to_csv, dataset_to_doc  # noqa: E402
+from facil.oracle import EvaluationReport  # noqa: E402
+from facil.orbit import orbit_to_csv  # noqa: E402
+from facil.spaces import FactorSpace, Tensor, build_space, json_text, label_column  # noqa: E402
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def label(c) -> str:
+    return "/".join(str(v) for v in c)
+
+
+def check_same(actual: str, expected: str) -> None:
+    """Equality that reports the first differing line, not a diff of two whole files."""
+    if actual != expected:
+        pairs = itertools.zip_longest(actual.splitlines(True), expected.splitlines(True))
+        line, (got, want) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        raise AssertionError(f"line {line}: got {got!r}, expected {want!r}")
+
+
+def reference_csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e-07, 1e16, 5e-324, 1.7976931348623157e308, 0.1]),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", "é", " ", '"\\/', "😀", "\ud800"]),
+)
+int_lists = st.lists(st.integers() | st.booleans(), max_size=8)
+json_docs = st.recursive(
+    json_leaves | int_lists,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@SETTINGS
+@given(doc=json_docs)
+def test_json_text_equals_json_dumps_indent_2(doc):
+    check_same(json_text(doc), json.dumps(doc, indent=2))
+
+
+def test_json_text_on_nested_empty_containers_and_int_lists():
+    doc = {"a": {}, "b": [], "c": [[], {}, [[]], {"d": {}}], "e": [1, True, 2], "f": [3, -4]}
+    check_same(json_text(doc), json.dumps(doc, indent=2))
+    assert json_text([]) == "[]" and json_text({}) == "{}"
+
+
+@st.composite
+def shapes(draw, max_cells: int = 3000) -> tuple[int, ...]:
+    """1 to 6 axes of 1 to 12 levels, at most max_cells cells in all."""
+    shape: list[int] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        room = max_cells // math.prod(shape)
+        shape.append(draw(st.integers(min_value=1, max_value=min(12, room))))
+    return tuple(shape)
+
+
+def space_of(shape) -> FactorSpace:
+    return build_space([(f"d{m}", [f"l{j}" for j in range(n)]) for m, n in enumerate(shape)])
+
+
+def cells(shape):
+    return itertools.product(*map(range, shape))
+
+
+@SETTINGS
+@given(shape=shapes(), k=st.sampled_from([1, 2, 3, 5, 7, 1000]), seed=st.integers(0, 2**32 - 1))
+def test_rates_csv_equals_row_writer(shape, k, seed):
+    successes = np.random.default_rng(seed).integers(0, k + 1, size=math.prod(shape))
+    report = EvaluationReport(space_of(shape), successes, k)
+    rates = (successes / k).tolist()
+    rows = (
+        (label(c), n, k, repr(r)) for c, n, r in zip(cells(shape), successes.tolist(), rates)
+    )
+    expected = reference_csv(["composition_indices", "successes", "k", "rate"], rows)
+    check_same(report.to_csv(), expected)
+
+
+@SETTINGS
+@given(
+    shape=shapes(), density=st.sampled_from([0.0, 0.05, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1)
+)
+def test_dataset_writers_equal_row_writers(shape, density, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.where(rng.random(shape) < density, rng.integers(1, 10**6, size=shape), 0)
+    dataset = Dataset.from_grid(space_of(shape), grid)
+    support = [(label(c), int(grid[c])) for c in cells(shape) if grid[c]]
+    check_same(dataset_to_csv(dataset), reference_csv(["composition_indices", "count"], support))
+    assert dataset_to_doc(dataset)["counts"] == dict(support)
+    assert list(dataset_to_doc(dataset)["counts"]) == [key for key, _ in support]
+
+
+def test_dataset_writers_on_an_empty_support():
+    dataset = Dataset.empty(space_of((3, 4)))
+    assert dataset_to_csv(dataset) == "composition_indices,count\n"
+    assert dataset_to_doc(dataset)["counts"] == {}
+
+
+@SETTINGS
+@given(shape=shapes(), seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 12))
+def test_trace_orbit_and_violations_csv_equal_row_writers(shape, seed, steps):
+    rng = np.random.default_rng(seed)
+    comps = [tuple(int(v) for v in rng.integers(0, shape)) for _ in range(steps)]
+    trace = CurationTrace(
+        tuple(CurationStep(i, c, float(rng.normal()), i, 50) for i, c in enumerate(comps))
+    )
+    expected = reference_csv(
+        ["step", "composition", "S_value", "newly_marked", "batch_size"],
+        ((s.step, label(s.selected), repr(s.s_value), s.newly_marked, 50) for s in trace.steps),
+    )
+    check_same(trace.to_csv(), expected)
+    orbit = reference_csv(["composition_indices"], ([label(c)] for c in sorted(set(comps))))
+    check_same(orbit_to_csv(set(comps)), orbit)
+
+    space = space_of(shape)
+    probs = Tensor(space, rng.random(space.cardinality))
+    if comps:
+        report = compositionality_check(set(comps), probs, 0.5)
+        expected = reference_csv(
+            ["composition_indices", "predicted_p_or_rate"],
+            ((label(c), repr(float(probs[c]))) for c in report.violations),
+        )
+        check_same(violations_csv(report, probs), expected)
+
+
+@SETTINGS
+@given(shape=shapes())
+def test_label_column_is_row_major(shape):
+    assert label_column(shape).tolist() == [label(c) for c in cells(shape)]

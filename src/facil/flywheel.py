@@ -292,12 +292,16 @@ def rollout_budget(grid_cells: int, base_cardinality: int, slot_count: int, k: i
     full = grid_cells * base_cardinality
     sampled = grid_cells * k
     full_rollouts = full * k
+    try:
+        speedup = full_rollouts / sampled  # equals base_cardinality, rounded to a float
+    except OverflowError as exc:
+        raise ValueError("base_cardinality is too large for a float speedup") from exc
     return BudgetReport(
         full_possibilities=full,
         reduced_possibilities=grid_cells * slot_count,
         sampled_rollouts=sampled,
         full_rollouts=full_rollouts,
-        speedup=full_rollouts / sampled,
+        speedup=speedup,
     )
 
 

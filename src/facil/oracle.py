@@ -10,8 +10,12 @@ blacklists cut the transfer term only; direct demos always count.  One frozen
 drops the blacklist pairs a space does not have, so one instance drives every
 stage of an expansion.  Rollouts are Bernoulli draws from Philox4x64-10
 streams keyed by (seed, tag) with the cell index in the counter, computed for
-every cell at once in numpy integer arithmetic, so results never depend on
-evaluation order.  A report keeps only the per-cell success counts and k;
+many cells at once in numpy integer arithmetic, so results never depend on
+evaluation order.  Only cells whose outcome is uncertain take draws: a
+uniform in [0, 1) is always below p = 1 and never below p = 0, so the k
+rollouts of a cell at exactly 0 or 1 are known, and since each cell's
+stream depends only on (seed, tag, cell), leaving it out changes no other
+cell's draws.  A report keeps only the per-cell success counts and k;
 rates and rollout totals are derived.  Its rates CSV is written from arrays:
 the grid's label column plus, per cell, one of the at most k + 1 row
 suffixes ",n,k,rate", each formatted once.
@@ -91,37 +95,66 @@ def _philox4x64_10(
     return a, b
 
 
-def _cell_uniforms(seed: int, tag: int, cells: int, draws: int) -> np.ndarray:
-    """A (cells, draws) array of uniforms; row i is the start of cell i's stream.
+def _cell_uniforms(seed: int, tag: int, index: np.ndarray, draws: int) -> np.ndarray:
+    """A (len(index), draws) array of uniforms; row j starts cell index[j]'s stream.
 
     Cell i's stream is numpy's ``Philox(key=[seed, tag], counter=[0, i, 0, 0])``
     read through ``Generator.random``, reproduced bit for bit: block j of
     cell i is Philox4x64-10 of counter (j + 1, i, 0, 0) under key
     (seed, tag), its four words are drawn in order, and a word u becomes
-    (u >> 11) * 2**-53.  All blocks of up to _CHUNK_CELLS cells are computed
-    in one pass.  Raises InputMemoryError naming ``flywheel.k`` when numpy
-    cannot size or allocate the result.
+    (u >> 11) * 2**-53.  A row depends only on (seed, tag, cell), so the
+    cells left out of ``index`` change nothing in the others.  All blocks of
+    up to _CHUNK_CELLS rows are computed in one pass.
     """
-    try:
-        out = np.empty((cells, draws))
-    except (MemoryError, ValueError) as exc:  # ValueError: past what numpy can size
-        detail = f"{cells} cells x {draws} draws do not fit in memory"
-        raise InputMemoryError("flywheel.k", detail) from exc
+    rows = len(index)
+    out = np.empty((rows, draws))
     key = np.array([[seed & _MASK64], [tag & _MASK64]], dtype=_U64)
     keys = key + _PHILOX_ROUNDS * _PHILOX_BUMP  # round r runs under key + r * bump
     blocks = -(-draws // 4)
-    for start in range(0, cells, _CHUNK_CELLS):
-        stop = min(start + _CHUNK_CELLS, cells)
+    for start in range(0, rows, _CHUNK_CELLS):
+        stop = min(start + _CHUNK_CELLS, rows)
         a = np.zeros((2, (stop - start) * blocks), dtype=_U64)
         b = np.zeros_like(a)
         a[0] = np.tile(np.arange(1, blocks + 1, dtype=_U64), stop - start)
-        b[0] = np.repeat(np.arange(start, stop, dtype=_U64), blocks)
+        b[0] = np.repeat(index[start:stop].astype(_U64), blocks)
         a, b = _philox4x64_10(a, b, keys)
         # Stacked as (lane, a|b) the words read x0, x1, x2, x3.
         words = np.stack((a, b), axis=1).reshape(4, stop - start, blocks)
         words = words.transpose(1, 2, 0).reshape(stop - start, 4 * blocks)[:, :draws]
         np.multiply(words >> _U64(11), 2.0**-53, out=out[start:stop])
     return out
+
+
+def _certain_hits(slot_probs: np.ndarray, k: int, draws: int) -> tuple[np.ndarray, np.ndarray]:
+    """Successes of the cells known without drawing, and the indices of the rest.
+
+    slot_probs has one row per slot and one column per cell, and a rollout
+    rolls against one of the cell's slots.  A uniform in [0, 1) is always
+    below 1 and never below 0 or NaN, so a cell whose slots all have p >= 1
+    gets k successes, one with no p > 0 gets 0, and only the others draw.
+    Raises InputMemoryError naming ``flywheel.k`` when numpy cannot size or
+    allocate ``draws`` uniforms for every cell, drawn or not, so whether a k
+    fits does not depend on the dataset.
+    """
+    if k < 1:
+        raise ValueError(f"k: must be >= 1, got {k}")
+    cells = slot_probs.shape[1]
+    try:
+        np.empty((cells, draws))
+    except (MemoryError, ValueError) as exc:  # ValueError: past what numpy can size
+        detail = f"{cells} cells x {draws} draws do not fit in memory"
+        raise InputMemoryError("flywheel.k", detail) from exc
+    ones = np.all(slot_probs >= 1.0, axis=0)
+    uncertain = np.flatnonzero(~ones & np.any(slot_probs > 0.0, axis=0))
+    return np.where(ones, k, 0), uncertain
+
+
+def _count_hits(seed: int, tag: int, probs: np.ndarray, k: int) -> np.ndarray:
+    """Successes in k rollouts at each flat success probability."""
+    hits, index = _certain_hits(probs[None], k, k)
+    draws = _cell_uniforms(seed, tag, index, k)
+    hits[index] = np.count_nonzero(draws < probs[index, None], axis=1)
+    return hits
 
 
 def _normalize_pair(pair: BlacklistPair) -> BlacklistPair:
@@ -295,6 +328,8 @@ class EvaluationReport:
     k: int
 
     def __post_init__(self) -> None:
+        if self.k < 1:  # rates would be 0/0
+            raise ValueError(f"k: must be >= 1, got {self.k}")
         succ = np.asarray(self.successes, dtype=np.int64).reshape(-1).copy()
         if succ.size != self.space.cardinality:
             raise ValueError("successes array does not match the benchmark space")
@@ -358,15 +393,12 @@ def simulate_evaluation(
     (same shape); rollout streams are keyed by (seed, tag, cell index) so the
     report does not depend on evaluation order.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if bench_space.shape != dataset.space.shape:
         raise ValueError(
             f"benchmark shape {bench_space.shape} does not match dataset space {dataset.space.shape}"
         )
     probs = success_tensor(params, dataset).values
-    draws = _cell_uniforms(params.seed, iteration_tag, probs.size, k)
-    return EvaluationReport(bench_space, np.count_nonzero(draws < probs[:, None], axis=1), k)
+    return EvaluationReport(bench_space, _count_hits(params.seed, iteration_tag, probs, k), k)
 
 
 def _slot_success(params: OracleParams, dataset: Dataset, reduced: FactorSpace) -> np.ndarray:
@@ -387,11 +419,8 @@ def mapped_evaluation(
     composition in the dataset's space (slot labels carry the inherited
     prefix) and gets its own k rollouts: |slots| * |new grid| * k total.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     probs = _slot_success(params, dataset, reduced).reshape(-1)
-    draws = _cell_uniforms(params.seed, iteration_tag, probs.size, k)
-    return EvaluationReport(reduced, np.count_nonzero(draws < probs[:, None], axis=1), k)
+    return EvaluationReport(reduced, _count_hits(params.seed, iteration_tag, probs, k), k)
 
 
 def ratio_guided_evaluation(
@@ -407,14 +436,12 @@ def ratio_guided_evaluation(
     samples a slot from the frozen ratio distribution, then rolls against the
     underlying composition's success probability.  Budget: |new grid| * k.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     slot_probs = _slot_success(params, dataset, reduced)
     cumulative = np.cumsum(np.asarray(reduced.slot_ratios, dtype=float))
     cumulative[-1] = 1.0
 
-    cells = slot_probs.shape[1]
-    draws = _cell_uniforms(params.seed, iteration_tag, cells, 2 * k)
+    hits, index = _certain_hits(slot_probs, k, 2 * k)
+    draws = _cell_uniforms(params.seed, iteration_tag, index, 2 * k)
     slots = np.searchsorted(cumulative, draws[:, 0::2], side="right")
-    hits = draws[:, 1::2] < slot_probs[slots, np.arange(cells)[:, None]]
-    return EvaluationReport(new_factor_subspace(reduced), np.count_nonzero(hits, axis=1), k)
+    hits[index] = np.count_nonzero(draws[:, 1::2] < slot_probs[slots, index[:, None]], axis=1)
+    return EvaluationReport(new_factor_subspace(reduced), hits, k)

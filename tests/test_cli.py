@@ -154,6 +154,17 @@ def test_budget_command(tmp_path, capsys, monkeypatch):
     assert "error: budget:" in capsys.readouterr().err
 
 
+def test_budget_base_past_float_range_exits_two(tmp_path, capsys, monkeypatch):
+    # speedup is the base as a float; 10**400 has none, 2**1023 still does.
+    monkeypatch.setenv("FACIL_OUT", str(tmp_path / "out"))
+    args = ["budget", "--grid", "1", "--slots", "1", "--k", "1", "--base"]
+    assert main(args + [str(10**400)]) == 2
+    assert "error: budget: base_cardinality" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "budget.json").exists()
+    assert main(args + [str(2**1023)]) == 0
+    assert json.loads(capsys.readouterr().out)["speedup"] == float(2**1023)
+
+
 def test_fit_command(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FACIL_OUT", str(tmp_path / "out"))
     table = tmp_path / "rates.csv"

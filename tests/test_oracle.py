@@ -5,19 +5,22 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from facil.dataset import Dataset, DemoBatch, add_many
+from facil.dataset import Dataset, DemoBatch, InputMemoryError, add_many
 from facil.oracle import (
     _CHUNK_CELLS,
     DEFAULT_BETA,
     DEFAULT_BLACKLIST,
     DEFAULT_KAPPA0,
     DEFAULT_P_MAX,
+    EvaluationReport,
     OracleParams,
     _cell_uniforms,
+    _slot_success,
     blacklist_mask,
     compositional_family,
     default_family,
@@ -29,7 +32,7 @@ from facil.oracle import (
     success_prob,
     success_tensor,
 )
-from facil.spaces import build_space, preset_space, reduced_product
+from facil.spaces import build_space, preset_space, product_space, reduced_product
 
 
 def plain_params(space, **overrides):
@@ -246,7 +249,7 @@ def test_cell_uniforms_match_numpy_philox(draws):
                 for i in range(max(sizes))
             ])
             for cells in sizes:
-                got = _cell_uniforms(seed, tag, cells, draws)
+                got = _cell_uniforms(seed, tag, np.arange(cells), draws)
                 assert got.shape == (cells, draws)
                 assert np.array_equal(got, expected[:cells]), (seed, tag, cells)
 
@@ -362,3 +365,164 @@ def test_ratio_guided_evaluation_budget_and_determinism():
 
     with pytest.raises(ValueError):
         ratio_guided_evaluation(params, d, world, k=10)
+
+
+def two_slot_world(columns: int):
+    """A (2, columns) world, and its reduced grid with slots s=0 and s=1 over x."""
+    x = build_space([("x", [str(i) for i in range(columns)])])
+    world = product_space(build_space([("s", ["0", "1"])]), x)
+    return world, reduced_product([((0,), 0.375), ((1,), 0.625)], x)
+
+
+# Under plain_params (kappa0 = 10, beta = 0) n demos give p = 1 - exp(-n / 10):
+# exactly 0 at n = 0, exactly 1.0 at n = 400, strictly between for 1..30.
+SATURATED = 400
+
+
+def skip_layout(columns: int, uncertain: int, mixed: int, fill: str, layout_seed: int) -> np.ndarray:
+    """Demo counts on a (2, columns) world grid, in random column order.
+
+    ``uncertain`` columns hold one fractional p (and a 0 or 1 beside it),
+    ``mixed`` columns pair p = 0 with p = 1, and the rest are both 0 or both
+    1 as ``fill`` says ("zero", "one" or "both": either, per column).
+    """
+    rng = np.random.default_rng(layout_seed)
+    order = rng.permutation(columns)
+    frac, mix, rest = np.split(order, [uncertain, uncertain + mixed])
+    counts = np.zeros((2, columns), dtype=np.int64)
+    if fill != "zero":
+        counts[:, rest] = SATURATED * (rng.integers(0, 2, rest.size) if fill == "both" else 1)
+    top = rng.integers(0, 2, mix.size)
+    counts[top, mix] = SATURATED
+    row = rng.integers(0, 2, frac.size)
+    counts[row, frac] = rng.integers(1, 31, frac.size)
+    counts[1 - row, frac] = SATURATED * rng.integers(0, 2, frac.size)
+    return counts
+
+
+def dense_successes(seed: int, tag: int, probs: np.ndarray, k: int) -> np.ndarray:
+    """k rollouts at every flat probability, every cell drawn."""
+    draws = _cell_uniforms(seed, tag, np.arange(probs.size), k)
+    return np.count_nonzero(draws < probs[:, None], axis=1)
+
+
+def dense_ratio_successes(seed, tag, slot_probs, ratios, k) -> np.ndarray:
+    """Ratio-guided rollouts with every new-factor cell drawn."""
+    cells = slot_probs.shape[1]
+    draws = _cell_uniforms(seed, tag, np.arange(cells), 2 * k)
+    cumulative = np.cumsum(np.asarray(ratios, dtype=float))
+    cumulative[-1] = 1.0
+    slots = np.searchsorted(cumulative, draws[:, 0::2], side="right")
+    return np.count_nonzero(draws[:, 1::2] < slot_probs[slots, np.arange(cells)[:, None]], axis=1)
+
+
+def test_skipped_cells_leave_every_success_count_unchanged():
+    """Drawing only the uncertain cells gives the dense path's counts.
+
+    The boundary examples put 2047 to 2049 uncertain cells, spread with gaps
+    over 5200, so the drawn indices cross _CHUNK_CELLS row passes.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    top = 2**64 - 1
+    boundary = [
+        dict(columns=2600, uncertain=u, mixed=m, fill="both", p_max=1.0, seed=seed, tag=tag, k=k)
+        for u, m, seed, tag, k in (
+            (2047, 0, 0, 0, 5), (2048, 0, top, top, 3), (2049, 0, 0, top, 8),
+            (2047, 1, top, 0, 1), (2048, 300, 0, 7, 4),
+        )
+    ]
+    special = [
+        dict(columns=40, uncertain=10, mixed=10, fill="both", p_max=0.75, seed=top, tag=1, k=6),
+        dict(columns=40, uncertain=0, mixed=0, fill="zero", p_max=1.0, seed=0, tag=2, k=7),
+        dict(columns=40, uncertain=0, mixed=0, fill="one", p_max=1.0, seed=top, tag=3, k=7),
+    ]
+
+    @st.composite
+    def cases(draw):
+        columns = draw(st.integers(1, 60))
+        uncertain = draw(st.integers(0, columns))
+        return dict(
+            columns=columns,
+            uncertain=uncertain,
+            mixed=draw(st.integers(0, columns - uncertain)),
+            fill=draw(st.sampled_from(["zero", "one", "both"])),
+            p_max=draw(st.sampled_from([1.0, 1.0, 0.9, 0.5])),
+            seed=draw(st.sampled_from([0, top]) | st.integers(0, top)),
+            tag=draw(st.integers(0, top)),
+            k=draw(st.integers(1, 9)),
+        )
+
+    def check(case, layout_seed):
+        world, reduced = two_slot_world(case["columns"])
+        counts = skip_layout(
+            case["columns"], case["uncertain"], case["mixed"], case["fill"], layout_seed
+        )
+        params = plain_params(world, p_max=case["p_max"], seed=case["seed"])
+        d = Dataset.from_grid(world, counts)
+        seed, tag, k = case["seed"], case["tag"], case["k"]
+        probs = success_tensor(params, d).values
+        slot_probs = _slot_success(params, d, reduced)
+        fractional = np.count_nonzero((probs > 0) & (probs < 1))
+        if case["p_max"] == 1.0:  # the layout holds exactly what it says
+            assert fractional == case["uncertain"]
+            assert np.all((probs == 0) | (probs == 1) | ((probs > 0.05) & (probs < 0.96)))
+        else:
+            assert not np.any(probs == 1)
+
+        rows = []
+
+        def counting(seed, tag, index, draws):
+            rows.append(len(index))
+            return _cell_uniforms(seed, tag, index, draws)
+
+        with mock.patch("facil.oracle._cell_uniforms", counting):
+            got = simulate_evaluation(params, d, world, k, tag).successes
+            mapped = mapped_evaluation(params, d, reduced, k, tag).successes
+            ratio = ratio_guided_evaluation(params, d, reduced, k, tag).successes
+        assert np.array_equal(got, dense_successes(seed, tag, probs, k))
+        assert np.array_equal(mapped, dense_successes(seed, tag, slot_probs.reshape(-1), k))
+        expected = dense_ratio_successes(seed, tag, slot_probs, reduced.slot_ratios, k)
+        assert np.array_equal(ratio, expected)
+        columns_certain = np.all(slot_probs >= 1, axis=0) | np.all(slot_probs <= 0, axis=0)
+        assert rows == [fractional, fractional, np.count_nonzero(~columns_certain)]
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(case=cases(), layout_seed=st.integers(0, 2**32 - 1))
+    def property_(case, layout_seed):
+        check(case, layout_seed)
+
+    for example in boundary + special:
+        property_ = hypothesis.example(case=example, layout_seed=11)(property_)
+    property_()
+
+
+@pytest.mark.parametrize("k", [10**16, 10**18])
+def test_k_too_large_fails_even_when_no_cell_draws(k):
+    # The empty dataset gives p = 0 everywhere, so no cell takes a draw; the
+    # full cells x k request still names the field.  10**16 draws exceed any
+    # address space; 10**18 are past what numpy can size.
+    base = preset_space("pnp_object")
+    nxt = build_space([("temp", ["cold", "hot"])])
+    world = product_space(base, nxt)
+    reduced = reduced_product([((0, 0), 0.25), ((1, 1), 0.75)], nxt)
+    params = plain_params(world)
+    empty = Dataset.empty(world)
+    with pytest.raises(InputMemoryError, match=r"^flywheel\.k: "):
+        simulate_evaluation(params, empty, world, k=k)
+    with pytest.raises(InputMemoryError, match=r"^flywheel\.k: "):
+        mapped_evaluation(params, empty, reduced, k=k)
+    with pytest.raises(InputMemoryError, match=r"^flywheel\.k: "):
+        ratio_guided_evaluation(params, empty, reduced, k=k)
+
+
+def test_report_rejects_k_below_one():
+    # k = 0 with all-zero counts would pass the 0..k range check and give 0/0 rates.
+    space = build_space([("a", ["a0", "a1"])])
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=r"^k: must be >= 1"):
+            EvaluationReport(space, [0, 0], k)
+    doc = EvaluationReport(space, [0, 0], 1).to_doc()
+    doc["k"] = 0
+    with pytest.raises(ValueError, match=r"^k: must be >= 1"):
+        EvaluationReport.from_doc(doc)

@@ -334,13 +334,27 @@ def _check_initial(
         _check_in_space(space, comp[1:] if slot else comp, path, where)
 
 
+def _not_converged(history: RunHistory) -> int:
+    """Exit code 1, with one stderr line on where the run stopped short of tau."""
+    cfg = history.config
+    last = history.records[-1]
+    below = int((last.report.rates.values < cfg.tau).sum())
+    print(
+        f"not converged: stage {history.stage}: {history.iterations} of "
+        f"max_iterations {cfg.max_iterations} used, overall rate {last.overall_rate!r} "
+        f"< tau {cfg.tau!r}, {below} of {last.report.space.cardinality} cells below tau",
+        file=sys.stderr,
+    )
+    return 1
+
+
 def _cmd_run(config: RunConfig, out: Path) -> int:
     space = config.space
     _check_initial(config, space)
     history = run_flywheel(space, config.oracle.params_for(space), config.flywheel)
     _write_history_files(out, history)
     _write(out / "summary.json", json.dumps(history.summary(), indent=2) + "\n")
-    return 0 if history.converged else 1
+    return 0 if history.converged else _not_converged(history)
 
 
 def _cmd_expand(config: RunConfig, out: Path) -> int:
@@ -368,7 +382,8 @@ def _cmd_expand(config: RunConfig, out: Path) -> int:
         "all_converged": all(h.converged for h in histories) and len(histories) == len(stages),
     }
     _write(out / "summary.json", json.dumps(summary, indent=2) + "\n")
-    return 0 if summary["all_converged"] else 1
+    # a stage that does not converge ends the chain, so it is the last one run
+    return 0 if summary["all_converged"] else _not_converged(histories[-1])
 
 
 def _cmd_compare(config: RunConfig, out: Path) -> int:

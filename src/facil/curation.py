@@ -5,15 +5,23 @@ slices through it (minus the overcounted self terms), then repeatedly batches
 the unmarked composition with the lowest score, predicting coverage via
 hypercube spans against the dataset support until the whole grid is marked.
 
-Marks are one bool array shaped like the grid and the support is an (n, ndim)
-integer array.  A selection s marks the union of its spans with every support
-point in one pass over the axes: for each axis m, the rows whose coordinate m
-differs from s_m are copied with that coordinate set to s_m and appended.  The
-rows then hold every cell of every span, and one fancy-index write marks them.
+Scores are fixed within a pass, so the selection order is one stable argsort
+of them, walked by a pointer that skips cells marked in the meantime: the
+first unmarked cell it reaches has the lowest score, ties going to the
+smallest linear index.  Marks are one flat bool array over the row-major
+grid, and the support is held as flat offsets per axis (coordinate times
+cell stride).  For a selection s and a support point t, the row
+``delta = (t - s) * strides`` has nonzero entries exactly on the axes where
+t and s differ, and span(s, t) is s plus every subset sum of that row.  The
+spans are built by doubling a flat cell array axis by axis, where only the
+cells whose row has a nonzero delta on that axis are doubled, so a selection
+writes sum_t 2**hamming(s, t) cells with one flat index and reads
+``newly_marked`` from one count of the marks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +70,27 @@ class CurationTrace:
         return csv_text(header, rows)
 
 
+# Marked cells are skipped in blocks of the score order: one gather and one
+# argmin per block instead of a Python step per cell.
+_SKIP_BLOCK = 256
+
+
+def _span_cells(selected: int, delta: np.ndarray) -> np.ndarray:
+    """Every subset sum of every delta row, offset by the selection.
+
+    Each axis doubles the cells whose row has a nonzero delta there, so row t
+    yields 2**hamming(s, t) cells.
+    """
+    cells = np.full(len(delta), selected, dtype=delta.dtype)
+    rows = np.arange(len(delta))
+    for column in delta.T:
+        step = column[rows]
+        moved = np.flatnonzero(step)
+        cells = np.concatenate([cells, cells[moved] + step[moved]])
+        rows = np.concatenate([rows, rows[moved]])
+    return cells
+
+
 def curate_expansion(
     rates: Tensor,
     dataset: Dataset,
@@ -72,10 +101,18 @@ def curate_expansion(
 
     The score tensor is computed once up front and never refreshed inside the
     loop.  Marking starts from {R > tau}.  Each round selects the unmarked
-    cell with minimal score (ties: smallest linear index), marks it, marks
-    every hypercube spanned against the current support, then emits a batch
-    of unit_size demos at the selection, so later spans see earlier
-    selections as support.  The returned dataset has every batch folded in.
+    cell with minimal score (ties: smallest linear index) by walking the
+    stable argsort of the scores past marked cells, marks it, marks every
+    hypercube spanned against the current support, then emits a batch of
+    unit_size demos at the selection, so later spans see earlier selections
+    as support.  The returned dataset has every batch folded in.
+
+    A selection s writes every subset sum of each row of
+    (support - s) * strides, doubling on each axis only the rows that differ
+    from s there: sum over the support t of 2**hamming(s, t) cells.  Each
+    selection costs those cells plus one count over the grid.  Rates must lie
+    in [0, 1]; that keeps out NaN, the one score on which the stable argsort
+    and an argmin over the unmarked cells would choose different cells.
     """
     space = rates.space
     if space.shape != dataset.space.shape:
@@ -86,32 +123,38 @@ def curate_expansion(
         raise ValueError(f"unit_size must be >= 1, got {unit_size}")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
+    if not rates.is_rates():
+        raise ValueError("tensor is not a success-rate tensor (values outside [0, 1])")
 
     scores = aggregated_tensor(rates).values
+    order = np.argsort(scores, kind="stable")
     marked = rates.values > tau
-    grid = marked.reshape(space.shape)
-    support = np.argwhere(dataset.grid)
+    strides = np.array([math.prod(space.shape[m + 1 :]) for m in range(space.ndim)], dtype=np.intp)
+    support = np.argwhere(dataset.grid) * strides
+    marked_count = int(np.count_nonzero(marked))
+    position = 0
     batches: list[DemoBatch] = []
     steps: list[CurationStep] = []
 
-    while (candidates := np.flatnonzero(~marked)).size:
-        selected_idx = int(candidates[np.argmin(scores[candidates])])
+    while marked_count < space.cardinality:
+        while marked[order[position]]:
+            # argmin is the first unmarked cell of the block, 0 if it has none
+            ahead = marked[order[position : position + _SKIP_BLOCK]]
+            position += int(ahead.argmin()) or len(ahead)
+        selected_idx = int(order[position])
         selected = space.decode(selected_idx)
         # span(s, s) is {s}, so adding s to the support first also marks s itself
-        support = np.vstack([support, selected])
-        rows = support
-        for m, level in enumerate(selected):
-            copies = rows[rows[:, m] != level]
-            copies[:, m] = level
-            rows = np.concatenate([rows, copies])
-        grid[tuple(rows.T)] = True
+        support = np.vstack([support, np.multiply(selected, strides)])
+        marked[_span_cells(selected_idx, support - support[-1])] = True
+        newly_marked = int(np.count_nonzero(marked)) - marked_count
+        marked_count += newly_marked
         batches.append(DemoBatch(selected, unit_size))
         steps.append(
             CurationStep(
                 step=len(steps),
                 selected=selected,
                 s_value=float(scores[selected_idx]),
-                newly_marked=candidates.size - int(np.count_nonzero(~marked)),
+                newly_marked=newly_marked,
                 batch_size=unit_size,
             )
         )

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from facil.cli import ConfigError, build_config, main, parse_config
-from facil.flywheel import FlywheelConfig
+from facil.flywheel import FlywheelConfig, RunHistory
 from facil.oracle import (
     DEFAULT_BETA,
     DEFAULT_BLACKLIST,
@@ -394,6 +394,54 @@ def test_run_exit_one_when_not_converged(tmp_path):
     assert main(["run", "--config", cfg]) == 1
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["converged"] is False
+
+
+def not_converged_line(history: RunHistory) -> str:
+    """The stderr line expected for a history that stopped short of tau."""
+    last = history.records[-1]
+    below = sum(rate < history.config.tau for rate in last.report.rates.values.tolist())
+    return (
+        f"not converged: stage {history.stage}: {history.iterations} of max_iterations "
+        f"{history.config.max_iterations} used, overall rate {last.overall_rate!r} < tau "
+        f"{history.config.tau!r}, {below} of {len(last.report.rates.values)} cells below tau\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, doc, stage",
+    [
+        ("run", {"space": "pnp_object"}, "O"),
+        ("expand", {"stages": ["pnp_object", "pnp_action"]}, "O"),
+        # stage O converges, so the line names the second stage
+        (
+            "expand",
+            {
+                "stages": [inline_dims(0, 2, 4), inline_dims(2, 2, 3)],
+                "seed": 2**64 - 1,
+                "oracle": {"beta": 10.0},
+                "flywheel": {"tau": 0.9, "evaluation_mode": "exact"},
+            },
+            "OA",
+        ),
+    ],
+)
+def test_not_converged_prints_one_stderr_line(tmp_path, capsys, command, doc, stage):
+    out = tmp_path / "out"
+    base = {"seed": 7, "oracle": {"beta": 0.0}, "flywheel": {"tau": 0.95, "max_iterations": 2}}
+    cfg = write_config(tmp_path, {**base, **doc, "out": str(out)})
+    assert main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = "history.json" if command == "run" else f"history_{stage}.json"
+    history = RunHistory.from_json((out / name).read_text())
+    assert history.stage == stage and not history.converged
+    assert captured.err == not_converged_line(history)
+
+
+def test_converged_run_prints_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"space": "pnp_object", "seed": 7, "out": str(tmp_path / "out")})
+    assert main(["run", "--config", cfg]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_facil_out_env_wins_over_config(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from facil import curation
 from facil.curation import aggregated_tensor, curate_expansion
 from facil.dataset import Dataset
 from facil.orbit import hypercube_span
@@ -189,3 +190,63 @@ def test_curation_replays_hypercube_span_unions_in_4_to_6_dims(support_kind):
         assert [(s.selected, s.s_value, s.newly_marked) for s in trace.steps] == want
         assert [b.composition for b in batches] == [s[0] for s in want]
         assert after.total == d.total + 4 * len(want)
+
+
+def test_curation_rejects_tensors_that_are_not_rates():
+    space = grid_space((2, 2))
+    d = Dataset(space, {(0, 0): 1})
+    message = r"tensor is not a success-rate tensor \(values outside \[0, 1\]\)"
+    for bad in (np.array([0.2, np.nan, 0.1, 0.3]), np.array([0.2, 1.5, 0.1, 0.3])):
+        with pytest.raises(ValueError, match=message):
+            curate_expansion(Tensor(space, bad), d, 0.5, 1)
+
+
+@pytest.mark.parametrize("case", ["binary_10d", "levels_4d", "all_tied"])
+def test_curation_replay_on_binary_leveled_and_tied_grids(case):
+    rng = np.random.default_rng({"binary_10d": 51, "levels_4d": 52, "all_tied": 53}[case])
+    if case == "binary_10d":
+        # spans against a few near points are far smaller than 2**10 per row
+        shape = (2,) * 10
+        rates = rng.integers(0, 3, size=2**10) / 2
+        points = rng.integers(0, 2, size=(3, 10))
+        counts = {tuple(int(v) for v in p): 3 for p in points}
+    elif case == "levels_4d":
+        # support points differ from most selections on every axis
+        shape = (10,) * 4
+        rates = rng.integers(0, 3, size=10**4) / 2
+        points = rng.integers(0, 10, size=(3, 4))
+        counts = {tuple(int(v) for v in p): 3 for p in points}
+    else:
+        # every score ties, and the first selection marks a run of the order
+        # longer than one skip block, which the second selection walks past
+        shape = (2, 2, 300)
+        rates = np.full(1200, 0.25)
+        counts = {(1, 0, j): 1 for j in range(300)}
+    space = grid_space(shape)
+    d = Dataset(space, counts)
+    tensor = Tensor(space, rates)
+    batches, after, trace = curate_expansion(tensor, d, 0.6, 4)
+    want = replay_curation(tensor, d, 0.6)
+    assert [(s.selected, s.s_value, s.newly_marked) for s in trace.steps] == want
+    assert [b.composition for b in batches] == [s[0] for s in want]
+    assert after.total == d.total + 4 * len(want)
+    if case == "all_tied":
+        assert [s[0] for s in want] == [(0, 0, 0), (0, 1, 0)]
+        assert curation._SKIP_BLOCK < 300
+
+
+def test_span_cells_are_the_hypercube_spans_in_their_stated_count():
+    rng = np.random.default_rng(54)
+    for ndim in range(1, 7):
+        shape = tuple(int(v) for v in rng.integers(1, 5, size=ndim))
+        strides = np.array([int(np.prod(shape[m + 1 :])) for m in range(ndim)])
+        s = rng.integers(0, shape)
+        support = np.vstack([rng.integers(0, shape, size=(5, ndim)), s])
+        cells = curation._span_cells(int(s @ strides), (support - s) * strides)
+        want = {
+            int(np.ravel_multi_index(c, shape))
+            for t in support
+            for c in hypercube_span(tuple(s.tolist()), tuple(t.tolist()))
+        }
+        assert set(cells.tolist()) == want
+        assert len(cells) == sum(2 ** int(np.count_nonzero(s != t)) for t in support)

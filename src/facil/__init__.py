@@ -51,7 +51,6 @@ from .oracle import (
     mapped_evaluation,
     ratio_guided_evaluation,
     simulate_evaluation,
-    success_prob,
     success_tensor,
 )
 from .orbit import (
@@ -122,7 +121,6 @@ __all__ = [
     "run_flywheel",
     "sequential_expansion",
     "simulate_evaluation",
-    "success_prob",
     "success_tensor",
     "support_and_ratios",
 ]

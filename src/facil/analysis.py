@@ -22,7 +22,6 @@ import numpy as np
 from .dataset import Dataset
 from .flywheel import FlywheelConfig, RunHistory, run_flywheel
 from .oracle import (
-    EvaluationReport,
     OracleParams,
     derive_tag,
     mapped_evaluation,
@@ -94,12 +93,13 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
 def _gaussian_probabilities(
     space: FactorSpace, mode: Composition, sigma: float
 ) -> np.ndarray:
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
+    if not sigma > 0 or 2.0 * sigma * sigma == 0:  # a zero denominator makes NaN logits
+        raise ValueError(f"sigma must be > 0 with 2 * sigma * sigma > 0, got {sigma!r}")
     mode = space.validate(mode)
     index_grids = np.indices(space.shape).reshape(space.ndim, -1)
     centered = index_grids - np.asarray(mode, dtype=float).reshape(-1, 1)
-    logits = -np.sum(centered**2, axis=0) / (2.0 * sigma * sigma)
+    with np.errstate(over="ignore"):  # far cells of a tiny sigma go to -inf, so exp gives 0
+        logits = -np.sum(centered**2, axis=0) / (2.0 * sigma * sigma)
     logits -= logits.max()
     probs = np.exp(logits)
     return probs / probs.sum()
@@ -174,22 +174,22 @@ def compare_strategies(
     params: OracleParams,
     budgets: Sequence[int],
     cfg: FlywheelConfig,
-    seed: int,
     gaussian_mode: Composition | None = None,
     gaussian_sigma: float = 1.0,
-    benchmark: str = "O",
 ) -> list[StrategyOutcome]:
     """Budget-matched comparison of curation against baseline samplers.
 
     The flywheel runs once; each budget evaluates its truncation.  Baselines
     draw budget-many demos directly.  Every (strategy, budget) cell gets its
-    own rollout streams, so outcomes are order-independent and reproducible.
+    own rollout streams, derived from ``params.seed``, so outcomes are
+    order-independent and reproducible.  Each outcome is on benchmark "O".
     """
     if list(budgets) != sorted(int(b) for b in budgets):
         raise ValueError("budgets must be sorted ascending")
     budgets = [int(b) for b in budgets]
     if budgets and budgets[0] < 0:
         raise ValueError("budgets must be >= 0")
+    seed = params.seed
 
     history = run_flywheel(
         space,
@@ -225,7 +225,7 @@ def compare_strategies(
             outcomes.append(
                 StrategyOutcome(
                     strategy=strategy,
-                    benchmark=benchmark,
+                    benchmark="O",
                     budget=budget,
                     success=report.overall,
                 )
@@ -246,18 +246,20 @@ def generalization_gap(
     reduced: FactorSpace,
     full_space: FactorSpace,
     k: int,
-    seed: int,
 ) -> tuple[float, float, float]:
-    """Rate on the slot-reduced benchmark minus rate on the full grid."""
+    """Rate on the slot-reduced benchmark minus rate on the full grid.
+
+    Both evaluations draw from streams keyed by ``params.seed``.
+    """
     if full_space.shape != dataset.space.shape:
         raise ValueError(
             f"full benchmark shape {full_space.shape} does not match dataset {dataset.space.shape}"
         )
     rate_reduced = mapped_evaluation(
-        params, dataset, reduced, k, iteration_tag=derive_tag(seed, stream_tag("reduced"))
+        params, dataset, reduced, k, iteration_tag=derive_tag(params.seed, stream_tag("reduced"))
     ).overall
     rate_full = simulate_evaluation(
-        params, dataset, full_space, k, iteration_tag=derive_tag(seed, stream_tag("full"))
+        params, dataset, full_space, k, iteration_tag=derive_tag(params.seed, stream_tag("full"))
     ).overall
     return rate_reduced, rate_full, rate_reduced - rate_full
 
@@ -283,26 +285,25 @@ class CompositionalityReport:
 
 def compositionality_check(
     train: set[Composition] | frozenset[Composition],
-    evaluation: EvaluationReport | Tensor,
+    rates: Tensor,
     tau: float,
-    strict: bool = True,
 ) -> CompositionalityReport:
     """Which compositions does the factor design promise but not deliver?
 
     Predicted compositions are the product closure of the training support;
-    empirical ones are those whose measured (or exact) success clears tau.
+    empirical ones are those whose measured (or exact) success rate is
+    strictly above tau, the curation loop's marking rule.
     Each violation increments every dimension pair whose level pair never
     occurs together in the training set, attributing the failure to
     unverified pairwise interactions.
     """
     if not train:
         raise ValueError("training support must be non-empty")
-    rates = evaluation.rates if isinstance(evaluation, EvaluationReport) else evaluation
     space = rates.space
     train = frozenset(space.validate(c) for c in train)
 
     predicted = product_closure(train)
-    empirical = empirical_orbit(rates, tau, strict=strict)
+    empirical = empirical_orbit(rates, tau)
     violations = tuple(sorted(predicted - empirical, key=space.encode))
 
     seen_pairs: dict[tuple[int, int], set[tuple[int, int]]] = {}

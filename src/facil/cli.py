@@ -160,6 +160,13 @@ def _space(value, path: str) -> FactorSpace:
     _fail(path, "must be a preset name or a list of [name, [levels...]] string pairs")
 
 
+def _sigma(value, path: str) -> float:
+    sigma = _positive(_number)(value, path)
+    if 2.0 * sigma * sigma == 0:  # the gaussian sampler divides by it
+        _fail(path, f"2 * sigma * sigma must be > 0, got {sigma!r}")
+    return sigma
+
+
 def _out_dir(value, path: str) -> str:
     if not isinstance(value, str) or not value:
         _fail(path, "must be a non-empty path string")
@@ -196,7 +203,7 @@ _SCHEMA: dict = {
     "budgets": ([500, 2000, 8000, 32000, 128000], _budgets),
     "gaussian": {
         "mode": (None, _optional(_indices)),
-        "sigma": (1.0, _positive(_number)),
+        "sigma": (1.0, _sigma),
     },
     "check": {
         "train": (None, _optional(_list_of(_indices, nonempty=True))),
@@ -258,10 +265,6 @@ class RunConfig:
     train: tuple[Composition, ...] | None
     demos_per_composition: int
     out_dir: str
-
-    @property
-    def seed(self) -> int:
-        return self.oracle.seed
 
 
 def build_config(doc: dict) -> RunConfig:
@@ -396,7 +399,6 @@ def _cmd_compare(config: RunConfig, out: Path) -> int:
         config.oracle.params_for(space),
         list(config.budgets),
         config.flywheel,
-        config.seed,
         gaussian_mode=config.gaussian_mode,
         gaussian_sigma=config.gaussian_sigma,
     )

@@ -114,10 +114,6 @@ class Dataset:
     def count_at(self, c: Composition) -> int:
         return int(self.grid[self.space.validate(c)])
 
-    def count_array(self) -> np.ndarray:
-        """Counts as a flat, read-only row-major integer array over the space."""
-        return self.grid.reshape(-1)
-
 
 def add_demos(dataset: Dataset, batch: DemoBatch) -> Dataset:
     """Return a new dataset with the batch merged in."""

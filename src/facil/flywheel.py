@@ -174,13 +174,6 @@ class RunHistory:
     def total_rollouts(self) -> int:
         return sum(r.rollouts_spent for r in self.records)
 
-    def dataset_at(self, iteration: int) -> Dataset:
-        """Dataset state after the given 1-based iteration completed."""
-        for rec in self.records:
-            if rec.iteration == iteration:
-                return rec.dataset_after
-        raise ValueError(f"no iteration {iteration} in this history")
-
     def iterations_csv(self) -> str:
         header = ["iteration", "total_demos", "support_size", "overall_rate", "rollouts_spent"]
         rows = (
@@ -195,7 +188,7 @@ class RunHistory:
             "converged": self.converged,
             "iterations": self.iterations,
             "total_demos": self.dataset.total,
-            "support_size": len(self.dataset.support),
+            "support_size": int(np.count_nonzero(self.dataset.grid)),
             "overall_rate": self.records[-1].overall_rate if self.records else None,
             "total_rollouts": self.total_rollouts,
         }
@@ -306,12 +299,19 @@ def rollout_budget(grid_cells: int, base_cardinality: int, slot_count: int, k: i
 
 
 def apportion_counts(total: int, ratios: Sequence[float]) -> list[int]:
-    """Split an integer total by largest remainder; ties favor low index."""
+    """Split an integer total by largest remainder; ties favor low index.
+
+    Quotas are floats, so past about 2**53 their floors can be off by more
+    than one unit each; a total they cannot split exactly raises
+    OverflowError rather than returning parts that do not sum to it.
+    """
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
     quotas = [total * float(r) for r in ratios]
     base = [math.floor(q) for q in quotas]
     short = total - sum(base)
+    if not 0 <= short <= len(ratios):
+        raise OverflowError(f"{total} is too large to split exactly by {len(ratios)} float ratios")
     order = sorted(range(len(ratios)), key=lambda j: (-(quotas[j] - base[j]), j))
     for j in order[:short]:
         base[j] += 1
@@ -406,7 +406,6 @@ def sequential_expansion(
     stage_spaces: Sequence[FactorSpace],
     oracle: OracleParams,
     cfg: FlywheelConfig,
-    base_tag: int = 0,
 ) -> list[RunHistory]:
     """Chain flywheel runs over progressively larger factor products.
 
@@ -437,7 +436,7 @@ def sequential_expansion(
                 cfg,
                 world=world,
                 stage=label,
-                eval_tag_base=derive_tag(base_tag, index),
+                eval_tag_base=derive_tag(0, index),
             )
         except InputMemoryError as exc:
             if exc.field == "space":  # this stage's grid grew the world past memory

@@ -25,13 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from .dataset import Dataset, InputMemoryError, marginal_counts
 from .spaces import (
-    Composition,
     FactorSpace,
     Tensor,
     gather_slots,
@@ -297,23 +295,6 @@ def success_tensor(params: OracleParams, dataset: Dataset) -> Tensor:
     energy = direct + transfer
     probs = np.minimum(params.p_max, 1.0 - np.exp(-energy / params.kappa0))
     return Tensor(space, probs)
-
-
-def success_prob(params: OracleParams, dataset: Dataset, c: Composition) -> float:
-    """Exact success probability at one composition."""
-    space = dataset.space
-    params.check_space(space)
-    c = space.validate(c)
-    direct = float(dataset.count_at(c))
-    blocked = any(
-        c[da] == la and c[db] == lb for (da, la), (db, lb) in params.blacklist
-    )
-    if blocked:
-        transfer = 0.0
-    else:
-        weakest = min(float(marginal_counts(dataset, m)[c[m]]) for m in range(space.ndim))
-        transfer = params.beta * weakest
-    return float(min(params.p_max, 1.0 - np.exp(-(direct + transfer) / params.kappa0)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,8 @@
-"""Coverage operators: thresholded orbits, hypercube spans, product closure."""
+"""Coverage operators: thresholded orbits, hypercube spans, product closure.
+
+An orbit keeps the cells whose rate is strictly above tau, the curation
+loop's marking rule.
+"""
 
 from __future__ import annotations
 
@@ -21,18 +25,13 @@ def hypercube_span(s: Composition, d: Composition) -> set[Composition]:
     return set(product(*choices))
 
 
-def empirical_orbit(rates: Tensor, tau: float, strict: bool = True) -> frozenset[Composition]:
-    """Compositions whose measured success rate clears the threshold.
-
-    Strict '>' matches the curation loop's marking rule; the non-strict
-    variant is exposed for sensitivity studies only.
-    """
+def empirical_orbit(rates: Tensor, tau: float) -> frozenset[Composition]:
+    """Compositions whose measured success rate is strictly above tau."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
     if not rates.is_rates():
         raise ValueError("tensor is not a success-rate tensor (values outside [0, 1])")
-    hits = rates.grid > tau if strict else rates.grid >= tau
-    return frozenset(map(tuple, np.argwhere(hits).tolist()))
+    return frozenset(map(tuple, np.argwhere(rates.grid > tau).tolist()))
 
 
 def product_closure(comps: Iterable[Composition]) -> set[Composition]:

@@ -235,9 +235,8 @@ def preset_space(name: str) -> FactorSpace:
 def reduced_product(
     support: Sequence[tuple[Composition, float]],
     next_space: FactorSpace,
-    slot_dim_name: str = "slot",
 ) -> FactorSpace:
-    """Product of a categorical slot dimension with a new factor grid.
+    """Product of a categorical "slot" dimension with a new factor grid.
 
     Each slot level stands for one support composition of some base space and
     carries that composition's dataset ratio.  Slot labels encode the base
@@ -251,7 +250,7 @@ def reduced_product(
     comps = [tuple(int(v) for v in c) for c, _ in support]
     if any(len(c) != len(comps[0]) for c in comps):
         raise ValueError("support compositions must share one base space")
-    slot_dim = FactorDimension(slot_dim_name, tuple(map(format_composition, comps)))
+    slot_dim = FactorDimension("slot", tuple(map(format_composition, comps)))
     return FactorSpace((slot_dim,) + next_space.dims, slot_ratios=tuple(w for _, w in support))
 
 

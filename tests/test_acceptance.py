@@ -264,7 +264,7 @@ def test_criterion_7_data_efficiency_ordering(capsys):
         cfg = FlywheelConfig(tau=0.95, unit_size=120, k=20, max_iterations=20)
         budgets = [500, 2000, 8000, 16000, 32000, 64000, 128000]
         outcomes = compare_strategies(
-            space, params, budgets, cfg, 102, gaussian_mode=(1, 1), gaussian_sigma=0.42
+            space, params, budgets, cfg, gaussian_mode=(1, 1), gaussian_sigma=0.42
         )
 
         success = {(o.strategy, o.budget): o.success for o in outcomes}
@@ -300,7 +300,7 @@ def test_criterion_8_generalization_gap(capsys):
 
         clean = compositional_family(7).params_for(final.world_space)
         _, _, gap_clean = generalization_gap(
-            clean, final.dataset, final.space, final.world_space, 20, 7
+            clean, final.dataset, final.space, final.world_space, 20
         )
         assert abs(gap_clean) <= 0.05, f"clean gap {gap_clean:.4f}"
 
@@ -308,7 +308,7 @@ def test_criterion_8_generalization_gap(capsys):
         poisoned = default_family(7).params_for(final.world_space)
         assert poisoned.blacklist
         rate_reduced, rate_full, gap_poisoned = generalization_gap(
-            poisoned, final.dataset, final.space, final.world_space, 20, 7
+            poisoned, final.dataset, final.space, final.world_space, 20
         )
         assert gap_poisoned > 0.1, f"injected gap {gap_poisoned:.4f}"
         note["detail"] = (

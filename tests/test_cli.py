@@ -46,7 +46,7 @@ def test_defaults_fill_every_field():
     assert config.stages == tuple(
         preset_space(name) for name in ("pnp_object", "pnp_action", "environment")
     )
-    assert config.seed == config.oracle.seed == 0
+    assert config.oracle.seed == 0
     assert (config.oracle.kappa0, config.oracle.beta, config.oracle.p_max) == (
         DEFAULT_KAPPA0,
         DEFAULT_BETA,
@@ -63,7 +63,7 @@ def test_defaults_fill_every_field():
 
 def test_minimal_config_document():
     config = build_config({"space": "pnp_object", "seed": 7})
-    assert config.seed == 7
+    assert config.oracle.seed == 7
     assert config.space.shape == (4, 4)
 
 
@@ -116,7 +116,6 @@ def test_config_document_round_trip():
     assert config.oracle == OracleParams(
         kappa0=40.0, beta=0.5, p_max=0.97, blacklist=(((0, 1), (1, 0)),), seed=11
     )
-    assert config.seed == 11
     assert config.flywheel == FlywheelConfig(**doc["flywheel"])
     assert (config.strategies, config.budgets) == (("gaussian",), (10, 20))
     assert (config.gaussian_mode, config.gaussian_sigma) == ((1, 1), 0.5)
@@ -525,6 +524,42 @@ def test_compare_command_respects_strategy_filter(tmp_path):
     strategies = {line.split(",")[0] for line in lines[1:]}
     assert strategies == {"facil_ratio", "gaussian"}
     assert len(lines) == 1 + 2 * 2
+
+
+def test_unit_size_float_ratios_cannot_split_exits_two(tmp_path, capsys):
+    # stage OA's slot ratios are 3/7, 2/7 and 2/7; their float quotas of
+    # 2**58 floor 91 demos short of the batch
+    doc = {
+        "stages": ["pnp_object", "environment"],
+        "flywheel": {
+            "evaluation_mode": "ratio_guided",
+            "unit_size": 2**58,
+            "tau": 0.3,
+            "initial_compositions": [[0, 0]] * 3 + [[1, 1]] * 2 + [[2, 2]] * 2,
+        },
+        "out": str(tmp_path / "out"),
+    }
+    assert main(["expand", "--config", write_config(tmp_path, doc)]) == 2
+    assert "error: flywheel.unit_size: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_gaussian_sigma_whose_square_underflows_exits_two(tmp_path, capsys):
+    def compare(sigma: float) -> int:
+        doc = {
+            "space": "pnp_object",
+            "budgets": [100],
+            "flywheel": {"k": 2, "max_iterations": 2},
+            "gaussian": {"sigma": sigma},
+            "out": str(tmp_path / str(sigma)),
+        }
+        return main(["compare", "--config", write_config(tmp_path, doc)])
+
+    assert compare(1e-200) == 2
+    assert "error: gaussian.sigma: " in capsys.readouterr().err
+    assert not (tmp_path / "1e-200" / "comparison.csv").exists()
+    assert compare(1e-160) == 0
+    assert (tmp_path / "1e-160" / "comparison.csv").exists()
 
 
 def test_check_comp_command(tmp_path, capsys):

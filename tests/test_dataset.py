@@ -79,7 +79,7 @@ def test_grid_is_read_only_and_counts_ascend_by_linear_index():
     with pytest.raises(ValueError):
         d.grid[0, 0] = 1
     with pytest.raises(ValueError):
-        d.count_array()[0] = 1
+        d.grid.reshape(-1)[0] = 1
     assert list(d.counts) == [(0, 1), (1, 0), (2, 1)]
     assert dict(d.counts) == {(0, 1): 7, (1, 0): 2, (2, 1): 4}
 
@@ -111,10 +111,10 @@ def test_totals_that_would_reach_2_to_the_63_are_rejected():
         Dataset.from_grid(space, [2**63 - 1, 2**63 - 1, 2, 0, 0, 0])
 
 
-def test_count_array_row_major_layout():
+def test_flat_grid_follows_encode_order():
     space = space3x2()
     d = Dataset(space, {(0, 1): 7, (2, 0): 9})
-    arr = d.count_array()
+    arr = d.grid.reshape(-1)
     assert arr.dtype == np.int64
     assert arr.shape == (6,)
     assert arr[space.encode((0, 1))] == 7

@@ -93,6 +93,26 @@ def test_apportion_counts_always_sums_to_total():
         assert all(p >= 0 for p in parts)
 
 
+def test_apportion_counts_past_float_precision_sums_exactly_or_raises():
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for _ in range(300):
+        raw = rng.random(int(rng.integers(1, 6))) + 1e-9
+        ratios = (raw / raw.sum()).tolist()
+        total = int(rng.integers(2**50, 2**63)) >> int(rng.integers(0, 10))
+        try:
+            parts = apportion_counts(total, ratios)
+        except OverflowError:
+            outcomes.add("raised")
+            continue
+        outcomes.add("split")
+        assert sum(parts) == total
+        assert all(p >= 0 for p in parts)
+    assert outcomes == {"split", "raised"}
+    with pytest.raises(OverflowError):
+        apportion_counts(2**58, [3 / 7, 2 / 7, 2 / 7])
+
+
 def test_flywheel_config_validation_and_doc_round_trip():
     with pytest.raises(ValueError):
         FlywheelConfig(tau=0.0)
@@ -175,13 +195,9 @@ def test_initial_compositions_override():
         run_flywheel(space, params, bad)
 
 
-def test_dataset_at_and_csv_and_summary():
+def test_iterations_csv_and_summary():
     space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1"])])
     history = run_flywheel(space, hard_params(space), FlywheelConfig(max_iterations=3))
-
-    assert history.dataset_at(2) == history.records[1].dataset_after
-    with pytest.raises(ValueError):
-        history.dataset_at(99)
 
     lines = history.iterations_csv().splitlines()
     assert lines[0] == "iteration,total_demos,support_size,overall_rate,rollouts_spent"
@@ -192,6 +208,7 @@ def test_dataset_at_and_csv_and_summary():
     assert summary["converged"] is False
     assert summary["iterations"] == 3
     assert summary["total_demos"] == history.dataset.total
+    assert summary["support_size"] == len(history.dataset.support)
     assert summary["total_rollouts"] == history.total_rollouts
 
 

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from facil.dataset import Dataset, DemoBatch, InputMemoryError, add_many
+from facil.dataset import Dataset, DemoBatch, InputMemoryError, add_many, marginal_counts
 from facil.oracle import (
     _CHUNK_CELLS,
     DEFAULT_BETA,
@@ -29,7 +29,6 @@ from facil.oracle import (
     mapped_evaluation,
     ratio_guided_evaluation,
     simulate_evaluation,
-    success_prob,
     success_tensor,
 )
 from facil.spaces import build_space, preset_space, product_space, reduced_product
@@ -161,8 +160,16 @@ def test_success_probability_formula():
     assert probs[(0, 1)] == 0.0
     assert probs[(1, 0)] == 0.0
     assert probs[(1, 1)] == 0.0
+
+    def success_prob(c):
+        """Scalar reference: direct demos plus transfer through the weakest marginal."""
+        blocked = any(c[da] == la and c[db] == lb for (da, la), (db, lb) in p.blacklist)
+        weakest = min(float(marginal_counts(d, m)[c[m]]) for m in range(space.ndim))
+        energy = float(d.grid[c]) + (0.0 if blocked else p.beta * weakest)
+        return min(p.p_max, 1.0 - math.exp(-energy / p.kappa0))
+
     for c in space.compositions():
-        assert success_prob(p, d, c) == pytest.approx(probs[c])
+        assert success_prob(c) == pytest.approx(probs[c])
 
 
 def test_transfer_uses_weakest_marginal():

@@ -90,12 +90,19 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     )
 
 
-def _gaussian_probabilities(
-    space: FactorSpace, mode: Composition, sigma: float
-) -> np.ndarray:
+def _gaussian_mode(space: FactorSpace, mode: Composition | None, sigma: float) -> Composition:
+    """The validated mode (grid center by default) of a gaussian sampler with this sigma."""
     if not sigma > 0 or 2.0 * sigma * sigma == 0:  # a zero denominator makes NaN logits
         raise ValueError(f"sigma must be > 0 with 2 * sigma * sigma > 0, got {sigma!r}")
-    mode = space.validate(mode)
+    if mode is None:
+        return tuple((size - 1) // 2 for size in space.shape)
+    return space.validate(mode)
+
+
+def _gaussian_probabilities(
+    space: FactorSpace, mode: Composition | None, sigma: float
+) -> np.ndarray:
+    mode = _gaussian_mode(space, mode, sigma)
     index_grids = np.indices(space.shape).reshape(space.ndim, -1)
     centered = index_grids - np.asarray(mode, dtype=float).reshape(-1, 1)
     with np.errstate(over="ignore"):  # far cells of a tiny sigma go to -inf, so exp gives 0
@@ -125,8 +132,6 @@ def baseline_sampler(
     if strategy == "factors_mixture":
         probs = np.full(space.cardinality, 1.0 / space.cardinality)
     elif strategy == "gaussian":
-        if mode is None:
-            mode = tuple((size - 1) // 2 for size in space.shape)
         probs = _gaussian_probabilities(space, mode, sigma)
     else:
         raise ValueError(f"unknown sampling strategy {strategy!r}")
@@ -183,12 +188,14 @@ def compare_strategies(
     draw budget-many demos directly.  Every (strategy, budget) cell gets its
     own rollout streams, derived from ``params.seed``, so outcomes are
     order-independent and reproducible.  Each outcome is on benchmark "O".
+    Budgets and the gaussian mode and sigma are checked before the run.
     """
     if list(budgets) != sorted(int(b) for b in budgets):
         raise ValueError("budgets must be sorted ascending")
     budgets = [int(b) for b in budgets]
     if budgets and budgets[0] < 0:
         raise ValueError("budgets must be >= 0")
+    _gaussian_mode(space, gaussian_mode, gaussian_sigma)  # fail before the flywheel runs
     seed = params.seed
 
     history = run_flywheel(

@@ -4,12 +4,17 @@ A dataset is a multiset of demonstrations; every consumer in this package
 needs only its per-composition counts, held as one read-only int64 array
 shaped like the space (``Dataset.grid``).  Counts are validated where they
 enter from outside: the constructors, added batches and the CSV and
-plain-dict loaders.  ``dataset_to_doc`` gives the dict form that JSON
-writers nest; JSON text itself is made only where a file is written.  Both
-writers read the support with one ``argwhere`` and label it one axis at a
-time (``composition_labels``).  A total that would reach 2**63 raises
-OverflowError before it is stored; a count grid the host cannot allocate
-raises InputMemoryError naming the ``space``.
+plain-dict loaders.  ``add_many`` folds many batches at once: a
+``DemoBatches`` holds them as flat cell indices and counts, a list of
+``DemoBatch`` is turned into one, and one ``np.add.at`` adds them all.
+``support_columns`` reads the support with one ``argwhere`` and labels it
+one axis at a time (``composition_labels``); ``dataset_to_csv`` joins those
+labels and counts directly, ``dataset_to_doc`` gives the dict form that JSON
+writers nest, and ``RunHistory.to_json`` takes the columns as they are.
+JSON text itself is made only where a file is written.  A total that would
+reach 2**63 raises OverflowError before it is stored (batch counts are summed
+as Python ints); a count grid the host cannot allocate raises
+InputMemoryError naming the ``space``.
 Updates are value-semantic: adding a batch returns a new snapshot and leaves
 the input untouched, so iteration histories can hold per-iteration datasets.
 """
@@ -24,7 +29,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .spaces import Composition, FactorSpace, composition_labels, csv_text, parse_composition
+from .spaces import (
+    Composition,
+    FactorSpace,
+    composition_labels,
+    int_strings,
+    parse_composition,
+)
 
 
 class InputMemoryError(MemoryError):
@@ -115,20 +126,50 @@ class Dataset:
         return int(self.grid[self.space.validate(c)])
 
 
+class DemoBatches:
+    """Many demo batches as two arrays: flat row-major cell indices and counts.
+
+    ``len`` is the number of batches; ``add_many`` folds them all with one
+    ``np.add.at``.
+    """
+
+    __slots__ = ("cells", "counts")
+
+    def __init__(self, cells, counts) -> None:
+        self.cells = np.asarray(cells, dtype=np.intp).reshape(-1)
+        self.counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+        if len(self.cells) != len(self.counts):
+            raise ValueError(f"{len(self.cells)} cells for {len(self.counts)} batch counts")
+        if self.counts.min(initial=1) < 1:
+            raise ValueError(f"batch count must be >= 1, got {self.counts.min()}")
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+
 def add_demos(dataset: Dataset, batch: DemoBatch) -> Dataset:
     """Return a new dataset with the batch merged in."""
     return add_many(dataset, [batch])
 
 
-def add_many(dataset: Dataset, batches: Iterable[DemoBatch]) -> Dataset:
-    """Return a new dataset with every batch merged in."""
-    batches = list(batches)
-    counts = [b.count for b in batches]
-    if dataset.total + sum(counts) >= 2**63:  # no cell can wrap if the total cannot
+def add_many(dataset: Dataset, batches: DemoBatches | Iterable[DemoBatch]) -> Dataset:
+    """Return a new dataset with every batch merged in.
+
+    An iterable of ``DemoBatch`` is first turned into one ``DemoBatches``.
+    """
+    if not isinstance(batches, DemoBatches):
+        batches = list(batches)
+        index = dataset.space.grid_index([b.composition for b in batches])
+        cells = np.ravel_multi_index(index, dataset.space.shape)
+        batches = DemoBatches(cells, [b.count for b in batches])
+    cells = batches.cells
+    if len(cells) and not (cells.min() >= 0 and cells.max() < dataset.grid.size):
+        raise ValueError(f"batch cells outside the {dataset.grid.size} cells of the space")
+    # summed as Python ints: no cell can wrap if the total cannot, but an int64 sum can
+    if dataset.total + sum(batches.counts.tolist()) >= 2**63:
         raise OverflowError("total demo count must stay below 2**63")
     grid = dataset.grid.copy()
-    if batches:
-        np.add.at(grid, dataset.space.grid_index([b.composition for b in batches]), counts)
+    np.add.at(grid.reshape(-1), cells, batches.counts)
     return Dataset.from_grid(dataset.space, grid)
 
 
@@ -159,14 +200,20 @@ def marginal_counts(dataset: Dataset, dim: int) -> np.ndarray:
 CSV_HEADER = ["composition_indices", "count"]
 
 
-def _support_columns(dataset: Dataset) -> tuple[list[str], list[int]]:
+def support_columns(dataset: Dataset) -> tuple[list[str], np.ndarray]:
+    """Labels and counts of the support, in ascending linear index."""
     points = np.argwhere(dataset.grid)  # row-major, so ascending linear index
-    return composition_labels(points), dataset.grid[tuple(points.T)].tolist()
+    return composition_labels(points), dataset.grid[tuple(points.T)]
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
-    """CSV with one row per support composition, ascending linear index."""
-    return csv_text(CSV_HEADER, zip(*_support_columns(dataset)))
+    """CSV with one row per support composition, ascending linear index.
+
+    Labels and counts never need quoting, so rows are joined directly.
+    """
+    labels, counts = support_columns(dataset)
+    lines = [",".join(CSV_HEADER), *map(",".join, zip(labels, int_strings(counts))), ""]
+    return "\n".join(lines)
 
 
 def dataset_from_csv(space: FactorSpace, text: str) -> Dataset:
@@ -184,10 +231,8 @@ def dataset_from_csv(space: FactorSpace, text: str) -> Dataset:
 
 
 def dataset_to_doc(dataset: Dataset) -> dict:
-    return {
-        "space": dataset.space.to_doc(),
-        "counts": dict(zip(*_support_columns(dataset))),
-    }
+    labels, counts = support_columns(dataset)
+    return {"space": dataset.space.to_doc(), "counts": dict(zip(labels, counts.tolist()))}
 
 
 def dataset_from_doc(doc: dict) -> Dataset:

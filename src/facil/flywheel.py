@@ -6,12 +6,14 @@ threshold or an iteration cap trips.  Staged expansion chains runs in one
 loop: each new stage searches (inherited slots) x (new factor grid), keeping
 demo ratios of the inherited slots frozen, while the oracle always scores the
 underlying full-coordinate (world) dataset.  A run works out its stage's slot
-map once (mode, slot base compositions, the evaluator and, in ratio_guided
-mode, each slot's share of a batch); every batch goes to the world through
-that map, and curation reads the world dataset back through ``gather_slots``.
-``RunHistory.to_json`` nests the records' plain-dict forms and writes them
-with ``json_text``, the exact ``json.dumps(indent=2)`` layout without the
-pure-Python encoder.
+map once as arrays (each slot's world row from ``slot_rows`` and, in
+ratio_guided mode, the apportioned shares with zero shares dropped), and
+folds the seeding and each pass's selections into the world grid as one
+``DemoBatches`` through ``add_many``; curation reads the world dataset back
+through ``gather_slots``.  ``RunHistory.to_json`` labels each distinct
+dataset once per call and writes the document with ``json_text``, the exact
+``json.dumps(indent=2)`` layout without the pure-Python encoder, handing it
+dataset counts and success counts as columns.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from .curation import CurationStep, CurationTrace, curate_expansion
 from .dataset import (
     Dataset,
     DemoBatch,
+    DemoBatches,
     InputMemoryError,
     add_many,
     dataset_from_doc,
-    dataset_to_doc,
     support_and_ratios,
+    support_columns,
 )
 from .oracle import (
     EvaluationReport,
@@ -44,6 +47,7 @@ from .oracle import (
 from .spaces import (
     Composition,
     FactorSpace,
+    IntColumns,
     csv_text,
     diagonal_init,
     gather_slots,
@@ -51,7 +55,7 @@ from .spaces import (
     new_factor_subspace,
     product_space,
     reduced_product,
-    slot_base_compositions,
+    slot_rows,
 )
 
 EVALUATION_MODES = ("exact", "ratio_guided")
@@ -194,22 +198,33 @@ class RunHistory:
         }
 
     def to_json(self) -> str:
+        """The text of ``history.json``: ``json.dumps(doc, indent=2)`` of the nested plain dicts.
+
+        Each distinct dataset is labelled once per call; its counts, the
+        reports' success counts and the trace rows go to ``json_text`` as
+        columns and plain lists, not as dicts of composition keys.
+        """
+        docs: dict[int, dict] = {}
+        for dataset in [self.initial_dataset, *(rec.dataset_after for rec in self.records)]:
+            if id(dataset) not in docs:  # the dict dataset_to_doc gives, its counts as columns
+                counts = IntColumns(*support_columns(dataset))
+                docs[id(dataset)] = {"space": dataset.space.to_doc(), "counts": counts}
         doc = {
             "stage": self.stage,
             "converged": self.converged,
             "config": self.config.to_doc(),
             "space": self.space.to_doc(),
             "world_space": self.world_space.to_doc(),
-            "final_dataset": dataset_to_doc(self.dataset),
-            "initial_dataset": dataset_to_doc(self.initial_dataset),
+            "final_dataset": docs[id(self.dataset)],
+            "initial_dataset": docs[id(self.initial_dataset)],
             "iterations": [
                 {
                     "iteration": rec.iteration,
                     "total_before": rec.total_before,
                     "support_before": rec.support_before,
                     "overall_rate": rec.overall_rate,
-                    "report": rec.report.to_doc(),
-                    "batches": [[list(b.composition), b.count] for b in rec.batches],
+                    "report": dict(rec.report.to_doc(), successes=rec.report.successes),
+                    "batches": [[list(s.selected), s.batch_size] for s in rec.trace.steps],
                     "trace": [
                         [s.step, list(s.selected), s.s_value, s.newly_marked, s.batch_size]
                         for s in rec.trace.steps
@@ -217,7 +232,7 @@ class RunHistory:
                     "total_after": rec.total_after,
                     "support_after": rec.support_after,
                     "rollouts_spent": rec.rollouts_spent,
-                    "dataset_after": dataset_to_doc(rec.dataset_after),
+                    "dataset_after": docs[id(rec.dataset_after)],
                 }
                 for rec in self.records
             ],
@@ -336,6 +351,9 @@ def run_flywheel(
     once per run from their frozen ratios.
     """
     mode = "plain" if space.slot_ratios is None else cfg.evaluation_mode
+    # The slot map: a batch at curation cell i puts shares[j] demos on world
+    # cell w(i) + offsets[j], where w(i) is i except in exact mode.
+    offsets, shares = np.zeros(1, np.intp), [cfg.unit_size]
     if mode == "plain":
         if world is not None and world is not space and world.shape != space.shape:
             raise ValueError("world space does not match a plain search space")
@@ -344,32 +362,33 @@ def run_flywheel(
     elif world is None:
         raise ValueError("a reduced search space needs its full-coordinate world space")
     else:
-        bases = slot_base_compositions(space)
+        new_grid = new_factor_subspace(space)
+        # world cell of slot j and new-grid cell c: starts[j] + c
+        starts = slot_rows(space, world) * new_grid.cardinality
         if mode == "exact":
             curation_space = space
             evaluate = mapped_evaluation
         else:
-            curation_space = new_factor_subspace(space)
-            shares = apportion_counts(cfg.unit_size, space.slot_ratios)
+            curation_space = new_grid
+            apportioned = apportion_counts(cfg.unit_size, space.slot_ratios)
+            kept = [j for j, share in enumerate(apportioned) if share > 0]
+            offsets, shares = starts[kept], [apportioned[j] for j in kept]
             evaluate = ratio_guided_evaluation
 
-    def to_world(selection: Composition) -> list[DemoBatch]:
-        """The world batches of one unit_size batch at a curation cell."""
-        if mode == "plain":
-            return [DemoBatch(selection, cfg.unit_size)]
-        if mode == "exact":
-            return [DemoBatch(bases[selection[0]] + selection[1:], cfg.unit_size)]
-        return [DemoBatch(b + selection, n) for b, n in zip(bases, shares) if n > 0]
+    def to_world(comps: Sequence[Composition]) -> DemoBatches:
+        """The world batches of one unit_size batch at each curation cell."""
+        cells = np.ravel_multi_index(curation_space.grid_index(comps), curation_space.shape)
+        if mode == "exact":  # curation cell (slot j, new-grid cell c) is j * |new grid| + c
+            slots, cells = np.divmod(cells, new_grid.cardinality)
+            cells = starts[slots] + cells
+        return DemoBatches((cells[:, None] + offsets).reshape(-1), shares * len(cells))
 
     init_comps = (
         list(cfg.initial_compositions)
         if cfg.initial_compositions is not None
         else diagonal_init(curation_space)
     )
-    initial = add_many(
-        Dataset.empty(world),
-        [wb for c in init_comps for wb in to_world(curation_space.validate(c))],
-    )
+    initial = add_many(Dataset.empty(world), to_world(init_comps))
     current = initial
 
     records: list[IterationRecord] = []
@@ -388,8 +407,8 @@ def run_flywheel(
                 view = Dataset.from_grid(
                     curation_space, rows if mode == "exact" else rows.sum(axis=0)
                 )
-            batches, _, trace = curate_expansion(report.rates, view, cfg.tau, cfg.unit_size)
-            current = add_many(current, [wb for b in batches for wb in to_world(b.composition)])
+            _, _, trace = curate_expansion(report.rates, view, cfg.tau, cfg.unit_size)
+            current = add_many(current, to_world([s.selected for s in trace.steps]))
         records.append(IterationRecord(iteration, report, trace, before, current))
         if converged:
             break

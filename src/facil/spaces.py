@@ -261,20 +261,29 @@ def slot_base_compositions(space: FactorSpace) -> list[Composition]:
     return [parse_composition(label) for label in space.dims[0].levels]
 
 
-def gather_slots(values: np.ndarray, reduced: FactorSpace, world: FactorSpace) -> np.ndarray:
-    """A flat world array read at every (slot, new-factor cell) of a reduced space.
+def slot_rows(reduced: FactorSpace, world: FactorSpace) -> np.ndarray:
+    """Each slot base composition's linear index over the world's leading dimensions.
 
     ``world`` is the full-coordinate space behind the reduced one: its leading
     dimensions hold the slot base compositions, its trailing ones are the
-    new-factor grid.  Row j of the (slots, new-factor cells) result holds the
-    world cells whose prefix is slot j's base composition.
+    new-factor grid.  So the world cell of slot j and new-factor cell c is
+    ``rows[j] * n + c``, with n the number of new-factor cells.
     """
     bases = np.array(slot_base_compositions(reduced), dtype=np.int64)
     prefix, suffix = world.shape[: bases.shape[1]], world.shape[bases.shape[1] :]
     if suffix != reduced.shape[1:]:
         raise ValueError(f"new grid {reduced.shape[1:]} does not end world shape {world.shape}")
-    rows = np.ravel_multi_index(tuple(bases.T), prefix)  # raises if a base lies outside
-    return np.asarray(values).reshape(-1, math.prod(suffix))[rows]
+    return np.ravel_multi_index(tuple(bases.T), prefix)  # raises if a base lies outside
+
+
+def gather_slots(values: np.ndarray, reduced: FactorSpace, world: FactorSpace) -> np.ndarray:
+    """A flat world array read at every (slot, new-factor cell) of a reduced space.
+
+    Row j of the (slots, new-factor cells) result holds the world cells whose
+    prefix is slot j's base composition (see ``slot_rows``).
+    """
+    rows = slot_rows(reduced, world)
+    return np.asarray(values).reshape(-1, math.prod(reduced.shape[1:]))[rows]
 
 
 def new_factor_subspace(space: FactorSpace) -> FactorSpace:
@@ -331,23 +340,74 @@ def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
+def int_strings(values: np.ndarray) -> list[str]:
+    """Decimal strings of a 1-D int array.
+
+    When the values span fewer integers than the array has entries (success
+    counts of 0..k on a grid larger than k, say), each distinct value is
+    formatted once and the strings are gathered from that table.
+    """
+    if not len(values):
+        return []
+    low, high = int(values.min()), int(values.max())
+    if high - low >= len(values):
+        return list(map(str, values.tolist()))
+    table = np.array([str(v) for v in range(low, high + 1)], dtype=object)
+    return table[values - low].tolist()
+
+
+class IntColumns:
+    """A JSON object of int values, held as a key column and an int array.
+
+    ``json_text`` writes it as it writes ``dict(zip(keys, values.tolist()))``.
+    """
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys: Sequence[str], values: np.ndarray) -> None:
+        self.keys, self.values = keys, values
+
+
 def json_text(doc, newline: str = "\n") -> str:
     """``json.dumps(doc, indent=2)`` of a document with string keys, without its pure-Python walk.
 
     ``newline`` is a line break plus the indent of the level ``doc`` sits at.
-    A list of plain ints (``type(v) is int``, so no bools) is joined in one
-    ``str.join``; other scalars go through ``json.dumps`` itself.
+    Plain ints (``type(v) is int``, so no bools) and finite floats are
+    written by their own ``repr``, and a list of plain ints is joined in one
+    ``str.join``; other scalars go through ``json.dumps`` itself.  Two leaves
+    hold columns: a 1-D int ndarray is written as the list of its values, and
+    an ``IntColumns`` as the object it stands for, both through
+    ``int_strings``.
     """
     if type(doc) is int:
         return int.__repr__(doc)
+    if type(doc) is float and math.isfinite(doc):
+        return float.__repr__(doc)
+    if type(doc) is str:
+        return _quote(doc)
     inner = newline + "  "
+    if isinstance(doc, np.ndarray) and doc.ndim == 1 and doc.dtype.kind in "iu":
+        return _bracketed("[]", int_strings(doc), newline)
+    if isinstance(doc, IntColumns):
+        values = map(": ".__add__, int_strings(doc.values))
+        return _bracketed("{}", map(str.__add__, map(_quote, doc.keys), values), newline)
     if isinstance(doc, (list, tuple)) and doc:
-        if set(map(type, doc)) == {int}:
-            items = map(int.__repr__, doc)
-        else:
-            items = (json_text(v, inner) for v in doc)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        types = set(map(type, doc))
+        if types == {int}:
+            return _bracketed("[]", map(int.__repr__, doc), newline)
+        if types == {str}:
+            return _bracketed("[]", map(_quote, doc), newline)
+        return _bracketed("[]", (json_text(v, inner) for v in doc), newline)
     if isinstance(doc, dict) and doc:
         items = (_quote(k) + ": " + json_text(v, inner) for k, v in doc.items())
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return json.dumps(doc)  # strings, null, booleans, floats, [] and {}
+        return _bracketed("{}", items, newline)
+    return json.dumps(doc)  # null, booleans, non-finite floats, subclasses, [] and {}
+
+
+def _bracketed(brackets: str, items: Iterable[str], newline: str) -> str:
+    """Items one per line at the next indent; no items give bare brackets."""
+    items = list(items)  # str.join makes this list anyway
+    if not items:
+        return brackets
+    inner = newline + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]

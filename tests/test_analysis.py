@@ -189,6 +189,32 @@ def test_compare_strategies_layout_and_reproducibility():
         compare_strategies(space, params, [400, 100], cfg)
 
 
+@pytest.mark.parametrize(
+    "mode, sigma", [(None, 1e-200), (None, -1.0), ((4, 0), 1.0), ((0, 0, 0), 1.0)]
+)
+def test_compare_strategies_checks_gaussian_settings_before_the_run(monkeypatch, mode, sigma):
+    import facil.analysis
+
+    space = preset_space("pnp_object")
+    params = default_params(space, 7)
+    cfg = FlywheelConfig(k=2, max_iterations=2)
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return run_flywheel(*args, **kwargs)
+
+    monkeypatch.setattr(facil.analysis, "run_flywheel", counted)
+    with pytest.raises(ValueError) as sampler_error:
+        baseline_sampler("gaussian", space, 10, 0, mode=mode, sigma=sigma)
+    with pytest.raises(ValueError) as compare_error:
+        compare_strategies(space, params, [100], cfg, gaussian_mode=mode, gaussian_sigma=sigma)
+    assert str(compare_error.value) == str(sampler_error.value)
+    assert runs == []
+    compare_strategies(space, params, [100], cfg, gaussian_mode=(1, 2), gaussian_sigma=0.5)
+    assert len(runs) == 1
+
+
 def test_transfer_ablation_removes_curation_advantage():
     """With beta = 0 the oracle rewards only direct coverage, so curated
     and uniform sampling need comparable budgets to cross tau."""

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from facil.dataset import Dataset, add_many
+import facil.flywheel
+from facil.dataset import Dataset, DemoBatch, add_many
 from facil.flywheel import (
+    EVALUATION_MODES,
     FlywheelConfig,
     RunHistory,
     apportion_counts,
@@ -24,7 +27,15 @@ from facil.oracle import (
     default_params,
     derive_tag,
 )
-from facil.spaces import build_space, preset_space
+from facil.spaces import (
+    build_space,
+    diagonal_init,
+    new_factor_subspace,
+    preset_space,
+    product_space,
+    reduced_product,
+    slot_base_compositions,
+)
 
 
 def hard_params(space, kappa0=1e9, seed=3):
@@ -392,3 +403,84 @@ def test_reduced_run_rejects_a_world_the_slots_do_not_fit(mode, world_sizes):
     params = default_family(7).params_for(world)
     with pytest.raises(ValueError):
         run_flywheel(reduced, params, FlywheelConfig(evaluation_mode=mode), world=world)
+
+
+def per_slot_batches(space, cfg, selection):
+    """The world batches of one batch at a curation cell, one DemoBatch per slot."""
+    if space.slot_ratios is None:
+        return [DemoBatch(selection, cfg.unit_size)]
+    bases = slot_base_compositions(space)
+    if cfg.evaluation_mode == "exact":
+        return [DemoBatch(bases[selection[0]] + tuple(selection[1:]), cfg.unit_size)]
+    shares = apportion_counts(cfg.unit_size, space.slot_ratios)
+    return [DemoBatch(b + tuple(selection), n) for b, n in zip(bases, shares) if n > 0]
+
+
+def random_run(rng):
+    """A plain or reduced search space, its world, and a config drawn from rng."""
+    base = build_space([(f"b{m}", "abcd"[: int(n)]) for m, n in enumerate(rng.integers(1, 5, 2))])
+    nxt = build_space([(f"n{m}", "xyz"[: int(n)]) for m, n in enumerate(rng.integers(1, 4, 2))])
+    mode = ["plain", *EVALUATION_MODES][int(rng.integers(3))]
+    if mode == "plain":
+        space = world = curation_space = base
+    else:
+        cells = list(base.compositions())
+        picked = rng.choice(len(cells), size=int(rng.integers(1, len(cells) + 1)), replace=False)
+        weights = rng.integers(1, 6, len(picked))
+        support = [(cells[i], w / weights.sum()) for i, w in zip(picked, weights)]
+        space = reduced_product(support, nxt)
+        world = product_space(base, nxt)
+        curation_space = space if mode == "exact" else new_factor_subspace(space)
+    initial = None
+    if rng.random() < 0.5:  # repeated cells on purpose
+        cells = list(curation_space.compositions())
+        initial = [cells[i] for i in rng.integers(0, len(cells), int(rng.integers(1, 8)))]
+    cfg = FlywheelConfig(
+        tau=float(rng.choice([0.5, 0.8, 0.95])),
+        unit_size=int(rng.choice([1, 2, 3, 50])),  # 1 to 3 leave some slot shares at 0
+        k=int(rng.choice([1, 3])),
+        max_iterations=int(rng.integers(1, 4)),
+        evaluation_mode="exact" if mode == "exact" else "ratio_guided",
+        initial_compositions=initial,
+    )
+    seed = int(rng.integers(2**63))
+    params = OracleParams(kappa0=40.0, beta=1.0, p_max=1.0, blacklist=(), seed=seed)
+    return space, world, curation_space, cfg, params
+
+
+def test_array_fold_equals_per_slot_demo_batches():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for case in range(150):
+        space, world, curation_space, cfg, params = random_run(rng)
+        sizes = []
+        real_add_many = facil.flywheel.add_many
+
+        def counted(dataset, batches):
+            sizes.append(len(batches))
+            return real_add_many(dataset, batches)
+
+        with mock.patch.object(facil.flywheel, "add_many", counted):
+            history = run_flywheel(space, params, cfg, world=world)
+
+        init = cfg.initial_compositions or diagonal_init(curation_space)
+        batches = [wb for c in init for wb in per_slot_batches(space, cfg, c)]
+        expected = add_many(Dataset.empty(world), batches)
+        expected_sizes = [len(batches)]
+        assert history.initial_dataset == expected, case
+        for rec in history.records:
+            if rec.trace.steps:
+                batches = [
+                    wb for s in rec.trace.steps for wb in per_slot_batches(space, cfg, s.selected)
+                ]
+                expected = add_many(expected, batches)
+                expected_sizes.append(len(batches))
+            assert rec.dataset_after == expected, case
+        assert sizes == expected_sizes, case
+        mode = cfg.evaluation_mode if space.slot_ratios else "plain"
+        zero_share = space.slot_ratios is not None and 0 in apportion_counts(
+            cfg.unit_size, space.slot_ratios
+        )
+        seen.add((mode, zero_share and mode == "ratio_guided", len(history.records) > 1))
+    assert {m for m, _, _ in seen} == {"plain", "exact", "ratio_guided"}
+    assert ("ratio_guided", True, True) in seen  # zero shares, and batches past the first pass

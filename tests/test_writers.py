@@ -20,13 +20,19 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from facil.analysis import compositionality_check, violations_csv  # noqa: E402
 from facil.curation import CurationStep, CurationTrace  # noqa: E402
 from facil.dataset import Dataset, dataset_to_csv, dataset_to_doc  # noqa: E402
-from facil.oracle import EvaluationReport  # noqa: E402
+from facil.flywheel import (  # noqa: E402
+    EVALUATION_MODES,
+    FlywheelConfig,
+    RunHistory,
+    sequential_expansion,
+)
+from facil.oracle import EvaluationReport, OracleParams  # noqa: E402
 from facil.orbit import orbit_to_csv  # noqa: E402
 from facil.spaces import FactorSpace, Tensor, build_space, json_text, label_column  # noqa: E402
 
@@ -167,3 +173,78 @@ def test_trace_orbit_and_violations_csv_equal_row_writers(shape, seed, steps):
 @given(shape=shapes())
 def test_label_column_is_row_major(shape):
     assert label_column(shape).tolist() == [label(c) for c in cells(shape)]
+
+
+def reference_doc(history: RunHistory) -> dict:
+    """The nested plain-dict document that ``history.json`` was once dumped from."""
+    return {
+        "stage": history.stage,
+        "converged": history.converged,
+        "config": history.config.to_doc(),
+        "space": history.space.to_doc(),
+        "world_space": history.world_space.to_doc(),
+        "final_dataset": dataset_to_doc(history.dataset),
+        "initial_dataset": dataset_to_doc(history.initial_dataset),
+        "iterations": [
+            {
+                "iteration": rec.iteration,
+                "total_before": rec.total_before,
+                "support_before": rec.support_before,
+                "overall_rate": rec.overall_rate,
+                "report": rec.report.to_doc(),
+                "batches": [[list(b.composition), b.count] for b in rec.batches],
+                "trace": [
+                    [s.step, list(s.selected), s.s_value, s.newly_marked, s.batch_size]
+                    for s in rec.trace.steps
+                ],
+                "total_after": rec.total_after,
+                "support_after": rec.support_after,
+                "rollouts_spent": rec.rollouts_spent,
+                "dataset_after": dataset_to_doc(rec.dataset_after),
+            }
+            for rec in history.records
+        ],
+    }
+
+
+@st.composite
+def expansion_cases(draw):
+    """A one- or two-stage expansion: stage shapes, flywheel knobs and oracle constants."""
+    stages = [draw(shapes(max_cells=40))]
+    if draw(st.booleans()):
+        stages.append(draw(shapes(max_cells=24)))
+    flywheel = {
+        "tau": draw(st.sampled_from([0.05, 0.5, 0.8, 0.95])),
+        "unit_size": draw(st.sampled_from([1, 2, 7, 50])),
+        "k": draw(st.sampled_from([1, 2, 5, 1000])),
+        "max_iterations": draw(st.integers(1, 4)),
+        "evaluation_mode": draw(st.sampled_from(EVALUATION_MODES)),
+    }
+    oracle = {
+        "kappa0": draw(st.sampled_from([5.0, 40.0, 400.0])),
+        "beta": draw(st.sampled_from([0.0, 1.0, 10.0])),
+        "p_max": draw(st.sampled_from([0.9, 1.0])),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+    }
+    return stages, flywheel, oracle
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=expansion_cases())
+# a 1-D stage then multi-digit labels on two axes of 10 or more levels, both modes
+@example(case=([(12,), (10, 11)], {"tau": 0.8, "evaluation_mode": "exact"}, {"beta": 1.0}))
+@example(case=([(12,), (10, 11)], {"tau": 0.8, "evaluation_mode": "ratio_guided"}, {}))
+# k = 1000 on a grid larger than k, and a run that converges with an empty trace
+@example(case=([(11, 10, 10)], {"k": 1000, "max_iterations": 2}, {"beta": 1.0}))
+@example(case=([(3, 4), (2, 3)], {"tau": 0.05}, {}))
+def test_history_json_equals_json_dumps_of_the_reference_doc(case):
+    stages, flywheel, oracle = case
+    defaults = {"kappa0": 40.0, "beta": 1.0, "p_max": 1.0, "seed": 7}
+    params = OracleParams(**{**defaults, **oracle}, blacklist=())
+    cfg = FlywheelConfig(**{"max_iterations": 3, **flywheel})
+    spaces = [
+        build_space([(f"s{i}d{m}", [f"l{j}" for j in range(n)]) for m, n in enumerate(shape)])
+        for i, shape in enumerate(stages)
+    ]
+    for history in sequential_expansion(spaces, params, cfg):
+        check_same(history.to_json(), json.dumps(reference_doc(history), indent=2))

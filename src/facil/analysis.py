@@ -56,12 +56,14 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     """Fit failure rate 1 - success against demo count N on log-log axes.
 
     Ordinary least squares with intercept; alpha is the negated slope.
-    Points with success >= 1 have zero failure and are dropped with a
-    warning; fewer than two usable points is an error.
+    Every point must be finite.  Points with success >= 1 have zero failure
+    and are dropped with a warning; fewer than two usable points is an error.
     """
     usable: list[tuple[float, float]] = []
     dropped = 0
     for n_demos, success in points:
+        if not (math.isfinite(n_demos) and math.isfinite(success)):
+            raise ValueError(f"points must be finite, got {(n_demos, success)!r}")
         if n_demos <= 0:
             raise ValueError(f"demo counts must be positive, got {n_demos!r}")
         if success < 0:

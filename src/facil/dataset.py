@@ -4,7 +4,8 @@ A dataset is a multiset of demonstrations; every consumer in this package
 needs only its per-composition counts, held as one read-only int64 array
 shaped like the space (``Dataset.grid``).  Counts are validated where they
 enter from outside: the constructors, added batches and the CSV and
-plain-dict loaders.  ``add_many`` folds many batches at once: a
+plain-dict loaders.  A count must be an integer; 2.7 raises ValueError
+rather than becoming 2.  ``add_many`` folds many batches at once: a
 ``DemoBatches`` holds them as flat cell indices and counts, a list of
 ``DemoBatch`` is turned into one, and one ``np.add.at`` adds them all.
 ``support_columns`` reads the support with one ``argwhere`` and labels it
@@ -34,6 +35,8 @@ from .spaces import (
     FactorSpace,
     composition_labels,
     int_strings,
+    integer,
+    integer_array,
     parse_composition,
 )
 
@@ -55,7 +58,7 @@ class DemoBatch:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "composition", tuple(int(v) for v in self.composition))
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", integer(self.count, "batch count"))
         if self.count < 1:
             raise ValueError(f"batch count must be >= 1, got {self.count}")
 
@@ -78,14 +81,14 @@ class Dataset:
             detail = f"the demo count grid does not fit in memory ({exc})"
             raise InputMemoryError("space", detail) from exc
         if counts:
-            grid[space.grid_index(list(counts))] = [int(n) for n in counts.values()]
+            grid[space.grid_index(list(counts))] = integer_array(list(counts.values()), "counts")
         self._freeze(space, grid)
 
     @classmethod
     def from_grid(cls, space: FactorSpace, grid: np.ndarray) -> "Dataset":
         """Dataset with a copy of a count array of the space's size."""
         out = cls.__new__(cls)
-        out._freeze(space, np.array(grid, dtype=np.int64).reshape(space.shape))
+        out._freeze(space, np.array(integer_array(grid, "grid")).reshape(space.shape))
         return out
 
     def _freeze(self, space: FactorSpace, grid: np.ndarray) -> None:
@@ -137,7 +140,7 @@ class DemoBatches:
 
     def __init__(self, cells, counts) -> None:
         self.cells = np.asarray(cells, dtype=np.intp).reshape(-1)
-        self.counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+        self.counts = integer_array(counts, "batch counts").reshape(-1)
         if len(self.cells) != len(self.counts):
             raise ValueError(f"{len(self.cells)} cells for {len(self.counts)} batch counts")
         if self.counts.min(initial=1) < 1:
@@ -236,5 +239,5 @@ def dataset_to_doc(dataset: Dataset) -> dict:
 
 
 def dataset_from_doc(doc: dict) -> Dataset:
-    counts = {parse_composition(key): int(n) for key, n in doc["counts"].items()}
+    counts = {parse_composition(key): n for key, n in doc["counts"].items()}
     return Dataset(FactorSpace.from_doc(doc["space"]), counts)

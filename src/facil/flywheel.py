@@ -51,6 +51,7 @@ from .spaces import (
     csv_text,
     diagonal_init,
     gather_slots,
+    integer,
     json_text,
     new_factor_subspace,
     product_space,
@@ -74,6 +75,8 @@ class FlywheelConfig:
 
     def __post_init__(self) -> None:
         # Messages start with the field name so callers can prefix a section path.
+        for name in ("unit_size", "k", "max_iterations"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if not 0 < self.tau < 1:
             raise ValueError(f"tau: must be in (0, 1), got {self.tau!r}")
         if self.unit_size < 1:
@@ -90,7 +93,10 @@ class FlywheelConfig:
             object.__setattr__(
                 self,
                 "initial_compositions",
-                tuple(tuple(int(v) for v in c) for c in self.initial_compositions),
+                tuple(
+                    tuple(integer(v, "initial_compositions") for v in c)
+                    for c in self.initial_compositions
+                ),
             )
 
     def to_doc(self) -> dict:

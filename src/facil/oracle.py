@@ -11,8 +11,11 @@ drops the blacklist pairs a space does not have, so one instance drives every
 stage of an expansion.  Rollouts are Bernoulli draws from Philox4x64-10
 streams keyed by (seed, tag) with the cell index in the counter, computed for
 many cells at once in numpy integer arithmetic, so results never depend on
-evaluation order.  Only cells whose outcome is uncertain take draws: a
-uniform in [0, 1) is always below p = 1 and never below p = 0, so the k
+evaluation order.  One rollout kernel serves all three evaluations (the full
+grid, every slot x new cell in exact mode, and slots picked by their frozen
+ratios): it takes a (slots x cells) block of success probabilities and
+returns each cell's hits.  Only cells whose outcome is uncertain take draws:
+a uniform in [0, 1) is always below p = 1 and never below p = 0, so the k
 rollouts of a cell at exactly 0 or 1 are known, and since each cell's
 stream depends only on (seed, tag, cell), leaving it out changes no other
 cell's draws.  A report keeps only the per-cell success counts and k;
@@ -33,6 +36,8 @@ from .spaces import (
     FactorSpace,
     Tensor,
     gather_slots,
+    integer,
+    integer_array,
     label_column,
     new_factor_subspace,
 )
@@ -123,35 +128,41 @@ def _cell_uniforms(seed: int, tag: int, index: np.ndarray, draws: int) -> np.nda
     return out
 
 
-def _certain_hits(slot_probs: np.ndarray, k: int, draws: int) -> tuple[np.ndarray, np.ndarray]:
-    """Successes of the cells known without drawing, and the indices of the rest.
+def _rollout_hits(
+    slot_probs: np.ndarray, k: int, seed: int, tag: int, ratios: tuple[float, ...] | None = None
+) -> np.ndarray:
+    """Successes in k rollouts at each cell, one column of slot_probs per cell.
 
-    slot_probs has one row per slot and one column per cell, and a rollout
-    rolls against one of the cell's slots.  A uniform in [0, 1) is always
+    Every rollout rolls against one of its cell's slots (rows): the only
+    row, or, when slot ``ratios`` are given, a row picked by the rollout's
+    first uniform from their cumulative sum.  A uniform in [0, 1) is always
     below 1 and never below 0 or NaN, so a cell whose slots all have p >= 1
     gets k successes, one with no p > 0 gets 0, and only the others draw.
     Raises InputMemoryError naming ``flywheel.k`` when numpy cannot size or
-    allocate ``draws`` uniforms for every cell, drawn or not, so whether a k
-    fits does not depend on the dataset.
+    allocate the draws (k per cell, 2k with slot picks) for every cell,
+    drawn or not, so whether a k fits does not depend on the dataset.
     """
     if k < 1:
         raise ValueError(f"k: must be >= 1, got {k}")
     cells = slot_probs.shape[1]
+    draws = k if ratios is None else 2 * k
     try:
         np.empty((cells, draws))
     except (MemoryError, ValueError) as exc:  # ValueError: past what numpy can size
         detail = f"{cells} cells x {draws} draws do not fit in memory"
         raise InputMemoryError("flywheel.k", detail) from exc
     ones = np.all(slot_probs >= 1.0, axis=0)
-    uncertain = np.flatnonzero(~ones & np.any(slot_probs > 0.0, axis=0))
-    return np.where(ones, k, 0), uncertain
-
-
-def _count_hits(seed: int, tag: int, probs: np.ndarray, k: int) -> np.ndarray:
-    """Successes in k rollouts at each flat success probability."""
-    hits, index = _certain_hits(probs[None], k, k)
-    draws = _cell_uniforms(seed, tag, index, k)
-    hits[index] = np.count_nonzero(draws < probs[index, None], axis=1)
+    hits = np.where(ones, k, 0)
+    index = np.flatnonzero(~ones & np.any(slot_probs > 0.0, axis=0))
+    uniforms = _cell_uniforms(seed, tag, index, draws)
+    if ratios is None:
+        probs = slot_probs[0, index, None]
+    else:
+        cumulative = np.cumsum(np.asarray(ratios, dtype=float))
+        cumulative[-1] = 1.0
+        slots = np.searchsorted(cumulative, uniforms[:, 0::2], side="right")
+        probs, uniforms = slot_probs[slots, index[:, None]], uniforms[:, 1::2]
+    hits[index] = np.count_nonzero(uniforms < probs, axis=1)
     return hits
 
 
@@ -191,7 +202,7 @@ class OracleParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blacklist", frozenset(map(_normalize_pair, self.blacklist)))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
         if not 0 <= self.seed <= _MASK64:  # streams are keyed by the seed as one uint64
             raise ValueError(f"seed: must be in 0..2**64 - 1, got {self.seed}")
         if not self.kappa0 > 0:
@@ -253,13 +264,7 @@ def default_family(seed: int) -> OracleParams:
 
 def compositional_family(seed: int) -> OracleParams:
     """Default constants with no blacklisted interactions at all."""
-    return OracleParams(
-        kappa0=DEFAULT_KAPPA0,
-        beta=DEFAULT_BETA,
-        p_max=DEFAULT_P_MAX,
-        blacklist=(),
-        seed=seed,
-    )
+    return replace(default_family(seed), blacklist=())
 
 
 def default_params(space: FactorSpace, seed: int) -> OracleParams:
@@ -309,9 +314,10 @@ class EvaluationReport:
     k: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", integer(self.k, "k"))
         if self.k < 1:  # rates would be 0/0
             raise ValueError(f"k: must be >= 1, got {self.k}")
-        succ = np.asarray(self.successes, dtype=np.int64).reshape(-1).copy()
+        succ = integer_array(self.successes, "successes").reshape(-1).copy()
         if succ.size != self.space.cardinality:
             raise ValueError("successes array does not match the benchmark space")
         if succ.min(initial=0) < 0 or succ.max(initial=0) > self.k:
@@ -358,7 +364,7 @@ class EvaluationReport:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "EvaluationReport":
-        return cls(FactorSpace.from_doc(doc["space"]), doc["successes"], int(doc["k"]))
+        return cls(FactorSpace.from_doc(doc["space"]), doc["successes"], doc["k"])
 
 
 def simulate_evaluation(
@@ -378,8 +384,8 @@ def simulate_evaluation(
         raise ValueError(
             f"benchmark shape {bench_space.shape} does not match dataset space {dataset.space.shape}"
         )
-    probs = success_tensor(params, dataset).values
-    return EvaluationReport(bench_space, _count_hits(params.seed, iteration_tag, probs, k), k)
+    probs = success_tensor(params, dataset).values[None]
+    return EvaluationReport(bench_space, _rollout_hits(probs, k, params.seed, iteration_tag), k)
 
 
 def _slot_success(params: OracleParams, dataset: Dataset, reduced: FactorSpace) -> np.ndarray:
@@ -400,8 +406,8 @@ def mapped_evaluation(
     composition in the dataset's space (slot labels carry the inherited
     prefix) and gets its own k rollouts: |slots| * |new grid| * k total.
     """
-    probs = _slot_success(params, dataset, reduced).reshape(-1)
-    return EvaluationReport(reduced, _count_hits(params.seed, iteration_tag, probs, k), k)
+    probs = _slot_success(params, dataset, reduced).reshape(1, -1)
+    return EvaluationReport(reduced, _rollout_hits(probs, k, params.seed, iteration_tag), k)
 
 
 def ratio_guided_evaluation(
@@ -417,12 +423,6 @@ def ratio_guided_evaluation(
     samples a slot from the frozen ratio distribution, then rolls against the
     underlying composition's success probability.  Budget: |new grid| * k.
     """
-    slot_probs = _slot_success(params, dataset, reduced)
-    cumulative = np.cumsum(np.asarray(reduced.slot_ratios, dtype=float))
-    cumulative[-1] = 1.0
-
-    hits, index = _certain_hits(slot_probs, k, 2 * k)
-    draws = _cell_uniforms(params.seed, iteration_tag, index, 2 * k)
-    slots = np.searchsorted(cumulative, draws[:, 0::2], side="right")
-    hits[index] = np.count_nonzero(draws[:, 1::2] < slot_probs[slots, index[:, None]], axis=1)
+    probs = _slot_success(params, dataset, reduced)
+    hits = _rollout_hits(probs, k, params.seed, iteration_tag, reduced.slot_ratios)
     return EvaluationReport(new_factor_subspace(reduced), hits, k)

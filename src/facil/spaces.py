@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from json.encoder import encode_basestring_ascii as _quote
@@ -25,6 +26,29 @@ Composition = tuple[int, ...]
 # Separator used inside slot labels of a reduced product space.  Each slot
 # label encodes the base composition it stands for, e.g. "1/2/0".
 SLOT_SEP = "/"
+
+
+def integer(value, field: str) -> int:
+    """An integer (Python, numpy or bool) as a Python int.
+
+    Anything else, 2.5 and 2.0 alike, raises ValueError starting with ``field``
+    instead of being truncated.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field}: must be an integer, got {value!r}") from None
+
+
+def integer_array(values, field: str) -> np.ndarray:
+    """Integers (a number, a sequence or an array) as int64, checked like ``integer``."""
+    out = np.asarray(values)
+    if out.dtype.kind not in "biu" and out.size:
+        # value by value: a list mixing numpy integer types can promote to float64
+        items = np.asarray(values, dtype=object)
+        out = np.array([integer(v, field) for v in items.ravel()], dtype=object)
+        out = out.reshape(items.shape)
+    return out.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,11 @@ def test_fit_drops_saturated_points_with_warning():
         fit_power_law([(0.0, 0.5), (200.0, 0.5)])
     with pytest.raises(ValueError):
         fit_power_law([(100.0, -0.1), (200.0, 0.5)])
+    # NaN used to fit NaNs, and an infinite count reached LAPACK
+    inf, nan = float("inf"), float("nan")
+    for bad in ((100.0, nan), (nan, 0.5), (inf, 0.5), (100.0, inf)):
+        with pytest.raises(ValueError, match="points must be finite"):
+            fit_power_law([bad, (200.0, 0.5), (400.0, 0.75)])
 
 
 def test_factors_mixture_spreads_over_grid():

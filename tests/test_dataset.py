@@ -10,6 +10,7 @@ import pytest
 from facil.dataset import (
     Dataset,
     DemoBatch,
+    DemoBatches,
     add_demos,
     add_many,
     dataset_from_csv,
@@ -43,6 +44,30 @@ def test_dataset_validates_compositions_and_counts():
     # zero-count entries are dropped from the support
     d = Dataset(space, {(0, 0): 0, (1, 1): 2})
     assert d.support == frozenset({(1, 1)})
+
+
+def test_non_integral_counts_are_rejected():
+    # each of these used to keep 2 demos for 2.7
+    space = space3x2()
+    doc = dataset_to_doc(Dataset(space, {(0, 1): 2, (2, 0): 3}))
+    for bad in (2.7, 2.0, "2"):
+        with pytest.raises(ValueError, match="^counts: must be an integer"):
+            dataset_from_doc(dict(doc, counts={"0/1": bad, "2/0": 3}))
+        with pytest.raises(ValueError, match="^counts: must be an integer"):
+            Dataset(space, {(0, 1): bad})
+        with pytest.raises(ValueError, match="^batch count: must be an integer"):
+            DemoBatch((0, 1), bad)
+    with pytest.raises(ValueError, match="^batch counts: must be an integer"):
+        DemoBatches([1, 4], [2.7, 3])
+    with pytest.raises(ValueError, match="^grid: must be an integer"):
+        Dataset.from_grid(space, np.full(6, 2.7))
+    # integer numpy scalars and arrays stay accepted
+    expected = Dataset(space, {(0, 1): 2, (2, 0): 3})
+    assert dataset_from_doc(doc) == expected
+    assert Dataset(space, {(0, 1): np.int32(2), (2, 0): np.uint64(3)}) == expected
+    assert Dataset.from_grid(space, np.array([0, 2, 0, 0, 3, 0], dtype=np.int8)) == expected
+    assert DemoBatch((0, 1), np.int64(2)).count == 2
+    assert add_many(Dataset.empty(space), DemoBatches([1, 4], np.array([2, 3]))) == expected
 
 
 def test_add_demos_is_value_semantic():

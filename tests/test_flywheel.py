@@ -137,6 +137,18 @@ def test_flywheel_config_validation_and_doc_round_trip():
         FlywheelConfig(max_iterations=0)
     with pytest.raises(ValueError):
         FlywheelConfig(evaluation_mode="guess")
+    # non-integral values raise instead of truncating (2.5 would run 2-demo batches)
+    for field in ("unit_size", "k", "max_iterations"):
+        for value in (2.5, 2.0):
+            with pytest.raises(ValueError, match=f"^{field}: must be an integer"):
+                FlywheelConfig(**{field: value})
+    with pytest.raises(ValueError, match="^initial_compositions: must be an integer"):
+        FlywheelConfig(initial_compositions=[(0.7, 0)])
+    numpy_ints = FlywheelConfig(unit_size=np.int32(7), k=np.int64(3), max_iterations=np.uint8(4),
+                                initial_compositions=[np.array([0, 1])])
+    assert (numpy_ints.unit_size, numpy_ints.k, numpy_ints.max_iterations) == (7, 3, 4)
+    assert numpy_ints.initial_compositions == ((0, 1),)
+    assert type(numpy_ints.k) is int
 
     cfg = FlywheelConfig(
         tau=0.9, unit_size=7, k=3, max_iterations=4,

@@ -76,6 +76,11 @@ def test_family_checks_constants_and_blacklist_at_construction():
         OracleParams(kappa0=1.0, beta=float("nan"), p_max=1.0, blacklist=(), seed=0)
     with pytest.raises(ValueError, match="one dimension twice"):
         OracleParams(kappa0=1.0, beta=1.0, p_max=1.0, blacklist=(((1, 0), (1, 1)),), seed=0)
+    # 7.5 used to become seed 7 and share its streams
+    for seed in (7.5, 7.0):
+        with pytest.raises(ValueError, match="^seed: must be an integer"):
+            OracleParams(kappa0=1.0, beta=1.0, p_max=1.0, blacklist=(), seed=seed)
+    assert default_family(np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 def test_seed_outside_uint64_is_rejected():
@@ -521,6 +526,18 @@ def test_k_too_large_fails_even_when_no_cell_draws(k):
         mapped_evaluation(params, empty, reduced, k=k)
     with pytest.raises(InputMemoryError, match=r"^flywheel\.k: "):
         ratio_guided_evaluation(params, empty, reduced, k=k)
+
+
+def test_report_rejects_non_integral_counts():
+    space = build_space([("a", ["a0", "a1"])])
+    doc = EvaluationReport(space, [1, 2], 2).to_doc()
+    for key, value in (("successes", [1.7, 2]), ("successes", [1.0, 2.0]), ("k", 2.5)):
+        with pytest.raises(ValueError, match=f"^{key}: must be an integer"):
+            EvaluationReport.from_doc(dict(doc, **{key: value}))
+    with pytest.raises(ValueError, match="^successes: must be an integer"):
+        EvaluationReport(space, np.array([0.5, 1.0]), 1)
+    report = EvaluationReport(space, np.array([1, 2], dtype=np.int16), np.int64(2))
+    assert report == EvaluationReport.from_doc(doc) and type(report.k) is int
 
 
 def test_report_rejects_k_below_one():

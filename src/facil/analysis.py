@@ -28,7 +28,7 @@ from .oracle import (
     simulate_evaluation,
 )
 from .orbit import empirical_orbit, product_closure
-from .spaces import Composition, FactorSpace, Tensor, composition_labels, csv_text
+from .spaces import Composition, FactorSpace, Tensor, composition_labels, csv_text, integer
 
 STRATEGY_NAMES = ("facil_ratio", "factors_mixture", "gaussian")
 
@@ -129,6 +129,7 @@ def baseline_sampler(
     at `mode` (grid center by default) with index-unit standard deviation
     `sigma`.  Deterministic per (strategy, seed).
     """
+    n_demos = integer(n_demos, "n_demos")
     if n_demos < 0:
         raise ValueError(f"n_demos must be >= 0, got {n_demos}")
     if strategy == "factors_mixture":
@@ -192,9 +193,9 @@ def compare_strategies(
     order-independent and reproducible.  Each outcome is on benchmark "O".
     Budgets and the gaussian mode and sigma are checked before the run.
     """
-    if list(budgets) != sorted(int(b) for b in budgets):
+    budgets = [integer(b, "budgets") for b in budgets]
+    if budgets != sorted(budgets):
         raise ValueError("budgets must be sorted ascending")
-    budgets = [int(b) for b in budgets]
     if budgets and budgets[0] < 0:
         raise ValueError("budgets must be >= 0")
     _gaussian_mode(space, gaussian_mode, gaussian_sigma)  # fail before the flywheel runs

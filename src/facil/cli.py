@@ -332,9 +332,12 @@ def _check_initial(
     previous stage's support size, known only at run time, so with ``slot``
     the leading slot index is left unchecked.
     """
-    for i, comp in enumerate(config.flywheel.initial_compositions or ()):
-        path = f"flywheel.initial_compositions[{i}]"
-        _check_in_space(space, comp[1:] if slot else comp, path, where)
+    comps = [comp[1:] if slot else comp for comp in config.flywheel.initial_compositions or ()]
+    try:
+        space.cells(comps)  # one check of them all; the loop only names the first misfit
+    except ValueError:
+        for i, comp in enumerate(comps):
+            _check_in_space(space, comp, f"flywheel.initial_compositions[{i}]", where)
 
 
 def _not_converged(history: RunHistory) -> int:

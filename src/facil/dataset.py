@@ -57,7 +57,7 @@ class DemoBatch:
     count: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "composition", tuple(int(v) for v in self.composition))
+        object.__setattr__(self, "composition", tuple(integer(v, "composition") for v in self.composition))
         object.__setattr__(self, "count", integer(self.count, "batch count"))
         if self.count < 1:
             raise ValueError(f"batch count must be >= 1, got {self.count}")
@@ -81,7 +81,7 @@ class Dataset:
             detail = f"the demo count grid does not fit in memory ({exc})"
             raise InputMemoryError("space", detail) from exc
         if counts:
-            grid[space.grid_index(list(counts))] = integer_array(list(counts.values()), "counts")
+            grid.flat[space.cells(list(counts))] = integer_array(list(counts.values()), "counts")
         self._freeze(space, grid)
 
     @classmethod
@@ -126,7 +126,7 @@ class Dataset:
         return frozenset(map(tuple, np.argwhere(self.grid).tolist()))
 
     def count_at(self, c: Composition) -> int:
-        return int(self.grid[self.space.validate(c)])
+        return int(self.grid.flat[self.space.encode(c)])
 
 
 class DemoBatches:
@@ -139,7 +139,7 @@ class DemoBatches:
     __slots__ = ("cells", "counts")
 
     def __init__(self, cells, counts) -> None:
-        self.cells = np.asarray(cells, dtype=np.intp).reshape(-1)
+        self.cells = integer_array(cells, "batch cells").reshape(-1)
         self.counts = integer_array(counts, "batch counts").reshape(-1)
         if len(self.cells) != len(self.counts):
             raise ValueError(f"{len(self.cells)} cells for {len(self.counts)} batch counts")
@@ -162,8 +162,7 @@ def add_many(dataset: Dataset, batches: DemoBatches | Iterable[DemoBatch]) -> Da
     """
     if not isinstance(batches, DemoBatches):
         batches = list(batches)
-        index = dataset.space.grid_index([b.composition for b in batches])
-        cells = np.ravel_multi_index(index, dataset.space.shape)
+        cells = dataset.space.cells([b.composition for b in batches])
         batches = DemoBatches(cells, [b.count for b in batches])
     cells = batches.cells
     if len(cells) and not (cells.min() >= 0 and cells.max() < dataset.grid.size):

@@ -90,14 +90,9 @@ class FlywheelConfig:
                 f"evaluation_mode: must be one of {EVALUATION_MODES}, got {self.evaluation_mode!r}"
             )
         if self.initial_compositions is not None:
-            object.__setattr__(
-                self,
-                "initial_compositions",
-                tuple(
-                    tuple(integer(v, "initial_compositions") for v in c)
-                    for c in self.initial_compositions
-                ),
-            )
+            comps = self.initial_compositions
+            checked = tuple(tuple(integer(v, "initial_compositions") for v in c) for c in comps)
+            object.__setattr__(self, "initial_compositions", checked)
 
     def to_doc(self) -> dict:
         """Plain-dict form; ``FlywheelConfig(**doc)`` rebuilds the config."""
@@ -122,7 +117,12 @@ class IterationRecord:
 
     @property
     def batches(self) -> tuple[DemoBatch, ...]:
-        """Each curation step emits one batch at its selection."""
+        """Each curation step emits one batch at its selection, in curation-grid coordinates.
+
+        On a reduced stage those are not the datasets' world coordinates (and
+        in ratio_guided mode one batch stands for several world batches), so
+        ``add_many(dataset_before, batches) == dataset_after`` holds only for plain runs.
+        """
         return tuple(DemoBatch(s.selected, s.batch_size) for s in self.trace.steps)
 
     @property
@@ -289,20 +289,12 @@ class BudgetReport:
 
 def rollout_budget(grid_cells: int, base_cardinality: int, slot_count: int, k: int) -> BudgetReport:
     """Evaluation cost of one iteration: full product vs slots vs sampling."""
-    for name, value in (
-        ("grid_cells", grid_cells),
-        ("base_cardinality", base_cardinality),
-        ("slot_count", slot_count),
-        ("k", k),
-    ):
-        if int(value) < 1:
+    names, checked = ("grid_cells", "base_cardinality", "slot_count", "k"), []
+    for name, value in zip(names, (grid_cells, base_cardinality, slot_count, k)):
+        checked.append(integer(value, name))
+        if checked[-1] < 1:
             raise ValueError(f"{name} must be a positive integer, got {value}")
-    grid_cells, base_cardinality, slot_count, k = (
-        int(grid_cells),
-        int(base_cardinality),
-        int(slot_count),
-        int(k),
-    )
+    grid_cells, base_cardinality, slot_count, k = checked
     full = grid_cells * base_cardinality
     sampled = grid_cells * k
     full_rollouts = full * k
@@ -383,7 +375,7 @@ def run_flywheel(
 
     def to_world(comps: Sequence[Composition]) -> DemoBatches:
         """The world batches of one unit_size batch at each curation cell."""
-        cells = np.ravel_multi_index(curation_space.grid_index(comps), curation_space.shape)
+        cells = curation_space.cells(comps)
         if mode == "exact":  # curation cell (slot j, new-grid cell c) is j * |new grid| + c
             slots, cells = np.divmod(cells, new_grid.cardinality)
             cells = starts[slots] + cells

@@ -168,8 +168,8 @@ def _rollout_hits(
 
 def _normalize_pair(pair: BlacklistPair) -> BlacklistPair:
     (da, la), (db, lb) = pair
-    a = (int(da), int(la))
-    b = (int(db), int(lb))
+    a = (integer(da, "blacklist"), integer(la, "blacklist"))
+    b = (integer(db, "blacklist"), integer(lb, "blacklist"))
     if min(a + b) < 0:
         raise ValueError(f"blacklist: pair {pair} has a negative index")
     if a[0] == b[0]:

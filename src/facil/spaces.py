@@ -4,6 +4,8 @@ A factor space is an ordered Cartesian product of named dimensions, each with
 a fixed list of level labels.  A composition is one cell of that product,
 written as a tuple of level indices.  All dense per-composition arrays are
 stored flat in row-major order over the declared dimension order.
+``FactorSpace.cells`` is the one check and conversion of compositions to
+those flat cells; ``encode``, ``validate`` and every other caller use it.
 """
 
 from __future__ import annotations
@@ -119,31 +121,34 @@ class FactorSpace:
     def cardinality(self) -> int:
         return math.prod(self.shape)
 
-    def validate(self, c: Composition) -> Composition:
-        c = tuple(int(v) for v in c)
-        if len(c) != self.ndim:
-            raise ValueError(f"composition {c} has {len(c)} entries, space has {self.ndim} dims")
-        for m, (v, size) in enumerate(zip(c, self.shape)):
-            if not 0 <= v < size:
-                raise ValueError(f"composition {c}: index {v} out of range for dim {m} (size {size})")
-        return c
+    def cells(self, comps: Sequence[Composition]) -> np.ndarray:
+        """Flat row-major cells of compositions; the one check of what a composition is.
 
-    def grid_index(self, comps: Sequence[Composition]) -> tuple[np.ndarray, ...]:
-        """Validated fancy index of many compositions into an array shaped like the space."""
+        Entries go through ``integer_array`` (1.5, 2.0 and "1" raise).  A wrong
+        length or an index out of range, past int64 too, raises ValueError
+        naming the first such composition.
+        """
+        wrong = next((tuple(c) for c in comps if len(c) != self.ndim), None)
+        if wrong is not None:
+            raise ValueError(f"composition {wrong} has {len(wrong)} entries, space has {self.ndim} dims")
         try:
-            arr = np.array(comps, dtype=np.int64).reshape(len(comps), self.ndim)
-            fits = bool(np.all((arr >= 0) & (arr < self.shape)))
-        except (OverflowError, TypeError, ValueError):
-            fits = False
-        if not fits:
-            for c in comps:
-                self.validate(c)  # raises, naming the first composition that does not fit
-            raise ValueError(f"compositions {comps!r} do not fit shape {self.shape}")
-        return tuple(arr.T)
+            points = integer_array(comps, "composition").reshape(len(comps), self.ndim)
+        except OverflowError:  # compare the Python ints themselves
+            points = np.array(comps, dtype=object).reshape(len(comps), self.ndim)
+        outside = (points < 0) | (points >= np.array(self.shape))
+        if outside.any():
+            row, m = np.argwhere(outside)[0]
+            c, size = tuple(map(operator.index, comps[row])), self.shape[m]
+            raise ValueError(f"composition {c}: index {c[m]} out of range for dim {m} (size {size})")
+        return np.ravel_multi_index(tuple(points.T), self.shape)
+
+    def validate(self, c: Composition) -> Composition:
+        """A composition as a tuple of Python ints, checked by ``cells``."""
+        return self.decode(self.encode(c))
 
     def encode(self, c: Composition) -> int:
         """Row-major linear index of a composition."""
-        return int(np.ravel_multi_index(self.validate(c), self.shape))
+        return int(self.cells([c])[0])
 
     def decode(self, idx: int) -> Composition:
         """Composition at a row-major linear index."""
@@ -271,7 +276,7 @@ def reduced_product(
     """
     if not support:
         raise ValueError("support must be non-empty")
-    comps = [tuple(int(v) for v in c) for c, _ in support]
+    comps = [tuple(integer(v, "support") for v in c) for c, _ in support]
     if any(len(c) != len(comps[0]) for c in comps):
         raise ValueError("support compositions must share one base space")
     slot_dim = FactorDimension("slot", tuple(map(format_composition, comps)))
@@ -293,11 +298,11 @@ def slot_rows(reduced: FactorSpace, world: FactorSpace) -> np.ndarray:
     new-factor grid.  So the world cell of slot j and new-factor cell c is
     ``rows[j] * n + c``, with n the number of new-factor cells.
     """
-    bases = np.array(slot_base_compositions(reduced), dtype=np.int64)
-    prefix, suffix = world.shape[: bases.shape[1]], world.shape[bases.shape[1] :]
-    if suffix != reduced.shape[1:]:
+    bases = slot_base_compositions(reduced)
+    prefix = len(bases[0])
+    if world.shape[prefix:] != reduced.shape[1:]:
         raise ValueError(f"new grid {reduced.shape[1:]} does not end world shape {world.shape}")
-    return np.ravel_multi_index(tuple(bases.T), prefix)  # raises if a base lies outside
+    return FactorSpace(world.dims[:prefix]).cells(bases)
 
 
 def gather_slots(values: np.ndarray, reduced: FactorSpace, world: FactorSpace) -> np.ndarray:

@@ -136,6 +136,9 @@ def test_sampler_determinism_and_validation():
         baseline_sampler("facil_ratio", space, 10, 0)
     with pytest.raises(ValueError):
         baseline_sampler("factors_mixture", space, -1, 0)
+    # 2.5 used to draw 2 demos
+    with pytest.raises(ValueError, match="^n_demos: must be an integer"):
+        baseline_sampler("factors_mixture", space, 2.5, 7)
     with pytest.raises(ValueError):
         baseline_sampler("gaussian", space, 10, 0, sigma=0.0)
     # 2 * sigma * sigma underflows to 0 here, which would make NaN logits
@@ -192,6 +195,9 @@ def test_compare_strategies_layout_and_reproducibility():
 
     with pytest.raises(ValueError):
         compare_strategies(space, params, [400, 100], cfg)
+    # this used to fail as "budgets must be sorted ascending"
+    with pytest.raises(ValueError, match="^budgets: must be an integer"):
+        compare_strategies(space, params, [2.5], cfg)
 
 
 @pytest.mark.parametrize(

@@ -59,8 +59,17 @@ def test_non_integral_counts_are_rejected():
             DemoBatch((0, 1), bad)
     with pytest.raises(ValueError, match="^batch counts: must be an integer"):
         DemoBatches([1, 4], [2.7, 3])
+    with pytest.raises(ValueError, match="^batch cells: must be an integer"):
+        DemoBatches([1.7, 4], [2, 3])
     with pytest.raises(ValueError, match="^grid: must be an integer"):
         Dataset.from_grid(space, np.full(6, 2.7))
+    # compositions: these used to be truncated to (0, 1), (1, 0) and (1, 1)
+    with pytest.raises(ValueError, match="^composition: must be an integer, got 0.7"):
+        DemoBatch((0.7, 1), 2)
+    with pytest.raises(ValueError, match="^composition: must be an integer, got 1.9"):
+        Dataset(space, {(1.9, 0): 3})
+    with pytest.raises(ValueError, match="^composition: must be an integer, got 1.9"):
+        Dataset(space, {(0, 1): 2}).count_at((1.9, 1.2))
     # integer numpy scalars and arrays stay accepted
     expected = Dataset(space, {(0, 1): 2, (2, 0): 3})
     assert dataset_from_doc(doc) == expected

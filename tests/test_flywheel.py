@@ -72,6 +72,9 @@ def test_rollout_budget_validation_and_json():
         rollout_budget(0, 16, 7, 5)
     with pytest.raises(ValueError):
         rollout_budget(24, 16, 7, 0)
+    # 10.7 used to count as 10 cells
+    with pytest.raises(ValueError, match="^grid_cells: must be an integer"):
+        rollout_budget(10.7, 3, 2, 5)
     doc = dataclasses.asdict(rollout_budget(2, 3, 1, 4))
     assert set(doc) == {
         "full_possibilities",

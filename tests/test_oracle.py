@@ -107,6 +107,9 @@ def test_blacklist_pairs_are_normalized():
     space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1"])])
     p = plain_params(space, blacklist=frozenset({((1, 0), (0, 1))}))
     assert p.blacklist == frozenset({((0, 1), (1, 0))})
+    # each entry used to be truncated: this pair was stored as ((0, 1), (1, 2))
+    with pytest.raises(ValueError, match="^blacklist: must be an integer"):
+        OracleParams(kappa0=1.0, beta=1.0, p_max=1.0, blacklist=[((0.5, 1), (1, 2.9))], seed=0)
 
 
 def test_check_space_rejects_mismatches():

@@ -71,6 +71,50 @@ def test_validate_rejects_bad_compositions():
     with pytest.raises(ValueError):
         space.validate((0, -1))
     assert space.validate((2, 1)) == (2, 1)
+    assert space.validate((np.int64(2), True)) == (2, 1)
+    # each of these used to be truncated (or parsed) to a valid cell
+    with pytest.raises(ValueError, match="^composition: must be an integer, got 1.5"):
+        space.encode((1.5, 1))
+    with pytest.raises(ValueError, match="^composition: must be an integer, got '1'"):
+        space.validate(("1", 0))
+    with pytest.raises(ValueError, match="^composition: must be an integer, got 1.5"):
+        Tensor(space, np.zeros(6))[(1.5, 0)]
+    with pytest.raises(ValueError, match="^support: must be an integer, got 0.5"):
+        reduced_product([((0.5, 1), 1.0)], space)
+
+
+def test_cells_matches_ravel_multi_index_and_rejects_bad_entries():
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        shape = tuple(int(n) for n in rng.integers(1, 6, size=rng.integers(1, 5)))
+        space = build_space([(f"d{m}", [str(v) for v in range(n)]) for m, n in enumerate(shape)])
+        points = rng.integers(0, shape, size=(int(rng.integers(0, 12)), len(shape)))
+        comps = [tuple(p) for p in points.tolist()]
+        expected = np.ravel_multi_index(tuple(points.T), shape)
+        assert np.array_equal(space.cells(comps), expected)
+        assert np.array_equal(space.cells(points), expected)
+        assert [space.encode(c) for c in comps] == expected.tolist()
+        # one bad composition among valid ones; a second bad one after it is not the one named
+        row, m = int(rng.integers(0, len(comps) + 1)), int(rng.integers(0, len(shape)))
+        good = tuple(int(v) for v in rng.integers(0, shape))
+        bad_entries = [  # out of range, negative, float, integral float, string, past int64
+            (shape[m] + int(rng.integers(0, 3)), "out of range"),
+            (-1 - int(rng.integers(0, 3)), "out of range"),
+            (good[m] + 0.5, "^composition: must be an integer"),
+            (float(good[m]), "^composition: must be an integer"),
+            (str(good[m]), "^composition: must be an integer"),
+            (2**70, "out of range"),
+        ]
+        for value, message in bad_entries:
+            bad = good[:m] + (value,) + good[m + 1 :]
+            if message == "out of range":
+                message = f"^composition \\({', '.join(map(str, bad))},?\\): index {value} out of range"
+            with pytest.raises(ValueError, match=message):
+                space.cells(comps[:row] + [bad] + comps[row:] + [(-1,) * len(shape)])
+        for bad in (good + (0,), good[:-1]):
+            message = f"^composition \\({', '.join(map(str, bad))},?\\) has {len(bad)} entries"
+            with pytest.raises(ValueError, match=message):
+                space.cells(comps[:row] + [bad] + comps[row:] + [(0,) * (len(shape) + 2)])
 
 
 def test_preset_shapes():

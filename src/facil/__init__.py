@@ -26,7 +26,6 @@ from .dataset import (
     DemoBatch,
     add_demos,
     add_many,
-    dataset_from_csv,
     dataset_from_doc,
     dataset_to_csv,
     dataset_to_doc,
@@ -99,7 +98,6 @@ __all__ = [
     "compositional_family",
     "compositionality_check",
     "curate_expansion",
-    "dataset_from_csv",
     "dataset_from_doc",
     "dataset_to_csv",
     "dataset_to_doc",

@@ -314,7 +314,7 @@ def compositionality_check(
 
     predicted = product_closure(train)
     empirical = empirical_orbit(rates, tau)
-    violations = tuple(sorted(predicted - empirical, key=space.encode))
+    violations = tuple(sorted(predicted - empirical))  # lexicographic is row-major order
 
     seen_pairs: dict[tuple[int, int], set[tuple[int, int]]] = {}
     for m in range(space.ndim):

@@ -2,7 +2,9 @@
 
 Subcommands: run (single-space flywheel), expand (staged expansion),
 compare (strategy comparison), fit (power-law fits from a rate CSV),
-check-comp (factor-design checker), budget (rollout arithmetic).  All
+check-comp (factor-design checker), budget (rollout arithmetic).  The
+table ``_COMMANDS`` holds each command's name, handler and help line;
+``_parser`` builds argparse from it once per process, on first use.  All
 outputs are deterministic functions of (config, flags), so reruns produce
 byte-identical files.  Exit codes: 0 success, 1 ran but did not converge,
 2 configuration or input error.
@@ -16,7 +18,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 from typing import NoReturn, Sequence
 
@@ -354,7 +356,7 @@ def _not_converged(history: RunHistory) -> int:
     return 1
 
 
-def _cmd_run(config: RunConfig, out: Path) -> int:
+def _cmd_run(config: RunConfig, out: Path, args: argparse.Namespace) -> int:
     space = config.space
     _check_initial(config, space)
     history = run_flywheel(space, config.oracle.params_for(space), config.flywheel)
@@ -363,7 +365,7 @@ def _cmd_run(config: RunConfig, out: Path) -> int:
     return 0 if history.converged else _not_converged(history)
 
 
-def _cmd_expand(config: RunConfig, out: Path) -> int:
+def _cmd_expand(config: RunConfig, out: Path, args: argparse.Namespace) -> int:
     stages = config.stages
     try:
         reduce(product_space, stages)
@@ -392,7 +394,7 @@ def _cmd_expand(config: RunConfig, out: Path) -> int:
     return 0 if summary["all_converged"] else _not_converged(histories[-1])
 
 
-def _cmd_compare(config: RunConfig, out: Path) -> int:
+def _cmd_compare(config: RunConfig, out: Path, args: argparse.Namespace) -> int:
     space = config.space
     _check_initial(config, space)
     if config.gaussian_mode is not None:
@@ -410,10 +412,10 @@ def _cmd_compare(config: RunConfig, out: Path) -> int:
     return 0
 
 
-def _cmd_fit(input_path: str, out: Path) -> int:
-    file = Path(input_path)
+def _cmd_fit(config: RunConfig, out: Path, args: argparse.Namespace) -> int:
+    file = Path(args.input)
     if not file.is_file():
-        raise ConfigError(f"fit.input: no such file {input_path!r}")
+        raise ConfigError(f"fit.input: no such file {args.input!r}")
     try:
         table = load_rate_table(file.read_text(encoding="utf-8"))
         fits = {benchmark: fit_power_law(points) for benchmark, points in table.items()}
@@ -423,7 +425,7 @@ def _cmd_fit(input_path: str, out: Path) -> int:
     return 0
 
 
-def _cmd_check_comp(config: RunConfig, out: Path) -> int:
+def _cmd_check_comp(config: RunConfig, out: Path, args: argparse.Namespace) -> int:
     space = config.space
     train = config.train
     if train is None:
@@ -448,9 +450,9 @@ def _cmd_check_comp(config: RunConfig, out: Path) -> int:
     return 0
 
 
-def _cmd_budget(grid: int, base: int, slots: int, k: int, out: Path) -> int:
+def _cmd_budget(config: RunConfig, out: Path, args: argparse.Namespace) -> int:
     try:
-        report = rollout_budget(grid, base, slots, k)
+        report = rollout_budget(args.grid, args.base, args.slots, args.k)
     except ValueError as exc:
         raise ConfigError(f"budget: {exc}") from exc
     text = json.dumps(asdict(report), indent=2) + "\n"
@@ -459,35 +461,39 @@ def _cmd_budget(grid: int, base: int, slots: int, k: int, out: Path) -> int:
     return 0
 
 
-# Commands whose demo totals grow by flywheel.unit_size per batch.
-_FLYWHEEL_COMMANDS = {"run": _cmd_run, "expand": _cmd_expand, "compare": _cmd_compare}
+# The command table: (name, handler, help) in --help order.  Each handler takes
+# (config, out, args) and finds library functions through this module's globals
+# at call time, so a wrapper set on facil.cli sees every call.
+_COMMANDS = (
+    ("run", _cmd_run, "single-space flywheel"),
+    ("expand", _cmd_expand, "staged expansion across factor spaces"),
+    ("compare", _cmd_compare, "strategy comparison at fixed budgets"),
+    ("fit", _cmd_fit, "power-law fits from a rate CSV"),
+    ("check-comp", _cmd_check_comp, "factor-design compositionality check"),
+    ("budget", _cmd_budget, "rollout budget arithmetic"),
+)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then kept for the process."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON configuration file")
+    common.add_argument("--seed", type=int, help="override the config seed")
+    # --threads is a no-op kept so existing scripts and bench/run.py still parse
+    common.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect")
+
     parser = argparse.ArgumentParser(
         prog="facil",
         description="Factored-space curation: flywheel runs, comparisons, fits, checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        # --threads is a no-op kept so existing scripts and bench/run.py still parse
-        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect")
-
-    common(sub.add_parser("run", help="single-space flywheel"))
-    common(sub.add_parser("expand", help="staged expansion across factor spaces"))
-    common(sub.add_parser("compare", help="strategy comparison at fixed budgets"))
-
-    fit = sub.add_parser("fit", help="power-law fits from a rate CSV")
-    common(fit)
-    fit.add_argument("--input", required=True, help="CSV with n_demos and success_rate columns")
-
-    common(sub.add_parser("check-comp", help="factor-design compositionality check"))
-
-    budget = sub.add_parser("budget", help="rollout budget arithmetic")
-    common(budget)
+    commands = {}
+    for name, handler, help_text in _COMMANDS:
+        commands[name] = sub.add_parser(name, help=help_text, parents=[common])
+        commands[name].set_defaults(handler=handler)
+    commands["fit"].add_argument("--input", required=True, help="CSV with n_demos and success_rate columns")
+    budget = commands["budget"]
     budget.add_argument("--grid", type=int, required=True, help="new-factor grid cells")
     budget.add_argument("--base", type=int, required=True, help="base space cardinality")
     budget.add_argument("--slots", type=int, required=True, help="inherited slot count")
@@ -496,24 +502,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = parse_config(args.config)
         if args.seed is not None:
             config = replace(config, oracle=replace(config.oracle, seed=_seed(args.seed, "seed")))
         out = _resolve_out_dir(config)
-        if args.command in _FLYWHEEL_COMMANDS:
-            try:
-                return _FLYWHEEL_COMMANDS[args.command](config, out)
-            except OverflowError as exc:  # a Dataset total would reach 2**63
-                _fail("flywheel.unit_size", str(exc))
-        if args.command == "fit":
-            return _cmd_fit(args.input, out)
-        if args.command == "check-comp":
-            return _cmd_check_comp(config, out)
-        if args.command == "budget":
-            return _cmd_budget(args.grid, args.base, args.slots, args.k, out)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        try:
+            return args.handler(config, out, args)
+        except OverflowError as exc:  # a Dataset total of run, expand or compare would reach 2**63
+            _fail("flywheel.unit_size", str(exc))
     except (ConfigError, InputMemoryError) as exc:  # both messages start with the field
         print(f"error: {exc}", file=sys.stderr)
         return 2

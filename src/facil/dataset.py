@@ -3,8 +3,8 @@
 A dataset is a multiset of demonstrations; every consumer in this package
 needs only its per-composition counts, held as one read-only int64 array
 shaped like the space (``Dataset.grid``).  Counts are validated where they
-enter from outside: the constructors, added batches and the CSV and
-plain-dict loaders.  A count must be an integer; 2.7 raises ValueError
+enter from outside: the constructors, added batches and the plain-dict
+loader.  A count must be an integer; 2.7 raises ValueError
 rather than becoming 2.  ``add_many`` folds many batches at once: a
 ``DemoBatches`` holds them as flat cell indices and counts, a list of
 ``DemoBatch`` is turned into one, and one ``np.add.at`` adds them all.
@@ -22,8 +22,6 @@ the input untouched, so iteration histories can hold per-iteration datasets.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -216,20 +214,6 @@ def dataset_to_csv(dataset: Dataset) -> str:
     labels, counts = support_columns(dataset)
     lines = [",".join(CSV_HEADER), *map(",".join, zip(labels, int_strings(counts))), ""]
     return "\n".join(lines)
-
-
-def dataset_from_csv(space: FactorSpace, text: str) -> Dataset:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected dataset CSV header {header!r}")
-    counts: dict[Composition, int] = {}
-    for row in reader:
-        if not row:
-            continue
-        c = parse_composition(row[0])
-        counts[c] = counts.get(c, 0) + int(row[1])
-    return Dataset(space, counts)
 
 
 def dataset_to_doc(dataset: Dataset) -> dict:

@@ -50,6 +50,8 @@ def integer_array(values, field: str) -> np.ndarray:
         items = np.asarray(values, dtype=object)
         out = np.array([integer(v, field) for v in items.ravel()], dtype=object)
         out = out.reshape(items.shape)
+    elif out.dtype.kind == "u" and out.size and int(out.max()) >= 2**63:
+        raise ValueError(f"{field}: must be below 2**63, got {out.max()}")  # int64 would wrap it
     return out.astype(np.int64, copy=False)
 
 

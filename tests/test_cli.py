@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from facil import cli
 from facil.cli import ConfigError, build_config, main, parse_config
 from facil.flywheel import FlywheelConfig, RunHistory
 from facil.oracle import (
@@ -259,6 +261,8 @@ def test_fit_rejects_non_finite_or_missing_values(tmp_path, monkeypatch, capsys,
         ),
         ("run", '{"seed": 1' + "0" * 5000 + "}", "config"),
         ("run", '{"flywheel": {"unit_size": 4611686018427387904}}', "flywheel.unit_size"),
+        ("expand", '{"flywheel": {"unit_size": 4611686018427387904}}', "flywheel.unit_size"),
+        ("compare", '{"flywheel": {"unit_size": 4611686018427387904}}', "flywheel.unit_size"),
         (
             "run",
             '{"flywheel": {"unit_size": 4611686018427387904,'
@@ -596,3 +600,38 @@ def test_unknown_command_exits_via_argparse():
         main(["frobnicate"])
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize(
+    "argv, handler",
+    [
+        (["run"], cli._cmd_run),
+        (["expand"], cli._cmd_expand),
+        (["compare"], cli._cmd_compare),
+        (["fit", "--input", "rates.csv"], cli._cmd_fit),
+        (["check-comp"], cli._cmd_check_comp),
+        (["budget", "--grid", "1", "--base", "1", "--slots", "1", "--k", "1"], cli._cmd_budget),
+    ],
+)
+def test_each_command_is_bound_to_its_handler(argv, handler):
+    assert cli._parser().parse_args(argv).handler is handler
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FACIL_OUT", str(tmp_path / "out"))
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    argv = ["budget", "--grid", "24", "--base", "16", "--slots", "7", "--k", "5"]
+    assert main(argv) == 0
+    first = len(built)
+    assert first > 0
+    assert main(argv) == 0
+    assert len(built) == first
+    assert capsys.readouterr().out.count("speedup") == 2

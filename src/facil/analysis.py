@@ -57,7 +57,8 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
 
     Ordinary least squares with intercept; alpha is the negated slope.
     Every point must be finite.  Points with success >= 1 have zero failure
-    and are dropped with a warning; fewer than two usable points is an error.
+    and are dropped with a warning; fewer than two usable points, or demo
+    counts too close together to fix a slope (all equal, say), is an error.
     """
     usable: list[tuple[float, float]] = []
     dropped = 0
@@ -79,7 +80,9 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
 
     log_n = np.log([n for n, _ in usable])
     log_fail = np.log([1.0 - s for _, s in usable])
-    slope, intercept = np.polyfit(log_n, log_fail, 1)
+    (slope, intercept), _, rank, _, _ = np.polyfit(log_n, log_fail, 1, full=True)
+    if rank < 2:  # where a plain polyfit warns that it is poorly conditioned
+        raise ValueError("the demo counts do not determine a slope (they are too close together)")
     predicted = slope * log_n + intercept
     ss_res = float(np.sum((log_fail - predicted) ** 2))
     ss_tot = float(np.sum((log_fail - log_fail.mean()) ** 2))

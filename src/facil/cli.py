@@ -194,12 +194,12 @@ _SCHEMA: dict = {
         "blacklist": ([[list(a), list(b)] for a, b in DEFAULT_BLACKLIST], _list_of(_pair)),
     },
     "flywheel": {
-        "tau": (0.8, _number),
-        "unit_size": (50, _integer),
-        "k": (5, _integer),
-        "max_iterations": (20, _integer),
-        "evaluation_mode": ("ratio_guided", lambda value, path: value),
-        "initial_compositions": (None, _optional(_list_of(_indices))),
+        "tau": (FlywheelConfig.tau, _number),
+        "unit_size": (FlywheelConfig.unit_size, _integer),
+        "k": (FlywheelConfig.k, _integer),
+        "max_iterations": (FlywheelConfig.max_iterations, _integer),
+        "evaluation_mode": (FlywheelConfig.evaluation_mode, lambda value, path: value),
+        "initial_compositions": (FlywheelConfig.initial_compositions, _optional(_list_of(_indices))),
     },
     "strategies": (list(STRATEGY_NAMES), _list_of(_choice(STRATEGY_NAMES), nonempty=True)),
     "budgets": ([500, 2000, 8000, 32000, 128000], _budgets),

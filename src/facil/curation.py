@@ -28,6 +28,7 @@ import numpy as np
 
 # add_demos stays importable from here: bench/tracer.py wraps it at this lookup site.
 from .dataset import Dataset, DemoBatch, add_demos, add_many  # noqa: F401
+from .orbit import _above_tau
 from .spaces import Composition, Tensor, composition_labels, csv_text
 
 
@@ -121,14 +122,10 @@ def curate_expansion(
         )
     if unit_size < 1:
         raise ValueError(f"unit_size must be >= 1, got {unit_size}")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
-    if not rates.is_rates():
-        raise ValueError("tensor is not a success-rate tensor (values outside [0, 1])")
+    marked = _above_tau(rates, tau)
 
     scores = aggregated_tensor(rates).values
     order = np.argsort(scores, kind="stable")
-    marked = rates.values > tau
     strides = np.array([math.prod(space.shape[m + 1 :]) for m in range(space.ndim)], dtype=np.intp)
     support = np.argwhere(dataset.grid) * strides
     marked_count = int(np.count_nonzero(marked))

@@ -5,22 +5,22 @@ alternates evaluation and curation until the overall success rate clears the
 threshold or an iteration cap trips.  Staged expansion chains runs in one
 loop: each new stage searches (inherited slots) x (new factor grid), keeping
 demo ratios of the inherited slots frozen, while the oracle always scores the
-underlying full-coordinate (world) dataset.  A run works out its stage's slot
-map once as arrays (each slot's world row from ``slot_rows`` and, in
-ratio_guided mode, the apportioned shares with zero shares dropped), and
-folds the seeding and each pass's selections into the world grid as one
-``DemoBatches`` through ``add_many``; curation reads the world dataset back
-through ``gather_slots``.  ``RunHistory.to_json`` labels each distinct
-dataset once per call and writes the document with ``json_text``, the exact
-``json.dumps(indent=2)`` layout without the pure-Python encoder, handing it
-dataset counts and success counts as columns.
+underlying full-coordinate (world) dataset.  A reduced run builds one slot
+map per stage, the world cell of each (slot, new-grid cell) from
+``slot_rows``; it places batches, and gathers curation's view of the world
+dataset, through that array.  The seeding and each pass's selections fold
+into the world grid as one ``DemoBatches`` through ``add_many``.
+``RunHistory.to_json`` labels each distinct dataset once per call and writes
+the document with ``json_text``, the exact ``json.dumps(indent=2)`` layout
+without the pure-Python encoder, handing it dataset counts and success
+counts as columns.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +50,6 @@ from .spaces import (
     IntColumns,
     csv_text,
     diagonal_init,
-    gather_slots,
     integer,
     json_text,
     new_factor_subspace,
@@ -96,7 +95,7 @@ class FlywheelConfig:
 
     def to_doc(self) -> dict:
         """Plain-dict form; ``FlywheelConfig(**doc)`` rebuilds the config."""
-        return asdict(self)
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -342,52 +341,45 @@ def run_flywheel(
     """Run the evaluate-curate loop on one search space.
 
     A plain space is searched directly.  A reduced space (slot ratios set)
-    needs `world`, the full-coordinate space its demos live in, and is read
-    from it through ``gather_slots``.  Exact mode curates the whole
-    (slot x new grid); ratio_guided mode curates the new-factor grid alone
-    and spreads each batch over the inherited slots by shares apportioned
-    once per run from their frozen ratios.
+    needs `world`, the full-coordinate space its demos live in.  Exact mode
+    curates the whole (slot x new grid); ratio_guided mode curates the
+    new-factor grid alone and spreads each batch over the inherited slots by
+    shares apportioned once per run from their frozen ratios.  Both place
+    batches, and read curation's view back, through one slot map per run.
     """
     mode = "plain" if space.slot_ratios is None else cfg.evaluation_mode
-    # The slot map: a batch at curation cell i puts shares[j] demos on world
-    # cell w(i) + offsets[j], where w(i) is i except in exact mode.
-    offsets, shares = np.zeros(1, np.intp), [cfg.unit_size]
+    shares = [cfg.unit_size]  # the demos of one curation batch, per world batch
     if mode == "plain":
         if world is not None and world is not space and world.shape != space.shape:
             raise ValueError("world space does not match a plain search space")
-        world = curation_space = space
-        evaluate = simulate_evaluation
+        world, curation_space, evaluate = space, space, simulate_evaluation
     elif world is None:
         raise ValueError("a reduced search space needs its full-coordinate world space")
+    elif mode == "exact":
+        curation_space, evaluate = space, mapped_evaluation
     else:
-        new_grid = new_factor_subspace(space)
-        # world cell of slot j and new-grid cell c: starts[j] + c
-        starts = slot_rows(space, world) * new_grid.cardinality
-        if mode == "exact":
-            curation_space = space
-            evaluate = mapped_evaluation
-        else:
-            curation_space = new_grid
-            apportioned = apportion_counts(cfg.unit_size, space.slot_ratios)
-            kept = [j for j, share in enumerate(apportioned) if share > 0]
-            offsets, shares = starts[kept], [apportioned[j] for j in kept]
-            evaluate = ratio_guided_evaluation
+        curation_space, evaluate = new_factor_subspace(space), ratio_guided_evaluation
+        apportioned = apportion_counts(cfg.unit_size, space.slot_ratios)
+        kept = [j for j, share in enumerate(apportioned) if share > 0]
+        shares = [apportioned[j] for j in kept]
+    initial, place = Dataset.empty(world), None  # a plain run puts each batch on its own cell
+    if mode != "plain":
+        # The slot map, after the count grid so that Dataset names a world too large
+        # for memory: slot_map[j, c] is the world cell of slot j and new-grid cell c,
+        # and row i of place holds the world cells of a batch at curation cell i.
+        n = math.prod(space.shape[1:])
+        slot_map = slot_rows(space, world)[:, None] * n + np.arange(n)
+        place = slot_map.reshape(-1, 1) if mode == "exact" else slot_map[kept].T
 
     def to_world(comps: Sequence[Composition]) -> DemoBatches:
         """The world batches of one unit_size batch at each curation cell."""
         cells = curation_space.cells(comps)
-        if mode == "exact":  # curation cell (slot j, new-grid cell c) is j * |new grid| + c
-            slots, cells = np.divmod(cells, new_grid.cardinality)
-            cells = starts[slots] + cells
-        return DemoBatches((cells[:, None] + offsets).reshape(-1), shares * len(cells))
+        return DemoBatches(cells if place is None else place[cells], shares * len(comps))
 
-    init_comps = (
-        list(cfg.initial_compositions)
-        if cfg.initial_compositions is not None
-        else diagonal_init(curation_space)
-    )
-    initial = add_many(Dataset.empty(world), to_world(init_comps))
-    current = initial
+    init_comps = cfg.initial_compositions
+    if init_comps is None:
+        init_comps = diagonal_init(curation_space)
+    current = initial = add_many(initial, to_world(init_comps))
 
     records: list[IterationRecord] = []
     for iteration in range(1, cfg.max_iterations + 1):
@@ -398,13 +390,8 @@ def run_flywheel(
             trace = CurationTrace(steps=())
         else:
             view = current
-            if mode != "plain":
-                rows = gather_slots(current.grid, space, world)
-                if rows.sum() != current.total:
-                    raise ValueError("dataset has demos outside the inherited slots")
-                view = Dataset.from_grid(
-                    curation_space, rows if mode == "exact" else rows.sum(axis=0)
-                )
+            if place is not None:  # a curation cell counts the world demos placed through it
+                view = Dataset.from_grid(curation_space, current.grid.take(place).sum(axis=1))
             _, _, trace = curate_expansion(report.rates, view, cfg.tau, cfg.unit_size)
             current = add_many(current, to_world([s.selected for s in trace.steps]))
         records.append(IterationRecord(iteration, report, trace, before, current))

@@ -205,12 +205,12 @@ class OracleParams:
         object.__setattr__(self, "seed", integer(self.seed, "seed"))
         if not 0 <= self.seed <= _MASK64:  # streams are keyed by the seed as one uint64
             raise ValueError(f"seed: must be in 0..2**64 - 1, got {self.seed}")
-        if not self.kappa0 > 0:
-            raise ValueError(f"kappa0: must be > 0, got {self.kappa0!r}")
+        if not 0 < self.kappa0 < np.inf:
+            raise ValueError(f"kappa0: must be > 0 and finite, got {self.kappa0!r}")
         if not 0 < self.p_max <= 1:
             raise ValueError(f"p_max: must be in (0, 1], got {self.p_max!r}")
-        if not self.beta >= 0:
-            raise ValueError(f"beta: must be >= 0, got {self.beta!r}")
+        if not 0 <= self.beta < np.inf:  # an infinite beta makes 0 * inf = NaN transfer
+            raise ValueError(f"beta: must be >= 0 and finite, got {self.beta!r}")
 
     def check_space(self, space: FactorSpace) -> None:
         for pair in self.blacklist:
@@ -294,11 +294,11 @@ def success_tensor(params: OracleParams, dataset: Dataset) -> Tensor:
         shape = [1] * space.ndim
         shape[m] = marg.size
         weakest = np.minimum(weakest, marg.reshape(shape))
-    transfer = params.beta * weakest.reshape(-1)
-    transfer[blacklist_mask(params, space)] = 0.0
-
-    energy = direct + transfer
-    probs = np.minimum(params.p_max, 1.0 - np.exp(-energy / params.kappa0))
+    with np.errstate(over="ignore"):  # an energy past float range is inf, and p is p_max there
+        transfer = params.beta * weakest.reshape(-1)
+        transfer[blacklist_mask(params, space)] = 0.0
+        energy = direct + transfer
+        probs = np.minimum(params.p_max, 1.0 - np.exp(-energy / params.kappa0))
     return Tensor(space, probs)
 
 

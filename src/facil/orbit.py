@@ -1,7 +1,7 @@
 """Coverage operators: thresholded orbits, hypercube spans, product closure.
 
 An orbit keeps the cells whose rate is strictly above tau, the curation
-loop's marking rule.
+loop's marking rule; both apply it, input checks included, by ``_above_tau``.
 """
 
 from __future__ import annotations
@@ -25,13 +25,18 @@ def hypercube_span(s: Composition, d: Composition) -> set[Composition]:
     return set(product(*choices))
 
 
-def empirical_orbit(rates: Tensor, tau: float) -> frozenset[Composition]:
-    """Compositions whose measured success rate is strictly above tau."""
+def _above_tau(rates: Tensor, tau: float) -> np.ndarray:
+    """Flat mask of the cells whose rate is strictly above tau; tau and the rates lie in [0, 1]."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
     if not rates.is_rates():
         raise ValueError("tensor is not a success-rate tensor (values outside [0, 1])")
-    return frozenset(map(tuple, np.argwhere(rates.grid > tau).tolist()))
+    return rates.values > tau
+
+
+def empirical_orbit(rates: Tensor, tau: float) -> frozenset[Composition]:
+    """Compositions whose measured success rate is strictly above tau."""
+    return frozenset(map(rates.space.decode, np.flatnonzero(_above_tau(rates, tau))))
 
 
 def product_closure(comps: Iterable[Composition]) -> set[Composition]:

@@ -42,16 +42,26 @@ def integer(value, field: str) -> int:
         raise ValueError(f"{field}: must be an integer, got {value!r}") from None
 
 
-def integer_array(values, field: str) -> np.ndarray:
-    """Integers (a number, a sequence or an array) as int64, checked like ``integer``."""
+def _integers(values, field: str) -> np.ndarray:
+    """An int array, or an object array of Python ints; a non-integer raises like ``integer``."""
     out = np.asarray(values)
     if out.dtype.kind not in "biu" and out.size:
         # value by value: a list mixing numpy integer types can promote to float64
         items = np.asarray(values, dtype=object)
         out = np.array([integer(v, field) for v in items.ravel()], dtype=object)
         out = out.reshape(items.shape)
-    elif out.dtype.kind == "u" and out.size and int(out.max()) >= 2**63:
-        raise ValueError(f"{field}: must be below 2**63, got {out.max()}")  # int64 would wrap it
+    return out
+
+
+def integer_array(values, field: str) -> np.ndarray:
+    """Integers (a number, a sequence or an array) as int64, checked like ``integer``."""
+    out = _integers(values, field)
+    if out.dtype.kind in "uO" and out.size:  # a cast would wrap uint64 or overflow on Python ints
+        low, high = int(out.min()), int(out.max())
+        if high >= 2**63:
+            raise ValueError(f"{field}: must be below 2**63, got {high}")
+        if low < -(2**63):
+            raise ValueError(f"{field}: must be at least -2**63, got {low}")
     return out.astype(np.int64, copy=False)
 
 
@@ -133,16 +143,13 @@ class FactorSpace:
         wrong = next((tuple(c) for c in comps if len(c) != self.ndim), None)
         if wrong is not None:
             raise ValueError(f"composition {wrong} has {len(wrong)} entries, space has {self.ndim} dims")
-        try:
-            points = integer_array(comps, "composition").reshape(len(comps), self.ndim)
-        except OverflowError:  # compare the Python ints themselves
-            points = np.array(comps, dtype=object).reshape(len(comps), self.ndim)
-        outside = (points < 0) | (points >= np.array(self.shape))
+        points = _integers(comps, "composition").reshape(len(comps), self.ndim)
+        outside = (points < 0) | (points >= np.array(self.shape))  # past int64 too
         if outside.any():
             row, m = np.argwhere(outside)[0]
             c, size = tuple(map(operator.index, comps[row])), self.shape[m]
             raise ValueError(f"composition {c}: index {c[m]} out of range for dim {m} (size {size})")
-        return np.ravel_multi_index(tuple(points.T), self.shape)
+        return np.ravel_multi_index(tuple(points.astype(np.int64, copy=False).T), self.shape)
 
     def validate(self, c: Composition) -> Composition:
         """A composition as a tuple of Python ints, checked by ``cells``."""

@@ -47,6 +47,13 @@ def test_scaling_fit_needs_two_points():
         ScalingFit(alpha=0.5, log_c=0.0, r_squared=1.0, n_points=1)
 
 
+def test_fit_needs_demo_counts_that_fix_a_slope():
+    # numpy's fit only warned here and returned a slope the points do not determine
+    for points in ([(10, 0.5), (10, 0.6)], [(10.0, 0.5), (10.0 * (1 + 1e-15), 0.6)]):
+        with pytest.raises(ValueError, match="^the demo counts do not determine a slope"):
+            fit_power_law(points)
+
+
 def test_two_point_fit_is_exact():
     fit = fit_power_law([(1000.0, 0.5), (4000.0, 0.75)])
     # failure halves as N quadruples: alpha = log(2)/log(4) = 1/2

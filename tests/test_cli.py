@@ -189,6 +189,15 @@ def test_fit_command(tmp_path, monkeypatch, capsys):
     assert main(["fit", "--input", str(bad)]) == 2
 
 
+def test_fit_with_one_distinct_demo_count_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FACIL_OUT", str(tmp_path / "out"))
+    table = tmp_path / "rates.csv"
+    table.write_text("benchmark,n_demos,success_rate\na,10,0.5\na,10,0.6\n", encoding="utf-8")
+    assert main(["fit", "--input", str(table)]) == 2
+    assert "error: fit.input: the demo counts do not determine a slope" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scaling.csv").exists()
+
+
 @pytest.mark.parametrize("row", ["200,nan", "inf,0.5", "200"])
 def test_fit_rejects_non_finite_or_missing_values(tmp_path, monkeypatch, capsys, row):
     monkeypatch.setenv("FACIL_OUT", str(tmp_path / "out"))
@@ -444,6 +453,13 @@ def test_not_converged_prints_one_stderr_line(tmp_path, capsys, command, doc, st
 def test_converged_run_prints_nothing(tmp_path, capsys):
     cfg = write_config(tmp_path, {"space": "pnp_object", "seed": 7, "out": str(tmp_path / "out")})
     assert main(["run", "--config", cfg]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("oracle", [{"kappa0": 1e-320}, {"beta": 1e308}])
+def test_oracle_constants_past_float_range_run_without_a_numpy_warning(tmp_path, capsys, oracle):
+    doc = {"space": "pnp_object", "oracle": oracle, "out": str(tmp_path / "out")}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
     assert capsys.readouterr() == ("", "")
 
 

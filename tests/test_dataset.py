@@ -67,6 +67,15 @@ def test_non_integral_counts_are_rejected():
         Dataset.from_grid(space, np.array([2**63, 0, 0, 0, 0, 0], np.uint64))
     with pytest.raises(ValueError, match=f"^batch counts: must be below 2\\*\\*63, got {2**64 - 1}$"):
         DemoBatches([1], np.array([2**64 - 1], np.uint64))
+    # Python ints past int64 too, which numpy keeps as objects
+    with pytest.raises(ValueError, match=f"^counts: must be below 2\\*\\*63, got {2**64}$"):
+        Dataset(space, {(0, 1): 2**64})
+    with pytest.raises(ValueError, match=f"^batch counts: must be below 2\\*\\*63, got {2**70}$"):
+        DemoBatches([1], [2**70])
+    with pytest.raises(ValueError, match=f"^batch cells: must be below 2\\*\\*63, got {2**64}$"):
+        DemoBatches([2**64], [1])
+    with pytest.raises(ValueError, match=f"^counts: must be at least -2\\*\\*63, got {-(2**63) - 1}$"):
+        Dataset(space, {(0, 1): -(2**63) - 1})
     # compositions: these used to be truncated to (0, 1), (1, 0) and (1, 1)
     with pytest.raises(ValueError, match="^composition: must be an integer, got 0.7"):
         DemoBatch((0.7, 1), 2)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import facil.flywheel
+import facil.spaces
 from facil.dataset import Dataset, DemoBatch, add_many
 from facil.flywheel import (
     EVALUATION_MODES,
@@ -418,6 +419,20 @@ def test_reduced_run_rejects_a_world_the_slots_do_not_fit(mode, world_sizes):
     params = default_family(7).params_for(world)
     with pytest.raises(ValueError):
         run_flywheel(reduced, params, FlywheelConfig(evaluation_mode=mode), world=world)
+
+
+@pytest.mark.parametrize("mode", EVALUATION_MODES)
+def test_reduced_run_decodes_slot_labels_once_plus_once_per_evaluation(mode):
+    # the slot map is built once per run; after that only each evaluation decodes the labels
+    space = reduced_product([((0, 0), 0.5), ((1, 1), 0.5)], preset_space("environment"))
+    world = product_space(preset_space("pnp_object"), preset_space("environment"))
+    cfg = FlywheelConfig(evaluation_mode=mode, max_iterations=3)
+    decode = mock.Mock(wraps=facil.spaces.slot_base_compositions)
+    with mock.patch.object(facil.spaces, "slot_base_compositions", decode):
+        history = run_flywheel(space, hard_params(world), cfg, world=world)
+    assert history.iterations == 3 and not history.converged
+    assert all(rec.trace.steps for rec in history.records)  # every iteration curated
+    assert decode.call_count == 1 + history.iterations
 
 
 def per_slot_batches(space, cfg, selection):

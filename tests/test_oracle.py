@@ -76,6 +76,10 @@ def test_family_checks_constants_and_blacklist_at_construction():
         OracleParams(kappa0=1.0, beta=float("nan"), p_max=1.0, blacklist=(), seed=0)
     with pytest.raises(ValueError, match="one dimension twice"):
         OracleParams(kappa0=1.0, beta=1.0, p_max=1.0, blacklist=(((1, 0), (1, 1)),), seed=0)
+    # an infinite beta made NaN transfer (0 * inf) at cells with an empty marginal
+    for field in ("kappa0", "beta"):
+        with pytest.raises(ValueError, match=f"^{field}: must be .* finite, got inf"):
+            plain_params(None, **{field: math.inf})
     # 7.5 used to become seed 7 and share its streams
     for seed in (7.5, 7.0):
         with pytest.raises(ValueError, match="^seed: must be an integer"):
@@ -214,6 +218,14 @@ def test_p_max_caps_probability():
     p = plain_params(space, p_max=0.75)
     d = Dataset(space, {(0, 0): 10_000})
     assert success_tensor(p, d)[(0, 0)] == 0.75
+
+
+def test_energy_past_float_range_gives_p_max_without_a_numpy_warning():
+    space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1"])])
+    d = Dataset(space, {(0, 0): 3})  # every other cell has no demos and an empty marginal
+    for overrides in ({"kappa0": 1e-320}, {"beta": 1e308}, {"kappa0": 1e-320, "beta": 1e308}):
+        probs = success_tensor(plain_params(space, p_max=0.9, **overrides), d)
+        assert probs.values.tolist() == [0.9, 0.0, 0.0, 0.0]
 
 
 def test_one_demo_per_level_saturates_default_transfer():

@@ -115,6 +115,11 @@ def test_cells_matches_ravel_multi_index_and_rejects_bad_entries():
             message = f"^composition \\({', '.join(map(str, bad))},?\\) has {len(bad)} entries"
             with pytest.raises(ValueError, match=message):
                 space.cells(comps[:row] + [bad] + comps[row:] + [(0,) * (len(shape) + 2)])
+    # a uint64 entry past int64 is named with its composition too
+    space = build_space([("a", ["0", "1", "2"]), ("b", ["0", "1"])])
+    for big in (2**63, 2**64 - 1):
+        with pytest.raises(ValueError, match=f"^composition \\(1, {big}\\): index {big} out of range"):
+            space.cells(np.array([[0, 1], [1, big]], np.uint64))
 
 
 def test_preset_shapes():

@@ -187,15 +187,22 @@ def compare_strategies(
     cfg: FlywheelConfig,
     gaussian_mode: Composition | None = None,
     gaussian_sigma: float = 1.0,
+    strategies: Sequence[str] = STRATEGY_NAMES,
 ) -> list[StrategyOutcome]:
     """Budget-matched comparison of curation against baseline samplers.
 
-    The flywheel runs once; each budget evaluates its truncation.  Baselines
-    draw budget-many demos directly.  Every (strategy, budget) cell gets its
-    own rollout streams, derived from ``params.seed``, so outcomes are
-    order-independent and reproducible.  Each outcome is on benchmark "O".
-    Budgets and the gaussian mode and sigma are checked before the run.
+    Only the named ``strategies`` run.  The flywheel runs once if
+    "facil_ratio" is among them; each budget evaluates its truncation.
+    Baselines draw budget-many demos directly.  Every (strategy, budget)
+    cell gets its own rollout streams, derived from ``params.seed``, so
+    outcomes are order-independent and reproducible, whichever strategies
+    run.  Each outcome is on benchmark "O".  Strategies, budgets and the
+    gaussian mode and sigma are checked before the run.
     """
+    selected = sorted(set(strategies))  # a fixed order, though no outcome depends on it
+    unknown = [s for s in selected if s not in STRATEGY_NAMES]
+    if unknown:
+        raise ValueError(f"unknown strategies {unknown}; choose from {STRATEGY_NAMES}")
     budgets = [integer(b, "budgets") for b in budgets]
     if budgets != sorted(budgets):
         raise ValueError("budgets must be sorted ascending")
@@ -204,28 +211,20 @@ def compare_strategies(
     _gaussian_mode(space, gaussian_mode, gaussian_sigma)  # fail before the flywheel runs
     seed = params.seed
 
-    history = run_flywheel(
-        space,
-        params,
-        cfg,
-        eval_tag_base=derive_tag(seed, stream_tag("facil_ratio")),
-    )
+    if "facil_ratio" in selected:
+        tag = derive_tag(seed, stream_tag("facil_ratio"))
+        history = run_flywheel(space, params, cfg, eval_tag_base=tag)
 
     outcomes: list[StrategyOutcome] = []
     for budget in budgets:
+        # A budget's datasets are all drawn before any is evaluated: interleaving
+        # draws and evaluations measured slower.  factors_mixture ignores mode and sigma.
+        draw = derive_tag(seed, budget)
         datasets = {
-            "facil_ratio": truncate_history(history, budget),
-            "factors_mixture": baseline_sampler(
-                "factors_mixture", space, budget, derive_tag(seed, budget)
-            ),
-            "gaussian": baseline_sampler(
-                "gaussian",
-                space,
-                budget,
-                derive_tag(seed, budget),
-                mode=gaussian_mode,
-                sigma=gaussian_sigma,
-            ),
+            s: truncate_history(history, budget)
+            if s == "facil_ratio"
+            else baseline_sampler(s, space, budget, draw, gaussian_mode, gaussian_sigma)
+            for s in selected
         }
         for strategy, dataset in datasets.items():
             report = simulate_evaluation(

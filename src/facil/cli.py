@@ -318,11 +318,13 @@ def _write(path: Path, text: str) -> None:
 
 def _write_history_files(out: Path, history: RunHistory, suffix: str = "") -> None:
     tag = f"_{suffix}" if suffix else ""
-    _write(out / f"history{tag}.json", history.to_json() + "\n")
+    labelled: dict = {}  # history.json and dataset.csv label the final dataset once
+    _write(out / f"history{tag}.json", history.to_json(labelled) + "\n")
     _write(out / f"iterations{tag}.csv", history.iterations_csv())
-    _write(out / f"dataset{tag}.csv", dataset_to_csv(history.dataset))
+    _write(out / f"dataset{tag}.csv", dataset_to_csv(history.dataset, labelled))
+    labels: dict = {}  # the reports of one history share their grid's label column
     for rec in history.records:
-        _write(out / f"rates{tag}_iter_{rec.iteration:03d}.csv", rec.report.to_csv())
+        _write(out / f"rates{tag}_iter_{rec.iteration:03d}.csv", rec.report.to_csv(labels))
 
 
 def _check_initial(
@@ -406,8 +408,8 @@ def _cmd_compare(config: RunConfig, out: Path, args: argparse.Namespace) -> int:
         config.flywheel,
         gaussian_mode=config.gaussian_mode,
         gaussian_sigma=config.gaussian_sigma,
+        strategies=config.strategies,
     )
-    outcomes = [o for o in outcomes if o.strategy in config.strategies]
     _write(out / "comparison.csv", comparison_csv(outcomes))
     return 0
 

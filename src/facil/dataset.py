@@ -12,6 +12,7 @@ rather than becoming 2.  ``add_many`` folds many batches at once: a
 one axis at a time (``composition_labels``); ``dataset_to_csv`` joins those
 labels and counts directly, ``dataset_to_doc`` gives the dict form that JSON
 writers nest, and ``RunHistory.to_json`` takes the columns as they are.
+Writers that share one ``labelled`` dict label each dataset once between them.
 JSON text itself is made only where a file is written.  A total that would
 reach 2**63 raises OverflowError before it is stored (batch counts are summed
 as Python ints); a count grid the host cannot allocate raises
@@ -200,18 +201,26 @@ def marginal_counts(dataset: Dataset, dim: int) -> np.ndarray:
 CSV_HEADER = ["composition_indices", "count"]
 
 
-def support_columns(dataset: Dataset) -> tuple[list[str], np.ndarray]:
-    """Labels and counts of the support, in ascending linear index."""
-    points = np.argwhere(dataset.grid)  # row-major, so ascending linear index
-    return composition_labels(points), dataset.grid[tuple(points.T)]
+def support_columns(dataset: Dataset, labelled: dict | None = None) -> tuple[list[str], np.ndarray]:
+    """Labels and counts of the support, in ascending linear index.
+
+    Writers that share a ``labelled`` dict label each dataset once: it holds
+    the columns, and the dataset so that its id stays its own, by ``id(dataset)``.
+    """
+    labelled = {} if labelled is None else labelled
+    if id(dataset) not in labelled:
+        points = np.argwhere(dataset.grid)  # row-major, so ascending linear index
+        labelled[id(dataset)] = dataset, (composition_labels(points), dataset.grid[tuple(points.T)])
+    return labelled[id(dataset)][1]
 
 
-def dataset_to_csv(dataset: Dataset) -> str:
+def dataset_to_csv(dataset: Dataset, labelled: dict | None = None) -> str:
     """CSV with one row per support composition, ascending linear index.
 
-    Labels and counts never need quoting, so rows are joined directly.
+    Labels and counts never need quoting, so rows are joined directly;
+    ``labelled`` is passed to ``support_columns``.
     """
-    labels, counts = support_columns(dataset)
+    labels, counts = support_columns(dataset, labelled)
     lines = [",".join(CSV_HEADER), *map(",".join, zip(labels, int_strings(counts))), ""]
     return "\n".join(lines)
 

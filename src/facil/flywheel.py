@@ -10,10 +10,11 @@ map per stage, the world cell of each (slot, new-grid cell) from
 ``slot_rows``; it places batches, and gathers curation's view of the world
 dataset, through that array.  The seeding and each pass's selections fold
 into the world grid as one ``DemoBatches`` through ``add_many``.
-``RunHistory.to_json`` labels each distinct dataset once per call and writes
-the document with ``json_text``, the exact ``json.dumps(indent=2)`` layout
+``RunHistory.to_json`` labels and renders each distinct dataset once per
+call, as a ``Block`` re-indented wherever else it appears, and writes the
+document with ``json_text``, the exact ``json.dumps(indent=2)`` layout
 without the pure-Python encoder, handing it dataset counts and success
-counts as columns.
+counts as columns and trace and batch rows as tables.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .oracle import (
     simulate_evaluation,
 )
 from .spaces import (
+    Block,
     Composition,
     FactorSpace,
     IntColumns,
@@ -202,26 +204,28 @@ class RunHistory:
             "total_rollouts": self.total_rollouts,
         }
 
-    def to_json(self) -> str:
+    def to_json(self, labelled: dict | None = None) -> str:
         """The text of ``history.json``: ``json.dumps(doc, indent=2)`` of the nested plain dicts.
 
-        Each distinct dataset is labelled once per call; its counts, the
-        reports' success counts and the trace rows go to ``json_text`` as
-        columns and plain lists, not as dicts of composition keys.
+        Each distinct dataset is labelled and rendered once per call, as a
+        ``Block`` of its counts as columns, however many places it fills;
+        ``labelled`` is passed to ``support_columns``.  Reports' success
+        counts go to ``json_text`` as arrays, and batch and trace rows as
+        lists that it writes column by column.
         """
-        docs: dict[int, dict] = {}
+        blocks: dict[int, Block] = {}
         for dataset in [self.initial_dataset, *(rec.dataset_after for rec in self.records)]:
-            if id(dataset) not in docs:  # the dict dataset_to_doc gives, its counts as columns
-                counts = IntColumns(*support_columns(dataset))
-                docs[id(dataset)] = {"space": dataset.space.to_doc(), "counts": counts}
+            if id(dataset) not in blocks:  # the dict dataset_to_doc gives, its counts as columns
+                counts = IntColumns(*support_columns(dataset, labelled))
+                blocks[id(dataset)] = Block({"space": dataset.space.to_doc(), "counts": counts})
         doc = {
             "stage": self.stage,
             "converged": self.converged,
             "config": self.config.to_doc(),
             "space": self.space.to_doc(),
             "world_space": self.world_space.to_doc(),
-            "final_dataset": docs[id(self.dataset)],
-            "initial_dataset": docs[id(self.initial_dataset)],
+            "final_dataset": blocks[id(self.dataset)],
+            "initial_dataset": blocks[id(self.initial_dataset)],
             "iterations": [
                 {
                     "iteration": rec.iteration,
@@ -229,15 +233,15 @@ class RunHistory:
                     "support_before": rec.support_before,
                     "overall_rate": rec.overall_rate,
                     "report": dict(rec.report.to_doc(), successes=rec.report.successes),
-                    "batches": [[list(s.selected), s.batch_size] for s in rec.trace.steps],
+                    "batches": [[s.selected, s.batch_size] for s in rec.trace.steps],
                     "trace": [
-                        [s.step, list(s.selected), s.s_value, s.newly_marked, s.batch_size]
+                        [s.step, s.selected, s.s_value, s.newly_marked, s.batch_size]
                         for s in rec.trace.steps
                     ],
                     "total_after": rec.total_after,
                     "support_after": rec.support_after,
                     "rollouts_spent": rec.rollouts_spent,
-                    "dataset_after": docs[id(rec.dataset_after)],
+                    "dataset_after": blocks[id(rec.dataset_after)],
                 }
                 for rec in self.records
             ],

@@ -346,12 +346,20 @@ class EvaluationReport:
     def overall(self) -> float:
         return float(self.rates.values.mean())
 
-    def to_csv(self) -> str:
+    def to_csv(self, labels: dict | None = None) -> str:
+        """The rates CSV, one row per cell in row-major order.
+
+        ``labels`` maps grid shapes to label columns; the reports of one
+        history share one, so each column is built once.
+        """
+        shape, labels = self.space.shape, {} if labels is None else labels
+        if shape not in labels:
+            labels[shape] = label_column(shape)
         # A rate is n / k, so a row is its label plus one suffix per distinct count n.
         counts, which = np.unique(self.successes, return_inverse=True)
         rates = (counts / self.k).tolist()  # the same division as ``rates``
         suffix = [f",{n},{self.k},{r!r}\n" for n, r in zip(counts.tolist(), rates)]
-        rows = np.stack([label_column(self.space.shape), np.array(suffix, dtype=object)[which]], 1)
+        rows = np.stack([labels[shape], np.array(suffix, dtype=object)[which]], 1)
         return "composition_indices,successes,k,rate\n" + "".join(rows.ravel().tolist())
 
     def to_doc(self) -> dict:

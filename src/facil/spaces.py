@@ -6,6 +6,10 @@ written as a tuple of level indices.  All dense per-composition arrays are
 stored flat in row-major order over the declared dimension order.
 ``FactorSpace.cells`` is the one check and conversion of compositions to
 those flat cells; ``encode``, ``validate`` and every other caller use it.
+A reduced space parses its slot labels once, into ``FactorSpace.slot_bases``,
+which ``slot_rows`` and so every slot gather read.  ``json_text`` is the one
+writer of the ``indent=2`` JSON layout: it writes a table (rows of one
+length) column by column, and a ``Block`` once however often it appears.
 """
 
 from __future__ import annotations
@@ -133,6 +137,13 @@ class FactorSpace:
     def cardinality(self) -> int:
         return math.prod(self.shape)
 
+    @cached_property
+    def slot_bases(self) -> np.ndarray:
+        """A reduced space's slot base compositions, one read-only row each, parsed once."""
+        bases = np.array(slot_base_compositions(self))
+        bases.setflags(write=False)
+        return bases
+
     def cells(self, comps: Sequence[Composition]) -> np.ndarray:
         """Flat row-major cells of compositions; the one check of what a composition is.
 
@@ -140,7 +151,9 @@ class FactorSpace:
         length or an index out of range, past int64 too, raises ValueError
         naming the first such composition.
         """
-        wrong = next((tuple(c) for c in comps if len(c) != self.ndim), None)
+        wrong = None  # an array's rows share its width, so only its width is checked
+        if not (isinstance(comps, np.ndarray) and comps.shape[1:] == (self.ndim,)):
+            wrong = next((tuple(c) for c in comps if len(c) != self.ndim), None)
         if wrong is not None:
             raise ValueError(f"composition {wrong} has {len(wrong)} entries, space has {self.ndim} dims")
         points = _integers(comps, "composition").reshape(len(comps), self.ndim)
@@ -307,8 +320,8 @@ def slot_rows(reduced: FactorSpace, world: FactorSpace) -> np.ndarray:
     new-factor grid.  So the world cell of slot j and new-factor cell c is
     ``rows[j] * n + c``, with n the number of new-factor cells.
     """
-    bases = slot_base_compositions(reduced)
-    prefix = len(bases[0])
+    bases = reduced.slot_bases
+    prefix = bases.shape[1]
     if world.shape[prefix:] != reduced.shape[1:]:
         raise ValueError(f"new grid {reduced.shape[1:]} does not end world shape {world.shape}")
     return FactorSpace(world.dims[:prefix]).cells(bases)
@@ -354,7 +367,8 @@ def label_column(shape: Sequence[int]) -> np.ndarray:
     """Labels of every cell of a grid in row-major order, as an object array.
 
     Built by one outer string concatenation per axis.  Writers build it per
-    call and drop it: the column of a 32**4 grid holds about 67 MB.
+    file written, or per history for the rates files, and drop it: the
+    column of a 32**4 grid holds about 67 MB.
     """
     parts = map(_level_labels, range(len(shape)), shape)
     return reduce(lambda column, part: np.add.outer(column, part).ravel(), parts)
@@ -406,16 +420,30 @@ class IntColumns:
         self.keys, self.values = keys, values
 
 
+class Block:
+    """A sub-document that ``json_text`` renders once, at the indent of its first use.
+
+    A use at another indent replaces the first indent's line breaks: exact, as
+    JSON text holds no raw newline inside a string.  Make blocks per document
+    written, so no kept text outlives it.
+    """
+
+    __slots__ = ("doc", "text", "newline")
+
+    def __init__(self, doc) -> None:
+        self.doc, self.text, self.newline = doc, None, None
+
+
 def json_text(doc, newline: str = "\n") -> str:
     """``json.dumps(doc, indent=2)`` of a document with string keys, without its pure-Python walk.
 
     ``newline`` is a line break plus the indent of the level ``doc`` sits at.
     Plain ints (``type(v) is int``, so no bools) and finite floats are
-    written by their own ``repr``, and a list of plain ints is joined in one
-    ``str.join``; other scalars go through ``json.dumps`` itself.  Two leaves
-    hold columns: a 1-D int ndarray is written as the list of its values, and
-    an ``IntColumns`` as the object it stands for, both through
-    ``int_strings``.
+    written by their own ``repr``, and a list that is a table column (see
+    ``_column``) column by column; other scalars go through ``json.dumps``
+    itself.  Three leaves hold prepared parts: a 1-D int ndarray is written
+    as the list of its values and an ``IntColumns`` as the object it stands
+    for, both through ``int_strings``, and a ``Block`` as its document.
     """
     if type(doc) is int:
         return int.__repr__(doc)
@@ -424,22 +452,49 @@ def json_text(doc, newline: str = "\n") -> str:
     if type(doc) is str:
         return _quote(doc)
     inner = newline + "  "
+    if isinstance(doc, (list, tuple)) and doc:
+        items = _column(doc, inner)
+        if items is None:  # not one column of a table: value by value
+            items = (json_text(v, inner) for v in doc)
+        return _bracketed("[]", items, newline)
+    if isinstance(doc, dict) and doc:
+        items = (_quote(k) + ": " + json_text(v, inner) for k, v in doc.items())
+        return _bracketed("{}", items, newline)
     if isinstance(doc, np.ndarray) and doc.ndim == 1 and doc.dtype.kind in "iu":
         return _bracketed("[]", int_strings(doc), newline)
     if isinstance(doc, IntColumns):
         values = map(": ".__add__, int_strings(doc.values))
         return _bracketed("{}", map(str.__add__, map(_quote, doc.keys), values), newline)
-    if isinstance(doc, (list, tuple)) and doc:
-        types = set(map(type, doc))
-        if types == {int}:
-            return _bracketed("[]", map(int.__repr__, doc), newline)
-        if types == {str}:
-            return _bracketed("[]", map(_quote, doc), newline)
-        return _bracketed("[]", (json_text(v, inner) for v in doc), newline)
-    if isinstance(doc, dict) and doc:
-        items = (_quote(k) + ": " + json_text(v, inner) for k, v in doc.items())
-        return _bracketed("{}", items, newline)
+    if isinstance(doc, Block):
+        if doc.text is None:
+            doc.text, doc.newline = json_text(doc.doc, newline), newline
+        return doc.text if newline == doc.newline else doc.text.replace(doc.newline, newline)
     return json.dumps(doc)  # null, booleans, non-finite floats, subclasses, [] and {}
+
+
+def _column(values: Sequence, newline: str) -> list[str] | None:
+    """The text of each value of a table column at indent ``newline``, or None.
+
+    A column is all plain ints, all finite floats, all strings, or all rows of
+    one nonzero length whose own columns are columns (trace rows, an int
+    matrix); a row is one ``str.join``.  Anything else (a bool, a NaN, a numpy
+    scalar, an empty or ragged row) is None, and goes value by value.
+    """
+    types = set(map(type, values))
+    if types == {int}:
+        return list(map(int.__repr__, values))
+    if types == {float}:
+        return list(map(float.__repr__, values)) if all(map(math.isfinite, values)) else None
+    if types == {str}:
+        return list(map(_quote, values))
+    if not types <= {list, tuple} or len(set(map(len, values))) != 1 or not values[0]:
+        return None
+    inner = newline + "  "
+    columns = [_column(column, inner) for column in zip(*values)]
+    if None in columns:
+        return None
+    start, sep, end = "[" + inner, "," + inner, newline + "]"
+    return [start + row + end for row in map(sep.join, zip(*columns))]
 
 
 def _bracketed(brackets: str, items: Iterable[str], newline: str) -> str:

@@ -206,6 +206,13 @@ def test_compare_strategies_layout_and_reproducibility():
     with pytest.raises(ValueError, match="^budgets: must be an integer"):
         compare_strategies(space, params, [2.5], cfg)
 
+    # a subset of the strategies gives their rows of the full comparison
+    subset = ("gaussian", "factors_mixture", "gaussian")
+    picked = compare_strategies(space, params, budgets, cfg, gaussian_sigma=1.0, strategies=subset)
+    assert picked == [o for o in first if o.strategy in subset]
+    with pytest.raises(ValueError, match=r"^unknown strategies \['uniform'\]"):
+        compare_strategies(space, params, budgets, cfg, strategies=["gaussian", "uniform"])
+
 
 @pytest.mark.parametrize(
     "mode, sigma", [(None, 1e-200), (None, -1.0), ((4, 0), 1.0), ((0, 0, 0), 1.0)]

@@ -8,9 +8,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import facil.analysis
+import facil.dataset
+import facil.oracle
 from facil import cli
 from facil.cli import ConfigError, build_config, main, parse_config
 from facil.flywheel import FlywheelConfig, RunHistory
@@ -544,6 +548,45 @@ def test_compare_command_respects_strategy_filter(tmp_path):
     strategies = {line.split(",")[0] for line in lines[1:]}
     assert strategies == {"facil_ratio", "gaussian"}
     assert len(lines) == 1 + 2 * 2
+
+
+def test_compare_runs_only_the_configured_strategies(tmp_path, monkeypatch):
+    doc = {
+        "space": "pnp_object",
+        "seed": 7,
+        "budgets": [100, 300],
+        "flywheel": {"k": 2, "max_iterations": 2},
+    }
+    full = write_config(tmp_path, {**doc, "out": str(tmp_path / "full")}, "full.json")
+    assert main(["compare", "--config", full]) == 0
+    runs = mock.Mock(wraps=facil.analysis.run_flywheel)
+    monkeypatch.setattr(facil.analysis, "run_flywheel", runs)
+    only = {**doc, "strategies": ["gaussian"], "out": str(tmp_path / "gaussian")}
+    assert main(["compare", "--config", write_config(tmp_path, only, "gaussian.json")]) == 0
+    assert runs.call_count == 0
+    lines = (tmp_path / "full" / "comparison.csv").read_text().splitlines()
+    kept = [lines[0]] + [line for line in lines[1:] if line.startswith("gaussian,")]
+    assert len(kept) == 1 + 2
+    assert (tmp_path / "gaussian" / "comparison.csv").read_text().splitlines() == kept
+
+
+def test_history_files_label_each_grid_and_dataset_once(tmp_path, monkeypatch):
+    # the run_weak benchmark: a 10**4 grid whose run evaluates three times
+    space = [[f"d{m}", [f"l{j}" for j in range(10)]] for m in range(4)]
+    doc = {"space": space, "seed": 7, "oracle": {"beta": 1.0}, "flywheel": {"tau": 0.925}}
+    config = write_config(tmp_path, {**doc, "out": str(tmp_path / "out")})
+    columns = mock.Mock(wraps=facil.oracle.label_column)
+    supports = mock.Mock(wraps=facil.dataset.composition_labels)
+    monkeypatch.setattr(facil.oracle, "label_column", columns)
+    monkeypatch.setattr(facil.dataset, "composition_labels", supports)
+    assert main(["run", "--config", config]) == 0
+    rates = sorted((tmp_path / "out").glob("rates_iter_*.csv"))
+    assert len(rates) == 3
+    assert all(p.read_text().count("\n") == 1 + 10**4 for p in rates)
+    assert columns.call_count == 1  # the three rates CSVs share one label column
+    # three distinct datasets (the converged pass adds none); the final one is
+    # in history.json three times and in dataset.csv
+    assert supports.call_count == 3
 
 
 def test_unit_size_float_ratios_cannot_split_exits_two(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from unittest import mock
 
 import numpy as np
@@ -291,6 +292,31 @@ def test_history_round_trip_compares_equal():
         assert again != dataclasses.replace(again, records=(changed,) + again.records[1:])
 
 
+def test_history_json_labels_and_renders_each_dataset_once():
+    # The expand_ratio benchmark's stage OA: seeded on every cell, it converges at
+    # once, so one dataset of 1,296 counts is the initial, the final and the
+    # record's dataset_after.
+    stages = [grid_space("s1d", [6, 6]), grid_space("s2d", [6, 6])]
+    oracle = dataclasses.replace(default_family(7), beta=10.0)
+    every_cell = tuple((a, b) for a in range(6) for b in range(6))
+    cfg = FlywheelConfig(tau=0.8, evaluation_mode="ratio_guided", initial_compositions=every_cell)
+    oa = sequential_expansion(stages, oracle, cfg)[1]
+    assert oa.iterations == 1 and oa.records[0].dataset_after is oa.initial_dataset
+    assert len(oa.dataset.support) == 1296
+    labelled = mock.Mock(wraps=facil.flywheel.support_columns)
+    rendered = mock.Mock(wraps=facil.spaces.json_text)  # every call below the top one
+    with mock.patch.object(facil.flywheel, "support_columns", labelled):
+        with mock.patch.object(facil.spaces, "json_text", rendered):
+            text = oa.to_json()
+    assert labelled.call_count == 1
+    counts = [c for c in rendered.call_args_list if isinstance(c.args[0], facil.spaces.IntColumns)]
+    assert len(counts) == 1
+    doc = json.loads(text)
+    block = doc["initial_dataset"]
+    assert len(block["counts"]) == 1296
+    assert doc["final_dataset"] == doc["iterations"][0]["dataset_after"] == block
+
+
 def test_history_fields_derive_from_records():
     space = preset_space("pnp_object")
     params = dataclasses.replace(default_params(space, 7), beta=0.0)
@@ -422,8 +448,8 @@ def test_reduced_run_rejects_a_world_the_slots_do_not_fit(mode, world_sizes):
 
 
 @pytest.mark.parametrize("mode", EVALUATION_MODES)
-def test_reduced_run_decodes_slot_labels_once_plus_once_per_evaluation(mode):
-    # the slot map is built once per run; after that only each evaluation decodes the labels
+def test_reduced_run_decodes_slot_labels_once(mode):
+    # the space keeps its parsed slot labels: the slot map and every evaluation read them
     space = reduced_product([((0, 0), 0.5), ((1, 1), 0.5)], preset_space("environment"))
     world = product_space(preset_space("pnp_object"), preset_space("environment"))
     cfg = FlywheelConfig(evaluation_mode=mode, max_iterations=3)
@@ -432,7 +458,7 @@ def test_reduced_run_decodes_slot_labels_once_plus_once_per_evaluation(mode):
         history = run_flywheel(space, hard_params(world), cfg, world=world)
     assert history.iterations == 3 and not history.converged
     assert all(rec.trace.steps for rec in history.records)  # every iteration curated
-    assert decode.call_count == 1 + history.iterations
+    assert decode.call_count == 1
 
 
 def per_slot_batches(space, cfg, selection):

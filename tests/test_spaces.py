@@ -115,6 +115,9 @@ def test_cells_matches_ravel_multi_index_and_rejects_bad_entries():
             message = f"^composition \\({', '.join(map(str, bad))},?\\) has {len(bad)} entries"
             with pytest.raises(ValueError, match=message):
                 space.cells(comps[:row] + [bad] + comps[row:] + [(0,) * (len(shape) + 2)])
+        for width in (len(shape) - 1, len(shape) + 1):  # an array of rows too short or too long
+            with pytest.raises(ValueError, match=f"has {width} entries, space has {len(shape)} dims"):
+                space.cells(np.zeros((len(comps) + 1, width), np.int64))
     # a uint64 entry past int64 is named with its composition too
     space = build_space([("a", ["0", "1", "2"]), ("b", ["0", "1"])])
     for big in (2**63, 2**64 - 1):

@@ -7,7 +7,7 @@ table ``_COMMANDS`` holds each command's name, handler and help line;
 ``_parser`` builds argparse from it once per process, on first use.  All
 outputs are deterministic functions of (config, flags), so reruns produce
 byte-identical files.  Exit codes: 0 success, 1 ran but did not converge,
-2 configuration or input error.
+2 configuration, input or output-file error.
 """
 
 from __future__ import annotations
@@ -302,26 +302,32 @@ def parse_config(path: str | None) -> RunConfig:
     return build_config(doc)
 
 
+def _out_field() -> str:
+    """The field that chose the output directory, for error messages."""
+    return "FACIL_OUT" if os.environ.get("FACIL_OUT") else "out"
+
+
 def _resolve_out_dir(config: RunConfig) -> Path:
-    from_env = os.environ.get("FACIL_OUT")
-    path = Path(from_env or config.out_dir)
+    path = Path(os.environ.get("FACIL_OUT") or config.out_dir)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
-        _fail("FACIL_OUT" if from_env else "out", f"cannot create directory {str(path)!r} ({exc})")
+        _fail(_out_field(), f"cannot create directory {str(path)!r} ({exc})")
     return path
 
 
 def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:  # a directory in the file's place, a full disk
+        _fail(_out_field(), f"cannot write {str(path)!r} ({exc})")
 
 
 def _write_history_files(out: Path, history: RunHistory, suffix: str = "") -> None:
     tag = f"_{suffix}" if suffix else ""
-    labelled: dict = {}  # history.json and dataset.csv label the final dataset once
-    _write(out / f"history{tag}.json", history.to_json(labelled) + "\n")
+    _write(out / f"history{tag}.json", history.to_json() + "\n")
     _write(out / f"iterations{tag}.csv", history.iterations_csv())
-    _write(out / f"dataset{tag}.csv", dataset_to_csv(history.dataset, labelled))
+    _write(out / f"dataset{tag}.csv", dataset_to_csv(history.dataset))
     labels: dict = {}  # the reports of one history share their grid's label column
     for rec in history.records:
         _write(out / f"rates{tag}_iter_{rec.iteration:03d}.csv", rec.report.to_csv(labels))

@@ -8,11 +8,11 @@ loader.  A count must be an integer; 2.7 raises ValueError
 rather than becoming 2.  ``add_many`` folds many batches at once: a
 ``DemoBatches`` holds them as flat cell indices and counts, a list of
 ``DemoBatch`` is turned into one, and one ``np.add.at`` adds them all.
-``support_columns`` reads the support with one ``argwhere`` and labels it
-one axis at a time (``composition_labels``); ``dataset_to_csv`` joins those
-labels and counts directly, ``dataset_to_doc`` gives the dict form that JSON
-writers nest, and ``RunHistory.to_json`` takes the columns as they are.
-Writers that share one ``labelled`` dict label each dataset once between them.
+``Dataset.support_columns`` reads the support with one ``argwhere`` and
+labels it one axis at a time (``composition_labels``), once per dataset,
+which keeps them; ``dataset_to_csv`` joins those labels and counts directly,
+``dataset_to_doc`` gives the dict form that JSON writers nest, and
+``RunHistory.to_json`` takes the columns as they are.
 JSON text itself is made only where a file is written.  A total that would
 reach 2**63 raises OverflowError before it is stored (batch counts are summed
 as Python ints); a count grid the host cannot allocate raises
@@ -24,6 +24,7 @@ the input untouched, so iteration histories can hold per-iteration datasets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -127,6 +128,17 @@ class Dataset:
     def count_at(self, c: Composition) -> int:
         return int(self.grid.flat[self.space.encode(c)])
 
+    @cached_property
+    def support_columns(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """Labels and read-only counts of the support, in ascending linear index.
+
+        Made on first use and kept: every writer of this dataset reads them.
+        """
+        points = np.argwhere(self.grid)  # row-major, so ascending linear index
+        counts = self.grid[tuple(points.T)]
+        counts.setflags(write=False)
+        return tuple(composition_labels(points)), counts
+
 
 class DemoBatches:
     """Many demo batches as two arrays: flat row-major cell indices and counts.
@@ -201,32 +213,18 @@ def marginal_counts(dataset: Dataset, dim: int) -> np.ndarray:
 CSV_HEADER = ["composition_indices", "count"]
 
 
-def support_columns(dataset: Dataset, labelled: dict | None = None) -> tuple[list[str], np.ndarray]:
-    """Labels and counts of the support, in ascending linear index.
-
-    Writers that share a ``labelled`` dict label each dataset once: it holds
-    the columns, and the dataset so that its id stays its own, by ``id(dataset)``.
-    """
-    labelled = {} if labelled is None else labelled
-    if id(dataset) not in labelled:
-        points = np.argwhere(dataset.grid)  # row-major, so ascending linear index
-        labelled[id(dataset)] = dataset, (composition_labels(points), dataset.grid[tuple(points.T)])
-    return labelled[id(dataset)][1]
-
-
-def dataset_to_csv(dataset: Dataset, labelled: dict | None = None) -> str:
+def dataset_to_csv(dataset: Dataset) -> str:
     """CSV with one row per support composition, ascending linear index.
 
-    Labels and counts never need quoting, so rows are joined directly;
-    ``labelled`` is passed to ``support_columns``.
+    Labels and counts never need quoting, so rows are joined directly.
     """
-    labels, counts = support_columns(dataset, labelled)
+    labels, counts = dataset.support_columns
     lines = [",".join(CSV_HEADER), *map(",".join, zip(labels, int_strings(counts))), ""]
     return "\n".join(lines)
 
 
 def dataset_to_doc(dataset: Dataset) -> dict:
-    labels, counts = support_columns(dataset)
+    labels, counts = dataset.support_columns
     return {"space": dataset.space.to_doc(), "counts": dict(zip(labels, counts.tolist()))}
 
 

@@ -6,15 +6,16 @@ threshold or an iteration cap trips.  Staged expansion chains runs in one
 loop: each new stage searches (inherited slots) x (new factor grid), keeping
 demo ratios of the inherited slots frozen, while the oracle always scores the
 underlying full-coordinate (world) dataset.  A reduced run builds one slot
-map per stage, the world cell of each (slot, new-grid cell) from
-``slot_rows``; it places batches, and gathers curation's view of the world
-dataset, through that array.  The seeding and each pass's selections fold
-into the world grid as one ``DemoBatches`` through ``add_many``.
-``RunHistory.to_json`` labels and renders each distinct dataset once per
-call, as a ``Block`` re-indented wherever else it appears, and writes the
-document with ``json_text``, the exact ``json.dumps(indent=2)`` layout
-without the pure-Python encoder, handing it dataset counts and success
-counts as columns and trace and batch rows as tables.
+map per stage, ``slot_cells``: the world cell of each (slot, new-grid cell).
+It places batches, and gathers curation's view of the world dataset, through
+it; the reduced evaluations read success probabilities at the same cells.
+The seeding and each pass's selections fold into the world grid as one
+``DemoBatches`` through ``add_many``.  ``RunHistory.to_json`` renders each
+distinct dataset once per call, from the labels the dataset keeps, as a
+``Block`` re-indented wherever else it appears, and writes the document with
+``json_text``, the exact ``json.dumps(indent=2)`` layout without the
+pure-Python encoder, handing it dataset counts and success counts as columns
+and trace and batch rows as tables.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .dataset import (
     add_many,
     dataset_from_doc,
     support_and_ratios,
-    support_columns,
 )
 from .oracle import (
     EvaluationReport,
@@ -57,7 +57,7 @@ from .spaces import (
     new_factor_subspace,
     product_space,
     reduced_product,
-    slot_rows,
+    slot_cells,
 )
 
 EVALUATION_MODES = ("exact", "ratio_guided")
@@ -204,19 +204,18 @@ class RunHistory:
             "total_rollouts": self.total_rollouts,
         }
 
-    def to_json(self, labelled: dict | None = None) -> str:
+    def to_json(self) -> str:
         """The text of ``history.json``: ``json.dumps(doc, indent=2)`` of the nested plain dicts.
 
-        Each distinct dataset is labelled and rendered once per call, as a
-        ``Block`` of its counts as columns, however many places it fills;
-        ``labelled`` is passed to ``support_columns``.  Reports' success
+        Each distinct dataset is rendered once per call, as a ``Block`` of its
+        ``support_columns``, however many places it fills.  Reports' success
         counts go to ``json_text`` as arrays, and batch and trace rows as
         lists that it writes column by column.
         """
         blocks: dict[int, Block] = {}
         for dataset in [self.initial_dataset, *(rec.dataset_after for rec in self.records)]:
             if id(dataset) not in blocks:  # the dict dataset_to_doc gives, its counts as columns
-                counts = IntColumns(*support_columns(dataset, labelled))
+                counts = IntColumns(*dataset.support_columns)
                 blocks[id(dataset)] = Block({"space": dataset.space.to_doc(), "counts": counts})
         doc = {
             "stage": self.stage,
@@ -368,11 +367,9 @@ def run_flywheel(
         shares = [apportioned[j] for j in kept]
     initial, place = Dataset.empty(world), None  # a plain run puts each batch on its own cell
     if mode != "plain":
-        # The slot map, after the count grid so that Dataset names a world too large
-        # for memory: slot_map[j, c] is the world cell of slot j and new-grid cell c,
-        # and row i of place holds the world cells of a batch at curation cell i.
-        n = math.prod(space.shape[1:])
-        slot_map = slot_rows(space, world)[:, None] * n + np.arange(n)
+        # After the count grid, so that Dataset names a world too large for memory;
+        # row i of place holds the world cells of a batch at curation cell i.
+        slot_map = slot_cells(space, world)
         place = slot_map.reshape(-1, 1) if mode == "exact" else slot_map[kept].T
 
     def to_world(comps: Sequence[Composition]) -> DemoBatches:

@@ -14,14 +14,15 @@ many cells at once in numpy integer arithmetic, so results never depend on
 evaluation order.  One rollout kernel serves all three evaluations (the full
 grid, every slot x new cell in exact mode, and slots picked by their frozen
 ratios): it takes a (slots x cells) block of success probabilities and
-returns each cell's hits.  Only cells whose outcome is uncertain take draws:
-a uniform in [0, 1) is always below p = 1 and never below p = 0, so the k
-rollouts of a cell at exactly 0 or 1 are known, and since each cell's
-stream depends only on (seed, tag, cell), leaving it out changes no other
-cell's draws.  A report keeps only the per-cell success counts and k;
-rates and rollout totals are derived.  Its rates CSV is written from arrays:
-the grid's label column plus, per cell, one of the at most k + 1 row
-suffixes ",n,k,rate", each formatted once.
+returns each cell's hits; a reduced evaluation reads that block from the
+world's success tensor at ``slot_cells``.  Only cells whose outcome is
+uncertain take draws: a uniform in [0, 1) is always below p = 1 and never
+below p = 0, so the k rollouts of a cell at exactly 0 or 1 are known, and
+since each cell's stream depends only on (seed, tag, cell), leaving it out
+changes no other cell's draws.  A report keeps only the per-cell success
+counts and k; rates and rollout totals are derived.  Its rates CSV is written
+from arrays: the grid's label column plus, per cell, one of the at most
+k + 1 row suffixes ",n,k,rate", each formatted once.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from .dataset import Dataset, InputMemoryError, marginal_counts
 from .spaces import (
     FactorSpace,
     Tensor,
-    gather_slots,
     integer,
     integer_array,
     label_column,
     new_factor_subspace,
+    slot_cells,
 )
 
 # One blacklist entry pins a level on each of two distinct dimensions:
@@ -396,11 +397,6 @@ def simulate_evaluation(
     return EvaluationReport(bench_space, _rollout_hits(probs, k, params.seed, iteration_tag), k)
 
 
-def _slot_success(params: OracleParams, dataset: Dataset, reduced: FactorSpace) -> np.ndarray:
-    """World success probabilities at every (slot, new-factor cell), one row per slot."""
-    return gather_slots(success_tensor(params, dataset).values, reduced, dataset.space)
-
-
 def mapped_evaluation(
     params: OracleParams,
     dataset: Dataset,
@@ -414,7 +410,7 @@ def mapped_evaluation(
     composition in the dataset's space (slot labels carry the inherited
     prefix) and gets its own k rollouts: |slots| * |new grid| * k total.
     """
-    probs = _slot_success(params, dataset, reduced).reshape(1, -1)
+    probs = success_tensor(params, dataset).values[slot_cells(reduced, dataset.space).reshape(1, -1)]
     return EvaluationReport(reduced, _rollout_hits(probs, k, params.seed, iteration_tag), k)
 
 
@@ -431,6 +427,6 @@ def ratio_guided_evaluation(
     samples a slot from the frozen ratio distribution, then rolls against the
     underlying composition's success probability.  Budget: |new grid| * k.
     """
-    probs = _slot_success(params, dataset, reduced)
+    probs = success_tensor(params, dataset).values[slot_cells(reduced, dataset.space)]
     hits = _rollout_hits(probs, k, params.seed, iteration_tag, reduced.slot_ratios)
     return EvaluationReport(new_factor_subspace(reduced), hits, k)

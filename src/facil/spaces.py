@@ -7,9 +7,10 @@ stored flat in row-major order over the declared dimension order.
 ``FactorSpace.cells`` is the one check and conversion of compositions to
 those flat cells; ``encode``, ``validate`` and every other caller use it.
 A reduced space parses its slot labels once, into ``FactorSpace.slot_bases``,
-which ``slot_rows`` and so every slot gather read.  ``json_text`` is the one
-writer of the ``indent=2`` JSON layout: it writes a table (rows of one
-length) column by column, and a ``Block`` once however often it appears.
+which ``slot_cells``, the one map of slot cells to world cells, reads.
+``json_text`` is the one writer of the ``indent=2`` JSON layout: it writes a
+table (rows of one length) column by column, and a ``Block`` once however
+often it appears.
 """
 
 from __future__ import annotations
@@ -149,8 +150,11 @@ class FactorSpace:
 
         Entries go through ``integer_array`` (1.5, 2.0 and "1" raise).  A wrong
         length or an index out of range, past int64 too, raises ValueError
-        naming the first such composition.
+        naming the first such composition; a non-empty array that is not 2-D
+        raises ValueError naming its shape.
         """
+        if isinstance(comps, np.ndarray) and comps.ndim != 2 and comps.size:
+            raise ValueError(f"composition array of shape {comps.shape} is not (n, {self.ndim})")
         wrong = None  # an array's rows share its width, so only its width is checked
         if not (isinstance(comps, np.ndarray) and comps.shape[1:] == (self.ndim,)):
             wrong = next((tuple(c) for c in comps if len(c) != self.ndim), None)
@@ -312,29 +316,21 @@ def slot_base_compositions(space: FactorSpace) -> list[Composition]:
     return [parse_composition(label) for label in space.dims[0].levels]
 
 
-def slot_rows(reduced: FactorSpace, world: FactorSpace) -> np.ndarray:
-    """Each slot base composition's linear index over the world's leading dimensions.
+def slot_cells(reduced: FactorSpace, world: FactorSpace) -> np.ndarray:
+    """The world cell of every (slot, new-factor cell) of a reduced space, one row per slot.
 
     ``world`` is the full-coordinate space behind the reduced one: its leading
     dimensions hold the slot base compositions, its trailing ones are the
-    new-factor grid.  So the world cell of slot j and new-factor cell c is
-    ``rows[j] * n + c``, with n the number of new-factor cells.
+    new-factor grid.  So entry (j, c) is ``rows[j] * n + c``, with rows[j]
+    slot j's base composition over the leading dimensions and n the number
+    of new-factor cells.
     """
     bases = reduced.slot_bases
     prefix = bases.shape[1]
     if world.shape[prefix:] != reduced.shape[1:]:
         raise ValueError(f"new grid {reduced.shape[1:]} does not end world shape {world.shape}")
-    return FactorSpace(world.dims[:prefix]).cells(bases)
-
-
-def gather_slots(values: np.ndarray, reduced: FactorSpace, world: FactorSpace) -> np.ndarray:
-    """A flat world array read at every (slot, new-factor cell) of a reduced space.
-
-    Row j of the (slots, new-factor cells) result holds the world cells whose
-    prefix is slot j's base composition (see ``slot_rows``).
-    """
-    rows = slot_rows(reduced, world)
-    return np.asarray(values).reshape(-1, math.prod(reduced.shape[1:]))[rows]
+    n = math.prod(reduced.shape[1:])
+    return FactorSpace(world.dims[:prefix]).cells(bases)[:, None] * n + np.arange(n)
 
 
 def new_factor_subspace(space: FactorSpace) -> FactorSpace:

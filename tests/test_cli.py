@@ -382,6 +382,34 @@ def test_out_dir_that_cannot_be_created_exits_two(tmp_path, monkeypatch, capsys,
     assert f"error: {field}: cannot create directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("env", [False, True])
+@pytest.mark.parametrize(
+    "command, blocked",
+    [
+        ("run", "summary.json"),
+        ("expand", "summary.json"),
+        ("check-comp", "check.json"),
+        ("budget", "budget.json"),
+    ],
+)
+def test_output_file_that_cannot_be_written_exits_two(tmp_path, monkeypatch, capsys, env, command, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)  # a directory where the command writes a file
+    doc = {"check": {"train": [[0, 0], [1, 1]]}}
+    if env:
+        monkeypatch.setenv("FACIL_OUT", str(out))
+    else:
+        doc["out"] = str(out)
+    argv = [command, "--config", write_config(tmp_path, doc)]
+    if command == "budget":
+        argv += ["--grid", "24", "--base", "16", "--slots", "7", "--k", "5"]
+    assert main(argv) == 2
+    field = "FACIL_OUT" if env else "out"
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field}: cannot write {str(out / blocked)!r} (")
+    assert captured.out == ""
+
+
 def test_run_command_writes_artifacts(tmp_path):
     cfg = write_config(
         tmp_path, {"space": "pnp_object", "seed": 7, "out": str(tmp_path / "out")}

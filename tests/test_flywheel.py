@@ -9,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import facil.dataset
 import facil.flywheel
 import facil.spaces
 from facil.dataset import Dataset, DemoBatch, add_many
@@ -303,12 +304,18 @@ def test_history_json_labels_and_renders_each_dataset_once():
     oa = sequential_expansion(stages, oracle, cfg)[1]
     assert oa.iterations == 1 and oa.records[0].dataset_after is oa.initial_dataset
     assert len(oa.dataset.support) == 1296
-    labelled = mock.Mock(wraps=facil.flywheel.support_columns)
+    labelled = mock.Mock(wraps=facil.dataset.composition_labels)
     rendered = mock.Mock(wraps=facil.spaces.json_text)  # every call below the top one
-    with mock.patch.object(facil.flywheel, "support_columns", labelled):
+    with mock.patch.object(facil.dataset, "composition_labels", labelled):
         with mock.patch.object(facil.spaces, "json_text", rendered):
             text = oa.to_json()
+        assert oa.to_json() == text  # the dataset keeps its labels for the next writer
     assert labelled.call_count == 1
+    labels, counts = oa.dataset.support_columns
+    assert isinstance(labels, tuple) and len(labels) == 1296
+    with pytest.raises(ValueError):
+        counts[0] = 0
+    assert oa.dataset.support_columns[1] is counts
     counts = [c for c in rendered.call_args_list if isinstance(c.args[0], facil.spaces.IntColumns)]
     assert len(counts) == 1
     doc = json.loads(text)

@@ -20,7 +20,6 @@ from facil.oracle import (
     EvaluationReport,
     OracleParams,
     _cell_uniforms,
-    _slot_success,
     blacklist_mask,
     compositional_family,
     default_family,
@@ -31,7 +30,7 @@ from facil.oracle import (
     simulate_evaluation,
     success_tensor,
 )
-from facil.spaces import build_space, preset_space, product_space, reduced_product
+from facil.spaces import build_space, preset_space, product_space, reduced_product, slot_cells
 
 
 def plain_params(space, **overrides):
@@ -489,7 +488,7 @@ def test_skipped_cells_leave_every_success_count_unchanged():
         d = Dataset.from_grid(world, counts)
         seed, tag, k = case["seed"], case["tag"], case["k"]
         probs = success_tensor(params, d).values
-        slot_probs = _slot_success(params, d, reduced)
+        slot_probs = probs[slot_cells(reduced, world)]
         fractional = np.count_nonzero((probs > 0) & (probs < 1))
         if case["p_max"] == 1.0:  # the layout holds exactly what it says
             assert fractional == case["uncertain"]

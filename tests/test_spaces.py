@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,13 +19,13 @@ from facil.spaces import (
     build_space,
     diagonal_init,
     format_composition,
-    gather_slots,
     new_factor_subspace,
     parse_composition,
     preset_space,
     product_space,
     reduced_product,
     slot_base_compositions,
+    slot_cells,
 )
 
 
@@ -118,6 +119,12 @@ def test_cells_matches_ravel_multi_index_and_rejects_bad_entries():
         for width in (len(shape) - 1, len(shape) + 1):  # an array of rows too short or too long
             with pytest.raises(ValueError, match=f"has {width} entries, space has {len(shape)} dims"):
                 space.cells(np.zeros((len(comps) + 1, width), np.int64))
+        # one composition not in a list, a 0-d array, a 3-D array
+        for bad in (np.array(good), np.array(good[0]), np.zeros((2, 1, len(shape)), np.int64)):
+            message = f"composition array of shape {bad.shape} is not (n, {len(shape)})"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                space.cells(bad)
+        assert space.cells(np.zeros((0,), np.int64)).tolist() == []  # an empty array is no composition
     # a uint64 entry past int64 is named with its composition too
     space = build_space([("a", ["0", "1", "2"]), ("b", ["0", "1"])])
     for big in (2**63, 2**64 - 1):
@@ -176,24 +183,53 @@ def test_reduced_product_slot_labels_and_ratios():
     assert new_factor_subspace(reduced).dims[0].name == "temp"
 
 
-def test_gather_slots_reads_world_rows_in_slot_order():
+def test_slot_cells_are_world_cells_in_slot_order():
     base = small_space()
     nxt = build_space([("temp", ["cold", "hot"])])
     world = product_space(base, nxt)
     reduced = reduced_product([((2, 0), 0.25), ((0, 1), 0.75)], nxt)
-    values = np.arange(world.cardinality, dtype=float)
-    got = gather_slots(values, reduced, world)
-    expected = [[values[world.encode(b + (t,))] for t in range(2)] for b in [(2, 0), (0, 1)]]
-    assert got.tolist() == expected
+    got = slot_cells(reduced, world)
+    expected = [[world.encode(b + (t,)) for t in range(2)] for b in [(2, 0), (0, 1)]]
+    assert got.dtype == np.int64 and got.tolist() == expected
 
     two_colors = build_space([("color", ["red", "green"]), ("shape", ["round", "flat"])])
     too_small = product_space(two_colors, nxt)
     wider_new = product_space(base, build_space([("temp", ["cold", "warm", "hot"])]))
     for bad in (too_small, wider_new, base, nxt):
         with pytest.raises(ValueError):
-            gather_slots(np.zeros(bad.cardinality), reduced, bad)
+            slot_cells(reduced, bad)
     with pytest.raises(ValueError):
-        gather_slots(values, world, world)  # no slot dimension
+        slot_cells(world, world)  # no slot dimension
+
+
+def test_slot_cells_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def grid(prefix, sizes):
+        return build_space([(f"{prefix}{m}", [str(v) for v in range(n)]) for m, n in enumerate(sizes)])
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        base_shape=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        new_shape=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+        data=st.data(),
+    )
+    def property_(base_shape, new_shape, data):
+        base, nxt = grid("b", base_shape), grid("n", new_shape)
+        world = product_space(base, nxt)
+        picked = data.draw(
+            st.lists(st.integers(0, base.cardinality - 1), min_size=1, unique=True), label="slots"
+        )
+        bases = [base.decode(i) for i in picked]
+        reduced = reduced_product([(b, 1 / len(bases)) for b in bases], nxt)
+        got = slot_cells(reduced, world)
+        assert got.shape == (len(bases), nxt.cardinality)
+        for j, b in enumerate(bases):
+            for c, comp in enumerate(nxt.compositions()):
+                assert got[j, c] == world.encode(b + comp)
+
+    property_()
 
 
 def test_reduced_product_preserves_support_order():

@@ -7,7 +7,8 @@ table ``_COMMANDS`` holds each command's name, handler and help line;
 ``_parser`` builds argparse from it once per process, on first use.  All
 outputs are deterministic functions of (config, flags), so reruns produce
 byte-identical files.  Exit codes: 0 success, 1 ran but did not converge,
-2 configuration, input or output-file error.
+2 configuration, input or output-file error, 3 any other failure (its
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import asdict, dataclass, replace
 from functools import cache, reduce
 from pathlib import Path
@@ -523,6 +525,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, InputMemoryError) as exc:  # both messages start with the field
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # any other failure is a fault of facil, never "did not converge"
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,13 +10,13 @@ of them, walked by a pointer that skips cells marked in the meantime: the
 first unmarked cell it reaches has the lowest score, ties going to the
 smallest linear index.  Marks are one flat bool array over the row-major
 grid, and the support is held as flat offsets per axis (coordinate times
-cell stride).  For a selection s and a support point t, the row
-``delta = (t - s) * strides`` has nonzero entries exactly on the axes where
-t and s differ, and span(s, t) is s plus every subset sum of that row.  The
-spans are built by doubling a flat cell array axis by axis, where only the
-cells whose row has a nonzero delta on that axis are doubled, so a selection
-writes sum_t 2**hamming(s, t) cells with one flat index and reads
-``newly_marked`` from one count of the marks.
+cell stride).  A selection s marks span(s, t) for each support point t.
+Where ``_use_table`` allows, a subset-sum table does it with one add and one
+fancy write: row t holds t's offsets summed over each of the 2**ndim axis
+subsets P, and entry P of ``row_t + s - row_s`` takes t's coordinates on P
+and s's elsewhere.  Otherwise the doubling writes only sum_t 2**hamming(s, t)
+cells, in about 4 * ndim + 6 calls, doubling per axis the cells whose row of
+``(t - s) * strides`` moves there.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ class CurationTrace:
 # Marked cells are skipped in blocks of the score order: one gather and one
 # argmin per block instead of a Python step per cell.
 _SKIP_BLOCK = 256
+_TABLE_RATIO = 3.5  # largest expected table-to-doubling cell ratio of a pass (4**10's 3.80 lost)
 
 
 def _span_cells(selected: int, delta: np.ndarray) -> np.ndarray:
@@ -92,6 +93,19 @@ def _span_cells(selected: int, delta: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _subset_sums(points: np.ndarray) -> np.ndarray:
+    """Entry [t, P] sums row t over the columns in subset P, whose bit m is column m."""
+    sums = np.zeros((2 ** points.shape[1], len(points)), dtype=points.dtype)
+    for m, column in enumerate(points.T):
+        np.add(sums[: 2**m], column, out=sums[2**m : 2 ** (m + 1)])
+    return sums.T
+
+
+def _use_table(shape: tuple[int, ...]) -> bool:
+    """Whether to use the table: an axis of L levels doubles it, and the doubling w.p. (L-1)/L."""
+    return math.prod(2 * size / (2 * size - 1) for size in shape) <= _TABLE_RATIO
+
+
 def curate_expansion(
     rates: Tensor,
     dataset: Dataset,
@@ -108,12 +122,11 @@ def curate_expansion(
     unit_size demos at the selection, so later spans see earlier selections
     as support.  The returned dataset has every batch folded in.
 
-    A selection s writes every subset sum of each row of
-    (support - s) * strides, doubling on each axis only the rows that differ
-    from s there: sum over the support t of 2**hamming(s, t) cells.  Each
-    selection costs those cells plus one count over the grid.  Rates must lie
-    in [0, 1]; that keeps out NaN, the one score on which the stable argsort
-    and an argmin over the unmarked cells would choose different cells.
+    Spans come from the subset-sum table where ``_use_table`` expects it to
+    write at most ``_TABLE_RATIO`` times the doubling's cells, else from the
+    doubling; both mark one union, then one count over the grid.  Rates must
+    lie in [0, 1]; that keeps out NaN, the one score on which the stable
+    argsort and an argmin over the unmarked cells would choose different cells.
     """
     space = rates.space
     if space.shape != dataset.space.shape:
@@ -128,6 +141,11 @@ def curate_expansion(
     order = np.argsort(scores, kind="stable")
     strides = np.array([math.prod(space.shape[m + 1 :]) for m in range(space.ndim)], dtype=np.intp)
     support = np.argwhere(dataset.grid) * strides
+    subsets = None
+    if _use_table(space.shape):
+        subsets = _subset_sums(np.identity(space.ndim, dtype=np.intp))  # [m, P]: is m in P
+        support = _subset_sums(support)
+    rows = len(support)  # the rows past it are spare, so no selection copies the support
     marked_count = int(np.count_nonzero(marked))
     position = 0
     batches: list[DemoBatch] = []
@@ -140,9 +158,16 @@ def curate_expansion(
             position += int(ahead.argmin()) or len(ahead)
         selected_idx = int(order[position])
         selected = space.decode(selected_idx)
+        row = np.multiply(selected, strides)
+        if rows == len(support):
+            support = np.pad(support, [(0, rows + 1), (0, 0)])
         # span(s, s) is {s}, so adding s to the support first also marks s itself
-        support = np.vstack([support, np.multiply(selected, strides)])
-        marked[_span_cells(selected_idx, support - support[-1])] = True
+        support[rows] = row if subsets is None else row @ subsets
+        rows += 1
+        if subsets is None:
+            marked[_span_cells(selected_idx, support[:rows] - row)] = True
+        else:  # entry P of row t: t's coordinates on the axes in P, s's elsewhere
+            marked[support[:rows] + (selected_idx - support[rows - 1])] = True
         newly_marked = int(np.count_nonzero(marked)) - marked_count
         marked_count += newly_marked
         batches.append(DemoBatch(selected, unit_size))

@@ -11,8 +11,8 @@ It places batches, and gathers curation's view of the world dataset, through
 it; the reduced evaluations read success probabilities at the same cells.
 The seeding and each pass's selections fold into the world grid as one
 ``DemoBatches`` through ``add_many``.  ``RunHistory.to_json`` renders each
-distinct dataset once per call, from the labels the dataset keeps, as a
-``Block`` re-indented wherever else it appears, and writes the document with
+distinct space and dataset (from the labels the dataset keeps) once per call,
+as a ``Block`` re-indented wherever else it appears, and writes the document with
 ``json_text``, the exact ``json.dumps(indent=2)`` layout without the
 pure-Python encoder, handing it dataset counts and success counts as columns
 and trace and batch rows as tables.
@@ -207,22 +207,29 @@ class RunHistory:
     def to_json(self) -> str:
         """The text of ``history.json``: ``json.dumps(doc, indent=2)`` of the nested plain dicts.
 
-        Each distinct dataset is rendered once per call, as a ``Block`` of its
-        ``support_columns``, however many places it fills.  Reports' success
-        counts go to ``json_text`` as arrays, and batch and trace rows as
-        lists that it writes column by column.
+        Each distinct space and dataset is rendered once per call, as a
+        ``Block`` (a dataset's of its ``support_columns``), however many
+        places it fills.  A report is ``EvaluationReport._doc``, the keys of
+        ``to_doc`` with its success counts left an array; ``json_text`` writes
+        those arrays, and batch and trace rows column by column.
         """
         blocks: dict[int, Block] = {}
+
+        def block(space: FactorSpace) -> Block:
+            if id(space) not in blocks:
+                blocks[id(space)] = Block(space.to_doc())
+            return blocks[id(space)]
+
         for dataset in [self.initial_dataset, *(rec.dataset_after for rec in self.records)]:
             if id(dataset) not in blocks:  # the dict dataset_to_doc gives, its counts as columns
                 counts = IntColumns(*dataset.support_columns)
-                blocks[id(dataset)] = Block({"space": dataset.space.to_doc(), "counts": counts})
+                blocks[id(dataset)] = Block({"space": block(dataset.space), "counts": counts})
         doc = {
             "stage": self.stage,
             "converged": self.converged,
             "config": self.config.to_doc(),
-            "space": self.space.to_doc(),
-            "world_space": self.world_space.to_doc(),
+            "space": block(self.space),
+            "world_space": block(self.world_space),
             "final_dataset": blocks[id(self.dataset)],
             "initial_dataset": blocks[id(self.initial_dataset)],
             "iterations": [
@@ -231,7 +238,7 @@ class RunHistory:
                     "total_before": rec.total_before,
                     "support_before": rec.support_before,
                     "overall_rate": rec.overall_rate,
-                    "report": dict(rec.report.to_doc(), successes=rec.report.successes),
+                    "report": rec.report._doc(block(rec.report.space), rec.report.successes),
                     "batches": [[s.selected, s.batch_size] for s in rec.trace.steps],
                     "trace": [
                         [s.step, s.selected, s.s_value, s.newly_marked, s.batch_size]

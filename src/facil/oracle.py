@@ -364,9 +364,13 @@ class EvaluationReport:
         return "composition_indices,successes,k,rate\n" + "".join(rows.ravel().tolist())
 
     def to_doc(self) -> dict:
+        return self._doc(self.space.to_doc(), self.successes.tolist())
+
+    def _doc(self, space: object, successes: object) -> dict:
+        """The document's keys in order, the space and success counts in the caller's form."""
         return {
-            "space": self.space.to_doc(),
-            "successes": self.successes.tolist(),
+            "space": space,
+            "successes": successes,
             "k": self.k,
             "total_rollouts": self.total_rollouts,
         }

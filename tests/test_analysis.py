@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from facil import analysis
 from facil.analysis import (
     STRATEGY_NAMES,
     ScalingFit,
@@ -25,6 +28,7 @@ from facil.analysis import (
     truncate_history,
     violations_csv,
 )
+from facil.cli import main
 from facil.dataset import Dataset
 from facil.flywheel import FlywheelConfig, run_flywheel, sequential_expansion
 from facil.oracle import (
@@ -359,3 +363,23 @@ def test_bundled_tables_ship_with_the_package():
         grouped = load_rate_table(bundled_rates(name))
         assert set(grouped) == {"O", "OA", "OAE"}
         assert all(len(points) == 5 for points in grouped.values())
+
+
+def test_baseline_draws_of_compare_pnp_are_pinned(tmp_path, monkeypatch):
+    # Generator.multinomial's stream is not promised across numpy versions (NEP 19);
+    # if the compare_pnp golden tree moves on another numpy, this names the layer.
+    digests = {"factors_mixture": hashlib.sha256(), "gaussian": hashlib.sha256()}
+
+    def recorded(strategy, *args):  # the datasets compare itself draws, in budget order
+        dataset = baseline_sampler(strategy, *args)
+        digests[strategy].update(np.ascontiguousarray(dataset.grid, dtype="<i8").tobytes())
+        return dataset
+
+    monkeypatch.setattr(analysis, "baseline_sampler", recorded)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"space": "pnp_object", "seed": 7, "out": str(tmp_path / "out")}))
+    assert main(["compare", "--config", str(config)]) == 0
+    assert {strategy: d.hexdigest() for strategy, d in digests.items()} == {
+        "factors_mixture": "16125f14db0ae19efe31813166e489df43d06b696fd6c240863944238a9eb117",
+        "gaussian": "3aa2098ffe3885d70310e35b485e4764f38e147fe04e0b17e894f0db90716f1b",
+    }

@@ -722,3 +722,32 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     assert len(built) == first
     assert capsys.readouterr().out.count("speedup") == 2
+
+
+def _planted_fault(*args, **kwargs):
+    raise RuntimeError("planted fault")
+
+
+@pytest.mark.parametrize("layer", ["parse_config", "_resolve_out_dir", "handler", "_write"])
+@pytest.mark.parametrize("command", ["run", "expand", "compare", "fit", "check-comp", "budget"])
+def test_any_other_failure_exits_three_never_one(tmp_path, monkeypatch, capsys, layer, command):
+    monkeypatch.setenv("FACIL_OUT", str(tmp_path / "out"))
+    argv = [command, "--config", write_config(tmp_path, {"check": {"train": [[0, 0], [1, 1]]}})]
+    if command == "fit":
+        argv += ["--input", str(Path(cli.__file__).parent / "data" / "openclose_success_rates.csv")]
+    if command == "budget":
+        argv += ["--grid", "24", "--base", "16", "--slots", "7", "--k", "5"]
+    if layer == "handler":
+        parser = cli._parser()
+
+        class ParserWithFaultyHandler:
+            def parse_args(self, argv):
+                return argparse.Namespace(**dict(vars(parser.parse_args(argv)), handler=_planted_fault))
+
+        monkeypatch.setattr(cli, "_parser", ParserWithFaultyHandler)
+    else:
+        monkeypatch.setattr(cli, layer, _planted_fault)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("RuntimeError: planted fault\n")

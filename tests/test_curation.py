@@ -166,8 +166,12 @@ def replay_curation(rates: Tensor, dataset: Dataset, tau: float) -> list[tuple]:
     return steps
 
 
-@pytest.mark.parametrize("support_kind", ["empty", "sparse", "diagonal"])
-def test_curation_replays_hypercube_span_unions_in_4_to_6_dims(support_kind):
+SUPPORT_KINDS = ["empty", "sparse", "diagonal"]
+GRID_CASES = ["binary_10d", "levels_4d", "all_tied"]
+
+
+def cases_in_4_to_6_dims(support_kind):
+    """Eight (rates, dataset) cases of 4 to 6 dims with the given kind of support."""
     rng = np.random.default_rng({"empty": 41, "sparse": 42, "diagonal": 43}[support_kind])
     for trial in range(8):
         shape = tuple(int(v) for v in rng.integers(2, 4, size=int(rng.integers(4, 7))))
@@ -183,13 +187,23 @@ def test_curation_replays_hypercube_span_unions_in_4_to_6_dims(support_kind):
             counts = {tuple(int(v) for v in p): 3 for p in points}
         else:
             counts = {tuple(j % size for size in shape): 2 for j in range(max(shape))}
-        d = Dataset(space, counts)
-        tensor = Tensor(space, rates)
-        batches, after, trace = curate_expansion(tensor, d, 0.6, 4)
-        want = replay_curation(tensor, d, 0.6)
-        assert [(s.selected, s.s_value, s.newly_marked) for s in trace.steps] == want
-        assert [b.composition for b in batches] == [s[0] for s in want]
-        assert after.total == d.total + 4 * len(want)
+        yield Tensor(space, rates), Dataset(space, counts)
+
+
+def check_replay(tensor: Tensor, d: Dataset) -> list[tuple]:
+    """curate_expansion gives the replay's selections, scores, marks and batches."""
+    batches, after, trace = curate_expansion(tensor, d, 0.6, 4)
+    want = replay_curation(tensor, d, 0.6)
+    assert [(s.selected, s.s_value, s.newly_marked) for s in trace.steps] == want
+    assert [b.composition for b in batches] == [s[0] for s in want]
+    assert after.total == d.total + 4 * len(want)
+    return want
+
+
+@pytest.mark.parametrize("support_kind", SUPPORT_KINDS)
+def test_curation_replays_hypercube_span_unions_in_4_to_6_dims(support_kind):
+    for tensor, d in cases_in_4_to_6_dims(support_kind):
+        check_replay(tensor, d)
 
 
 def test_curation_rejects_tensors_that_are_not_rates():
@@ -201,8 +215,8 @@ def test_curation_rejects_tensors_that_are_not_rates():
             curate_expansion(Tensor(space, bad), d, 0.5, 1)
 
 
-@pytest.mark.parametrize("case", ["binary_10d", "levels_4d", "all_tied"])
-def test_curation_replay_on_binary_leveled_and_tied_grids(case):
+def grid_case(case):
+    """(rates, dataset) on a binary, a leveled or an all-tied grid."""
     rng = np.random.default_rng({"binary_10d": 51, "levels_4d": 52, "all_tied": 53}[case])
     if case == "binary_10d":
         # spans against a few near points are far smaller than 2**10 per row
@@ -223,16 +237,44 @@ def test_curation_replay_on_binary_leveled_and_tied_grids(case):
         rates = np.full(1200, 0.25)
         counts = {(1, 0, j): 1 for j in range(300)}
     space = grid_space(shape)
-    d = Dataset(space, counts)
-    tensor = Tensor(space, rates)
-    batches, after, trace = curate_expansion(tensor, d, 0.6, 4)
-    want = replay_curation(tensor, d, 0.6)
-    assert [(s.selected, s.s_value, s.newly_marked) for s in trace.steps] == want
-    assert [b.composition for b in batches] == [s[0] for s in want]
-    assert after.total == d.total + 4 * len(want)
+    return Tensor(space, rates), Dataset(space, counts)
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_curation_replay_on_binary_leveled_and_tied_grids(case):
+    want = check_replay(*grid_case(case))
     if case == "all_tied":
         assert [s[0] for s in want] == [(0, 0, 0), (0, 1, 0)]
         assert curation._SKIP_BLOCK < 300
+
+
+@pytest.mark.parametrize("form", ["table", "doubling"])
+def test_each_span_form_replays_every_case(form, monkeypatch):
+    # forced, so each form meets every case whichever one the rule picks for its grid
+    monkeypatch.setattr(curation, "_use_table", lambda shape: form == "table")
+    for kind in SUPPORT_KINDS:
+        for tensor, d in cases_in_4_to_6_dims(kind):
+            check_replay(tensor, d)
+    for case in GRID_CASES:
+        check_replay(*grid_case(case))
+
+
+@pytest.mark.parametrize(
+    "shape, table",
+    [
+        ((10,) * 4, True),
+        ((3,) * 5, True),
+        ((4,) * 6, True),
+        ((4,) * 9, True),
+        ((4,) * 10, False),
+        ((2,) * 10, False),
+        ((2,) * 14, False),
+    ],
+)
+def test_span_form_rule(shape, table):
+    # the table's expected written-cell ratio to the doubling: 1.23, 2.49, 2.23, 3.33, 3.80,
+    # 17.8, 56.1; the table lost on 4**10, with some 1,650 support rows of 1,024 sums
+    assert curation._use_table(shape) is table
 
 
 def test_span_cells_are_the_hypercube_spans_in_their_stated_count():

@@ -14,21 +14,21 @@ many cells at once in numpy integer arithmetic, so results never depend on
 evaluation order.  One rollout kernel serves all three evaluations (the full
 grid, every slot x new cell in exact mode, and slots picked by their frozen
 ratios): it takes a (slots x cells) block of success probabilities and
-returns each cell's hits; a reduced evaluation reads that block from the
-world's success tensor at ``slot_cells``.  Only cells whose outcome is
-uncertain take draws: a uniform in [0, 1) is always below p = 1 and never
-below p = 0, so the k rollouts of a cell at exactly 0 or 1 are known, and
-since each cell's stream depends only on (seed, tag, cell), leaving it out
-changes no other cell's draws.  A report keeps only the per-cell success
-counts and k; rates and rollout totals are derived.  Its rates CSV is written
-from arrays: the grid's label column plus, per cell, one of the at most
-k + 1 row suffixes ",n,k,rate", each formatted once.
+returns each cell's hits; a reduced evaluation computes that block with
+``success_at`` at ``slot_cells``, never over the whole world.  Only cells
+whose outcome is uncertain take draws: a uniform in [0, 1) is always below
+p = 1 and never below p = 0, so the k rollouts of a cell at exactly 0 or 1
+are known, and since each cell's stream depends only on (seed, tag, cell),
+leaving it out changes no other cell's draws.  A report keeps only the
+per-cell success counts and k; rates and rollout totals are derived.  Its
+rates CSV is written from arrays: the grid's label column plus, per cell,
+one of the at most k + 1 row suffixes ",n,k,rate", each formatted once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -272,42 +272,41 @@ def default_params(space: FactorSpace, seed: int) -> OracleParams:
     return default_family(seed).params_for(space)
 
 
-def blacklist_mask(params: OracleParams, space: FactorSpace) -> np.ndarray:
-    """Flat boolean mask of compositions containing a blacklisted pair."""
-    mask = np.zeros(space.shape, dtype=bool)
+def success_at(params: OracleParams, dataset: Dataset, cells: np.ndarray | None = None) -> np.ndarray:
+    """Exact success probabilities (no sampling) at flat ``cells`` of the dataset's space.
+
+    The result has the shape of ``cells``; with no cells it covers the whole
+    grid, in the space's shape.  Each term is read at one coordinate array
+    per axis, so the marginal sums are the only whole-grid reads.
+    """
+    space = dataset.space
+    params.check_space(space)
+    if cells is None:
+        coords, direct = np.indices(space.shape, sparse=True), dataset.grid
+    else:
+        coords, direct = np.unravel_index(cells, space.shape), dataset.grid.reshape(-1)[cells]
+    weakest = reduce(np.minimum, (marginal_counts(dataset, m)[c] for m, c in enumerate(coords)))
+    blocked = False
     for (da, la), (db, lb) in params.blacklist:
-        index: list = [slice(None)] * space.ndim
-        index[da] = la
-        index[db] = lb
-        mask[tuple(index)] = True
-    return mask.reshape(-1)
+        blocked = blocked | ((coords[da] == la) & (coords[db] == lb))
+    with np.errstate(over="ignore"):  # an energy past float range is inf, and p is p_max there
+        # float(): an int beta times the int64 marginals would wrap past 2**63
+        transfer = np.where(blocked, 0.0, float(params.beta) * weakest)
+        energy = direct + transfer
+        return np.minimum(params.p_max, 1.0 - np.exp(-energy / params.kappa0))
 
 
 def success_tensor(params: OracleParams, dataset: Dataset) -> Tensor:
     """Exact success probabilities over the dataset's space (no sampling)."""
-    space = dataset.space
-    params.check_space(space)
-    direct = dataset.grid.reshape(-1).astype(float)
-
-    weakest = np.full(space.shape, np.inf)
-    for m in range(space.ndim):
-        marg = marginal_counts(dataset, m).astype(float)
-        shape = [1] * space.ndim
-        shape[m] = marg.size
-        weakest = np.minimum(weakest, marg.reshape(shape))
-    with np.errstate(over="ignore"):  # an energy past float range is inf, and p is p_max there
-        transfer = params.beta * weakest.reshape(-1)
-        transfer[blacklist_mask(params, space)] = 0.0
-        energy = direct + transfer
-        probs = np.minimum(params.p_max, 1.0 - np.exp(-energy / params.kappa0))
-    return Tensor(space, probs)
+    return Tensor(dataset.space, success_at(params, dataset))
 
 
 @dataclass(frozen=True, eq=False)
 class EvaluationReport:
     """Empirical per-composition rates from k Bernoulli rollouts each.
 
-    Only the success counts and k are stored; ``rates`` is computed on first use.
+    Only the success counts and k are stored; ``rates`` is computed on each
+    read, and only the ``overall`` mean is kept.
     """
 
     space: FactorSpace
@@ -335,7 +334,7 @@ class EvaluationReport:
             and np.array_equal(self.successes, other.successes)
         )
 
-    @cached_property
+    @property
     def rates(self) -> Tensor:
         return Tensor(self.space, self.successes / self.k)
 
@@ -343,9 +342,9 @@ class EvaluationReport:
     def total_rollouts(self) -> int:
         return self.space.cardinality * self.k
 
-    @property
+    @cached_property
     def overall(self) -> float:
-        return float(self.rates.values.mean())
+        return float((self.successes / self.k).mean())
 
     def to_csv(self, labels: dict | None = None) -> str:
         """The rates CSV, one row per cell in row-major order.
@@ -414,7 +413,7 @@ def mapped_evaluation(
     composition in the dataset's space (slot labels carry the inherited
     prefix) and gets its own k rollouts: |slots| * |new grid| * k total.
     """
-    probs = success_tensor(params, dataset).values[slot_cells(reduced, dataset.space).reshape(1, -1)]
+    probs = success_at(params, dataset, slot_cells(reduced, dataset.space).reshape(1, -1))
     return EvaluationReport(reduced, _rollout_hits(probs, k, params.seed, iteration_tag), k)
 
 
@@ -431,6 +430,6 @@ def ratio_guided_evaluation(
     samples a slot from the frozen ratio distribution, then rolls against the
     underlying composition's success probability.  Budget: |new grid| * k.
     """
-    probs = success_tensor(params, dataset).values[slot_cells(reduced, dataset.space)]
+    probs = success_at(params, dataset, slot_cells(reduced, dataset.space))
     hits = _rollout_hits(probs, k, params.seed, iteration_tag, reduced.slot_ratios)
     return EvaluationReport(new_factor_subspace(reduced), hits, k)

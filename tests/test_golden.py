@@ -5,7 +5,8 @@ changed random stream, score tie-break or float rounding would pass them.
 These pins catch that.  The cases iterate: 3-D, 4-D and 5-D weak-transfer
 runs (the 4-D and 5-D ones hit the iteration cap, curating against a growing
 support), two- and three-stage expansion in both evaluation modes (a reduced
-stage read from a reduced stage's world, and the blacklist), compare and
+stage read from a reduced stage's world, and the blacklist), three 10x10
+stages whose last one reads a small part of a 10**6-cell world, compare and
 check-comp.
 The tree hash covers each file's relative path, size and bytes, in path
 order, the same way the benchmark hashes its output trees.
@@ -35,6 +36,8 @@ WEAK = {"oracle": {"beta": 1.0}, "flywheel": {"tau": 0.9}}
 STAGED = [grid("a", [4, 4]), grid("b", [3, 3])]
 # Weak enough transfer that every case reaches stage OAE and curates there.
 THREE_STAGES = {"stages": STAGED + [grid("c", [2, 3])], "oracle": {"beta": 3.0}}
+# A 10**6-cell world whose last stage searches at most 10**4 of its cells.
+WIDE = [grid("a", [10, 10]), grid("b", [10, 10]), grid("c", [10, 10])]
 
 CASES = {
     "run_6x6x6": ("run", {"space": grid("d", [6, 6, 6]), **WEAK}),
@@ -64,6 +67,22 @@ CASES = {
         "expand",
         {**THREE_STAGES, "flywheel": {"tau": 0.8, "evaluation_mode": "ratio_guided"}},
     ),
+    "expand_wide_exact": (
+        "expand",
+        {
+            "stages": WIDE,
+            "oracle": {"beta": 10.0},
+            "flywheel": {"tau": 0.95, "evaluation_mode": "exact"},
+        },
+    ),
+    "expand_wide_ratio": (
+        "expand",
+        {
+            "stages": WIDE,
+            "oracle": {"beta": 30.0},
+            "flywheel": {"tau": 0.9, "evaluation_mode": "ratio_guided"},
+        },
+    ),
     "compare_pnp": ("compare", {"space": "pnp_object"}),
     "check_comp_pnp": (
         "check-comp",
@@ -87,6 +106,10 @@ GOLDEN = {
     ("expand_three_exact", 2**64 - 1): (1, "7113f08493f4b2c8704e343fdb10edd3493cb3fcc15bd8389f5a260cd663efbb"),
     ("expand_three_ratio", 7): (0, "4ea05e411858b976d3e72e3eb51c8b712e37a4c4f8fdf20bb016247eec615b56"),
     ("expand_three_ratio", 2**64 - 1): (1, "bdd79e52cf93c20f199de284e17ef7a4ea547c970007ebc9f22b35bc0949b1e8"),
+    ("expand_wide_exact", 7): (0, "bf27520a2a272f33e23192d1ce446852afcd1a3dba861409216f95de6ae67f1b"),
+    ("expand_wide_exact", 2**64 - 1): (1, "02f8d02ab3dba4a7672db2ed6fde37e32712e059456b8558133bfa9840e5b222"),
+    ("expand_wide_ratio", 7): (1, "113d47a5616d659e7bc3f844c273529c7441cf1c2a64c1c08311c5caa677941b"),
+    ("expand_wide_ratio", 2**64 - 1): (1, "a79414580aec226950edeb9f5e8ff9c4e843fc9b67242829a31125bee5a4a906"),
     ("compare_pnp", 7): (0, "2c0a76cc6d549c30f72153086b12202e07c43eef926bda0221b1c4c006400d9e"),
     ("compare_pnp", 2**64 - 1): (0, "a0af0b0de7dc89856547e260151490929b2dd44ffc3e41728bbfc0ee01025bfa"),
     ("check_comp_pnp", 7): (0, "0414f1a0958a136baf9bcb951c726aa5a40db6927a6b11fe1d84993bfe778eb8"),

@@ -20,7 +20,6 @@ from facil.oracle import (
     EvaluationReport,
     OracleParams,
     _cell_uniforms,
-    blacklist_mask,
     compositional_family,
     default_family,
     default_params,
@@ -28,6 +27,7 @@ from facil.oracle import (
     mapped_evaluation,
     ratio_guided_evaluation,
     simulate_evaluation,
+    success_at,
     success_tensor,
 )
 from facil.spaces import build_space, preset_space, product_space, reduced_product, slot_cells
@@ -147,16 +147,96 @@ def test_family_instantiates_per_space():
     assert compositional_family(9).params_for(preset_space("pnp_object")).blacklist == frozenset()
 
 
-def test_blacklist_mask_marks_matching_cells():
+def test_blacklist_cuts_transfer_at_matching_cells():
     space = build_space(
         [("a", ["a0", "a1"]), ("b", ["b0", "b1"]), ("c", ["c0", "c1"])]
     )
-    p = plain_params(space, blacklist=frozenset({((0, 1), (2, 0))}))
-    mask = blacklist_mask(p, space).reshape(space.shape)
-    # any middle coordinate, pinned first and last
-    assert mask[1, 0, 0] and mask[1, 1, 0]
-    assert not mask[0, 0, 0] and not mask[1, 0, 1]
-    assert mask.sum() == 2
+    p = plain_params(space, beta=4.0, blacklist=frozenset({((0, 1), (2, 0))}))
+    d = Dataset(space, {(0, 0, 0): 1, (1, 1, 1): 1})  # every level has a demo, so every cell transfers
+    probs = success_at(p, d)
+    # any middle coordinate, pinned first and last: no direct demos there, so no success
+    assert probs[1, 0, 0] == 0.0 and probs[1, 1, 0] == 0.0
+    assert np.count_nonzero(probs == 0.0) == 2
+    cells = space.cells([(1, 0, 0), (0, 0, 0), (1, 1, 0), (1, 0, 1)])
+    assert success_at(p, d, cells).tolist() == [0.0, probs[0, 0, 0], 0.0, probs[1, 0, 1]]
+
+
+def broadcast_success(params, dataset):
+    """The whole-grid formula ``success_at`` replaced: a broadcast minimum and a blacklist mask."""
+    space = dataset.space
+    direct = dataset.grid.reshape(-1).astype(float)
+    weakest = np.full(space.shape, np.inf)
+    for m in range(space.ndim):
+        marg = marginal_counts(dataset, m).astype(float)
+        shape = [1] * space.ndim
+        shape[m] = marg.size
+        weakest = np.minimum(weakest, marg.reshape(shape))
+    mask = np.zeros(space.shape, dtype=bool)
+    for (da, la), (db, lb) in params.blacklist:
+        index: list = [slice(None)] * space.ndim
+        index[da], index[db] = la, lb
+        mask[tuple(index)] = True
+    with np.errstate(over="ignore"):
+        transfer = params.beta * weakest.reshape(-1)
+        transfer[mask.reshape(-1)] = 0.0
+        energy = direct + transfer
+        return np.minimum(params.p_max, 1.0 - np.exp(-energy / params.kappa0))
+
+
+def test_success_at_equals_the_broadcast_formula_bit_for_bit():
+    """At any cells, in any shape, and over the whole grid, compared as uint64.
+
+    A cell's probability does not depend on where it sits in the array, so
+    this also checks that numpy's ``exp`` gives each element the same bits
+    wherever it falls in a vector lane.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)))
+        space = build_space([(f"d{m}", [f"l{j}" for j in range(n)]) for m, n in enumerate(shape)])
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        counts = np.zeros(space.cardinality, dtype=np.int64)
+        fill = draw(st.sampled_from(["empty", "sparse", "dense"]))
+        top = draw(st.sampled_from([1, 50, 10**9]))
+        if fill == "sparse":
+            picked = rng.integers(0, space.cardinality, draw(st.integers(1, 4)))
+            counts[picked] = rng.integers(1, top + 1, picked.size)
+        elif fill == "dense":
+            counts[:] = rng.integers(0, top + 1, counts.size)
+        pairs = []
+        for _ in range(draw(st.integers(0, 3)) if space.ndim > 1 else 0):
+            da = draw(st.integers(0, space.ndim - 2))
+            db = draw(st.integers(da + 1, space.ndim - 1))
+            pair = ((da, draw(st.integers(0, shape[da] - 1))), (db, draw(st.integers(0, shape[db] - 1))))
+            pairs.append(pair if draw(st.booleans()) else pair[::-1])
+        params = plain_params(
+            space,
+            kappa0=draw(st.sampled_from([1e-320, 1.0, 230.0])),
+            beta=draw(st.sampled_from([0.0, 1.0, 690.0, 1e308, 2**40])),  # an int beta too
+            p_max=draw(st.sampled_from([1.0, 0.9]) | st.floats(0.0, 1.0, exclude_min=True)),
+            blacklist=frozenset(pairs),
+        )
+        n = draw(st.integers(0, 20))
+        cells_shape = draw(st.sampled_from([(n,), (1, n), (n // 4, 4), (n % 5, n % 3)]))
+        cells = rng.integers(0, space.cardinality, cells_shape)  # repeats and any order
+        return params, Dataset.from_grid(space, counts.reshape(shape)), cells
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(case=cases())
+    def property_(case):
+        params, d, cells = case
+        expected = broadcast_success(params, d)
+        at_cells, whole = success_at(params, d, cells), success_at(params, d)
+        assert at_cells.dtype == whole.dtype == np.float64
+        assert at_cells.shape == cells.shape and whole.shape == d.space.shape
+        assert np.array_equal(at_cells.view(np.uint64), expected[cells].view(np.uint64))
+        assert np.array_equal(whole.reshape(-1).view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(success_tensor(params, d).values.view(np.uint64), expected.view(np.uint64))
+
+    property_()
 
 
 def test_success_probability_formula():

@@ -108,10 +108,10 @@ def _gaussian_probabilities(
     space: FactorSpace, mode: Composition | None, sigma: float
 ) -> np.ndarray:
     mode = _gaussian_mode(space, mode, sigma)
-    index_grids = np.indices(space.shape).reshape(space.ndim, -1)
-    centered = index_grids - np.asarray(mode, dtype=float).reshape(-1, 1)
+    # Squared offsets per axis, broadcast and added in axis order, as a sum over axis 0 adds.
+    squares = ((c - float(m)) ** 2 for c, m in zip(np.indices(space.shape, sparse=True), mode))
     with np.errstate(over="ignore"):  # far cells of a tiny sigma go to -inf, so exp gives 0
-        logits = -np.sum(centered**2, axis=0) / (2.0 * sigma * sigma)
+        logits = -sum(squares).reshape(-1) / (2.0 * sigma * sigma)
     logits -= logits.max()
     probs = np.exp(logits)
     return probs / probs.sum()

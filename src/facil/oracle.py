@@ -6,23 +6,24 @@ energy": direct demos at the composition plus a compositional-transfer term
 proportional to the weakest per-dimension level marginal.  Level-pair
 blacklists cut the transfer term only; direct demos always count.  One frozen
 ``OracleParams`` holds the constants (kappa0, beta, p_max, blacklist, seed):
-``default_family(seed)`` returns the pinned defaults, and ``params_for(space)``
-drops the blacklist pairs a space does not have, so one instance drives every
-stage of an expansion.  Rollouts are Bernoulli draws from Philox4x64-10
-streams keyed by (seed, tag) with the cell index in the counter, computed for
-many cells at once in numpy integer arithmetic, so results never depend on
-evaluation order.  One rollout kernel serves all three evaluations (the full
-grid, every slot x new cell in exact mode, and slots picked by their frozen
-ratios): it takes a (slots x cells) block of success probabilities and
-returns each cell's hits; a reduced evaluation computes that block with
-``success_at`` at ``slot_cells``, never over the whole world.  Only cells
-whose outcome is uncertain take draws: a uniform in [0, 1) is always below
-p = 1 and never below p = 0, so the k rollouts of a cell at exactly 0 or 1
-are known, and since each cell's stream depends only on (seed, tag, cell),
-leaving it out changes no other cell's draws.  A report keeps only the
-per-cell success counts and k; rates and rollout totals are derived.  Its
-rates CSV is written from arrays: the grid's label column plus, per cell,
-one of the at most k + 1 row suffixes ",n,k,rate", each formatted once.
+``default_family(seed)`` returns the pinned defaults, and
+``params_for(space)`` drops the blacklist pairs a space does not have, so one
+instance drives every stage of an expansion.  Rollouts are Bernoulli draws
+from Philox4x64-10 streams keyed by (seed, tag) with the cell index in the
+counter, so results never depend on evaluation order.  One rollout kernel
+serves all three evaluations (the full grid, every slot x new cell in exact
+mode, and slots picked by their frozen ratios): it takes a (slots x cells)
+block of success probabilities, computed by ``success_at`` at the cells read,
+and returns each cell's hits.  Its rounds run in place on two uint64 lanes,
+(x0, x2) and (x1, x3), in buffers each call sizes for one pass of cells and
+reuses; the fixed parts of counter (j + 1, cell, 0, 0) fold the first three
+rounds.  A draw u = d * 2**-53 is below p exactly when d < ceil(p * 2**53), so
+hits are counted on the words as they leave the rounds.  Only cells whose
+outcome is uncertain draw: a cell at exactly 0 or 1 is known, and each cell's
+stream depends only on (seed, tag, cell).  A report keeps only the per-cell
+success counts and k; rates and rollout totals are derived.  Its rates CSV is
+written from arrays: the grid's label column plus, per cell, one of the at
+most k + 1 row suffixes ",n,k,rate", each formatted once.
 """
 
 from __future__ import annotations
@@ -70,63 +71,94 @@ _LO32 = _U64(0xFFFFFFFF)
 _SHIFT32 = _U64(32)
 _MUL_LO = _PHILOX_MUL & _LO32
 _MUL_HI = _PHILOX_MUL >> _SHIFT32
-# Cells per pass: bounds the uint64 temporaries while keeping numpy calls few.
-_CHUNK_CELLS = 2048
+_NEVER = _U64(1 << 53)  # above every draw w >> 11, so below no threshold ceil(p * 2**53)
+# Cells per pass: bounds the uint64 buffers while keeping numpy calls few.
+_CHUNK_CELLS = 4096
 
 
-def _philox4x64_10(
-    a: np.ndarray, b: np.ndarray, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ten Philox rounds on (2, n) lanes a = (x0, x2) and b = (x1, x3).
+def _mulhilo(x: np.ndarray, lane: int | slice, t: list[np.ndarray]) -> np.ndarray:
+    """x *= the lane's multipliers, keeping the low words; returns the high words (t[1])."""
+    lo, hi, mid, u = t
+    np.bitwise_and(x, _LO32, out=lo)
+    np.right_shift(x, _SHIFT32, out=hi)
+    np.multiply(lo, _MUL_LO[lane], out=mid)
+    mid >>= _SHIFT32
+    mid += np.multiply(hi, _MUL_LO[lane], out=u)
+    lo *= _MUL_HI[lane]
+    lo += np.bitwise_and(mid, _LO32, out=u)
+    hi *= _MUL_HI[lane]
+    hi += np.right_shift(mid, _SHIFT32, out=mid)
+    hi += np.right_shift(lo, _SHIFT32, out=lo)
+    x *= _PHILOX_MUL[lane]
+    return hi
 
-    keys holds the (2, 1) key of each round.  A round multiplies a by the
-    two constants; mulhi comes from 32-bit half products.
+
+def _philox_words(seed: int, tag: int, index: np.ndarray, draws: int):
+    """Yield (start, stop, a, b) per pass over up to _CHUNK_CELLS cells of ``index``.
+
+    Cell i's stream is numpy's ``Philox(key=[seed, tag], counter=[0, i, 0, 0])``:
+    block j is Philox4x64-10 of counter (j + 1, i, 0, 0) under key (seed, tag),
+    words x0, x1, x2, x3.  The lanes a = (x0, x2) and b = (x1, x3) are
+    (2, blocks, stop - start) views of six buffers every pass reuses, holding
+    draws w >> 11: draw 4j + w of row r is (a[0], b[0], a[1], b[1])[w][j, r].
+    The words past ``draws`` in the last block read _NEVER.
     """
-    for key in keys:
-        a_lo = a & _LO32
-        a_hi = a >> _SHIFT32
-        t = a_hi * _MUL_LO
-        t += (a_lo * _MUL_LO) >> _SHIFT32
-        mid = a_lo * _MUL_HI
-        mid += t & _LO32
-        hi = a_hi * _MUL_HI
-        hi += t >> _SHIFT32
-        hi += mid >> _SHIFT32
-        lo = a * _PHILOX_MUL
-        # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
-        a = hi[::-1] ^ b ^ key
-        b = lo[::-1]
-    return a, b
+    if not len(index):
+        return
+    blocks = -(-draws // 4)
+    a, b, *t = (np.empty((2, blocks * min(len(index), _CHUNK_CELLS)), dtype=_U64) for _ in range(6))
+    keys = np.array([[seed & _MASK64], [tag & _MASK64]], dtype=_U64) + _PHILOX_ROUNDS * _PHILOX_BUMP
+    # Counter (j + 1, i, 0, 0) folds: round 0 gives (i ^ k0, 0, f(j), g(j)),
+    # round 1 multiplies x0 per cell and x2 per block, round 2 x2 alone.
+    (m0,), (m1,) = _PHILOX_MUL.tolist()
+    k = keys[:3, :, 0].tolist()
+    terms = []
+    for j in range(1, blocks + 1):
+        hi0, lo0 = divmod(m0 * j, 1 << 64)  # round 0, x0
+        hi1, lo1 = divmod(m1 * (hi0 ^ k[0][1]), 1 << 64)  # round 1, x2
+        hi2, lo2 = divmod(m0 * (hi1 ^ k[1][0]), 1 << 64)  # round 2, x0
+        terms.append((lo0 ^ k[1][1], lo1 ^ k[2][0], hi2 ^ k[2][1], lo2))
+    x2_r1, x0_r2, x2_r2, x3_r2 = np.array(terms, dtype=_U64).T[:, :, None]
+    cells = index.astype(_U64) ^ keys[0, 0]  # x0 after round 0
+    for start in range(0, len(index), _CHUNK_CELLS):
+        stop = min(start + _CHUNK_CELLS, len(index))
+        n, size = stop - start, blocks * (stop - start)
+        x, y, tt = a[:, :size], b[:, :size], [u[:, :size] for u in t]
+        cell = cells[start:stop]
+        hi = _mulhilo(cell, 0, [u[0, :n] for u in t])  # round 1 on x0; cell keeps lo
+        np.bitwise_xor(hi, x2_r1, out=x[1].reshape(blocks, n))
+        hi = _mulhilo(x[1], 1, [u[1] for u in tt]).reshape(blocks, n)  # round 2; x[1] is x1
+        np.bitwise_xor(hi, x0_r2, out=y[0].reshape(blocks, n))  # x0
+        np.bitwise_xor(cell, x2_r2, out=y[1].reshape(blocks, n))  # x2
+        x[0].reshape(blocks, n)[:] = x3_r2  # x3
+        x, y = y, x[::-1]
+        for key in keys[3:]:
+            hi = _mulhilo(x, slice(None), tt)
+            # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
+            y ^= key
+            y ^= hi[::-1]
+            x, y = y, x[::-1]
+        x, y = (np.right_shift(v, _U64(11), out=v).reshape(2, blocks, n) for v in (x, y))
+        for w in range(draws - 4 * (blocks - 1), 4):
+            (x[0], y[0], x[1], y[1])[w][-1] = _NEVER
+        yield start, stop, x, y
 
 
 def _cell_uniforms(seed: int, tag: int, index: np.ndarray, draws: int) -> np.ndarray:
-    """A (len(index), draws) array of uniforms; row j starts cell index[j]'s stream.
+    """A (len(index), draws) array of uniforms; row r starts cell index[r]'s stream.
 
-    Cell i's stream is numpy's ``Philox(key=[seed, tag], counter=[0, i, 0, 0])``
-    read through ``Generator.random``, reproduced bit for bit: block j of
-    cell i is Philox4x64-10 of counter (j + 1, i, 0, 0) under key
-    (seed, tag), its four words are drawn in order, and a word u becomes
-    (u >> 11) * 2**-53.  A row depends only on (seed, tag, cell), so the
-    cells left out of ``index`` change nothing in the others.  All blocks of
-    up to _CHUNK_CELLS rows are computed in one pass.
+    Each draw d of ``_philox_words`` as d * 2**-53, the way ``Generator.random`` reads a word.
     """
-    rows = len(index)
-    out = np.empty((rows, draws))
-    key = np.array([[seed & _MASK64], [tag & _MASK64]], dtype=_U64)
-    keys = key + _PHILOX_ROUNDS * _PHILOX_BUMP  # round r runs under key + r * bump
-    blocks = -(-draws // 4)
-    for start in range(0, rows, _CHUNK_CELLS):
-        stop = min(start + _CHUNK_CELLS, rows)
-        a = np.zeros((2, (stop - start) * blocks), dtype=_U64)
-        b = np.zeros_like(a)
-        a[0] = np.tile(np.arange(1, blocks + 1, dtype=_U64), stop - start)
-        b[0] = np.repeat(index[start:stop].astype(_U64), blocks)
-        a, b = _philox4x64_10(a, b, keys)
-        # Stacked as (lane, a|b) the words read x0, x1, x2, x3.
-        words = np.stack((a, b), axis=1).reshape(4, stop - start, blocks)
-        words = words.transpose(1, 2, 0).reshape(stop - start, 4 * blocks)[:, :draws]
-        np.multiply(words >> _U64(11), 2.0**-53, out=out[start:stop])
+    out = np.empty((len(index), draws))
+    for start, stop, a, b in _philox_words(seed, tag, index, draws):
+        words = np.stack((a[0], b[0], a[1], b[1]), axis=-1).transpose(1, 0, 2)
+        out[start:stop] = words.reshape(stop - start, -1)[:, :draws] * 2.0**-53
     return out
+
+
+def _thresholds(p: np.ndarray) -> np.ndarray:
+    """ceil(p * 2**53) as uint64: a draw d has d * 2**-53 < p exactly when d < it."""
+    return np.ceil(p * 2.0**53).astype(_U64)
 
 
 def _rollout_hits(
@@ -136,10 +168,11 @@ def _rollout_hits(
 
     Every rollout rolls against one of its cell's slots (rows): the only
     row, or, when slot ``ratios`` are given, a row picked by the rollout's
-    first uniform from their cumulative sum.  A uniform in [0, 1) is always
-    below 1 and never below 0 or NaN, so a cell whose slots all have p >= 1
-    gets k successes, one with no p > 0 gets 0, and only the others draw.
-    Raises InputMemoryError naming ``flywheel.k`` when numpy cannot size or
+    first draw from their cumulative sum.  A draw d rolls a success when
+    d < ceil(p * 2**53), so a cell whose slots all have p >= 1 gets k
+    successes, one with no p > 0 gets 0, and only the others draw, a pass of
+    cells at a time, so no array of every draw exists.  Raises
+    InputMemoryError naming ``flywheel.k`` when numpy cannot size or
     allocate the draws (k per cell, 2k with slot picks) for every cell,
     drawn or not, so whether a k fits does not depend on the dataset.
     """
@@ -155,15 +188,17 @@ def _rollout_hits(
     ones = np.all(slot_probs >= 1.0, axis=0)
     hits = np.where(ones, k, 0)
     index = np.flatnonzero(~ones & np.any(slot_probs > 0.0, axis=0))
-    uniforms = _cell_uniforms(seed, tag, index, draws)
-    if ratios is None:
-        probs = slot_probs[0, index, None]
-    else:
-        cumulative = np.cumsum(np.asarray(ratios, dtype=float))
-        cumulative[-1] = 1.0
-        slots = np.searchsorted(cumulative, uniforms[:, 0::2], side="right")
-        probs, uniforms = slot_probs[slots, index[:, None]], uniforms[:, 1::2]
-    hits[index] = np.count_nonzero(uniforms < probs, axis=1)
+    if ratios is not None:  # the last bound, 1, is above every draw
+        bounds = _thresholds(np.cumsum(np.asarray(ratios, dtype=float))[:-1])
+    for start, stop, a, b in _philox_words(seed, tag, index, draws):
+        at = index[start:stop]
+        if ratios is None:
+            limit = _thresholds(slot_probs[0, at])
+            hits[at] = sum(np.count_nonzero(lane < limit, axis=(0, 1)) for lane in (a, b))
+        else:  # a pair of words (x0, x1) or (x2, x3) is one rollout: a picks, b rolls
+            limits = _thresholds(slot_probs[:, at])
+            slots = np.searchsorted(bounds, a, side="right")
+            hits[at] = np.count_nonzero(b < limits[slots, np.arange(stop - start)], axis=(0, 1))
     return hits
 
 
@@ -285,15 +320,19 @@ def success_at(params: OracleParams, dataset: Dataset, cells: np.ndarray | None 
         coords, direct = np.indices(space.shape, sparse=True), dataset.grid
     else:
         coords, direct = np.unravel_index(cells, space.shape), dataset.grid.reshape(-1)[cells]
-    weakest = reduce(np.minimum, (marginal_counts(dataset, m)[c] for m, c in enumerate(coords)))
+    *rest, last = (marginal_counts(dataset, m)[c] for m, c in enumerate(coords))
     blocked = False
     for (da, la), (db, lb) in params.blacklist:
         blocked = blocked | ((coords[da] == la) & (coords[db] == lb))
+    # The terms in the formula's order, each written into one float buffer p.
+    p = np.minimum(reduce(np.minimum, rest, 2**63 - 1), last, out=np.empty(direct.shape))
     with np.errstate(over="ignore"):  # an energy past float range is inf, and p is p_max there
-        # float(): an int beta times the int64 marginals would wrap past 2**63
-        transfer = np.where(blocked, 0.0, float(params.beta) * weakest)
-        energy = direct + transfer
-        return np.minimum(params.p_max, 1.0 - np.exp(-energy / params.kappa0))
+        np.multiply(float(params.beta), p, out=p)  # float(): beta may be any Python int
+        np.copyto(p, 0.0, where=blocked)
+        p += direct  # energy
+        np.divide(np.negative(p, out=p), params.kappa0, out=p)
+        np.subtract(1.0, np.exp(p, out=p), out=p)
+        return np.minimum(params.p_max, p, out=p)
 
 
 def success_tensor(params: OracleParams, dataset: Dataset) -> Tensor:

@@ -133,6 +133,43 @@ def test_gaussian_mass_decays_from_mode():
     assert counts[1] > counts[0] and counts[3] > counts[4]
 
 
+def dense_gaussian_probabilities(space, mode, sigma):
+    """The former form: squared offsets from a dense (ndim x cells) index grid."""
+    mode = analysis._gaussian_mode(space, mode, sigma)
+    index_grids = np.indices(space.shape).reshape(space.ndim, -1)
+    centered = index_grids - np.asarray(mode, dtype=float).reshape(-1, 1)
+    with np.errstate(over="ignore"):
+        logits = -np.sum(centered**2, axis=0) / (2.0 * sigma * sigma)
+    logits -= logits.max()
+    probs = np.exp(logits)
+    return probs / probs.sum()
+
+
+def test_gaussian_probabilities_equal_the_dense_form_bit_for_bit():
+    """Per-axis terms summed in axis order give the dense index grid's floats."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)))
+        mode = draw(st.none() | st.tuples(*(st.integers(0, n - 1) for n in shape)))
+        sigma = draw(st.sampled_from([1e-160, 1e-3, 0.42, 1.0, 1e3]) | st.floats(1e-160, 1e3))
+        return shape, mode, sigma
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(case=cases())
+    def property_(case):
+        shape, mode, sigma = case
+        space = build_space([(f"d{m}", [str(j) for j in range(n)]) for m, n in enumerate(shape)])
+        got = analysis._gaussian_probabilities(space, mode, sigma)
+        expected = dense_gaussian_probabilities(space, mode, sigma)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), case
+
+    property_()
+
+
 def test_sampler_determinism_and_validation():
     space = preset_space("pnp_object")
     a = baseline_sampler("factors_mixture", space, 1000, 5)

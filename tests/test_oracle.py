@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -20,6 +21,8 @@ from facil.oracle import (
     EvaluationReport,
     OracleParams,
     _cell_uniforms,
+    _philox_words,
+    _rollout_hits,
     compositional_family,
     default_family,
     default_params,
@@ -580,9 +583,9 @@ def test_skipped_cells_leave_every_success_count_unchanged():
 
         def counting(seed, tag, index, draws):
             rows.append(len(index))
-            return _cell_uniforms(seed, tag, index, draws)
+            return _philox_words(seed, tag, index, draws)
 
-        with mock.patch("facil.oracle._cell_uniforms", counting):
+        with mock.patch("facil.oracle._philox_words", counting):
             got = simulate_evaluation(params, d, world, k, tag).successes
             mapped = mapped_evaluation(params, d, reduced, k, tag).successes
             ratio = ratio_guided_evaluation(params, d, reduced, k, tag).successes
@@ -601,6 +604,63 @@ def test_skipped_cells_leave_every_success_count_unchanged():
     for example in boundary + special:
         property_ = hypothesis.example(case=example, layout_seed=11)(property_)
     property_()
+
+
+# 0, 2**-60, the least subnormal, 0.5, the float below 1, 1, and a p_max below 1.
+EDGE_PROBS = [0.0, 2.0**-60, 5e-324, 0.5, np.nextafter(1.0, 0.0), 1.0, 0.9]
+
+
+def on_and_beside(draws: np.ndarray) -> np.ndarray:
+    """Per cell, one of its draws (a multiple j * 2**-53), or one ulp below or above it."""
+    cells = np.arange(len(draws))
+    own = draws[cells, cells % draws.shape[1]]
+    return np.stack([np.nextafter(own, 0.0), own, np.nextafter(own, 1.0)])[cells % 3, cells]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7])
+def test_integer_thresholds_give_the_float_compares_hits(k):
+    """Plain and ratio-guided hits equal those of u < p on ``_cell_uniforms``.
+
+    p sits on each cell's own draws and one ulp either side, and at
+    EDGE_PROBS; the cumulative slot ratios land on pick draws.  The cells
+    span two passes, and a k (2k with picks) that is not a multiple of 4
+    leaves spare words in the last block.
+    """
+    seed, tag, cells = 2**64 - 1, 5, _CHUNK_CELLS + 99
+    uniforms = _cell_uniforms(seed, tag, np.arange(cells), 2 * k)
+    probs = on_and_beside(uniforms[:, :k])
+    probs[::50] = np.resize(EDGE_PROBS, probs[::50].size)
+    assert np.array_equal(_rollout_hits(probs[None], k, seed, tag), dense_successes(seed, tag, probs, k))
+
+    # Bounds on distinct pick draws of the first cells; differences and their
+    # partial sums of multiples of 2**-53 below 1 are exact.
+    bounds = np.unique(uniforms[:3, 0::2])[:5]
+    ratios = tuple(np.diff(np.concatenate([[0.0], bounds, [1.0]])).tolist())
+    assert np.array_equal(np.cumsum(ratios)[:-1], bounds)
+    slot_probs = np.empty((len(ratios), cells))
+    slot_probs[:] = on_and_beside(uniforms[:, 1::2])
+    slot_probs[1::2] = np.resize(EDGE_PROBS, cells)
+    slot_probs[0, :10] = 0.0  # cells whose slot pick alone decides each hit
+    slot_probs[-1, :10] = 1.0
+    got = _rollout_hits(slot_probs, k, seed, tag, ratios)
+    assert np.array_equal(got, dense_ratio_successes(seed, tag, slot_probs, ratios, k))
+
+
+def test_one_evaluation_holds_no_array_of_every_draw():
+    """One rollout call on 2**18 uncertain cells at k = 5 peaks below 56 B per cell.
+
+    The untouched flywheel.k size check is 40 B per cell.  A kernel that held
+    every float draw and its compare peaked at 78 B per cell.
+    """
+    cells = 2**18
+    probs = np.linspace(0.01, 0.99, cells)[None]
+    tracemalloc.start()
+    try:
+        _rollout_hits(probs, 5, 7, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / cells < 56
 
 
 @pytest.mark.parametrize("k", [10**16, 10**18])

@@ -5,18 +5,26 @@ slices through it (minus the overcounted self terms), then repeatedly batches
 the unmarked composition with the lowest score, predicting coverage via
 hypercube spans against the dataset support until the whole grid is marked.
 
-Scores are fixed within a pass, so the selection order is one stable argsort
-of them, walked by a pointer that skips cells marked in the meantime: the
-first unmarked cell it reaches has the lowest score, ties going to the
-smallest linear index.  Marks are one flat bool array over the row-major
-grid, and the support is held as flat offsets per axis (coordinate times
-cell stride).  A selection s marks span(s, t) for each support point t.
+Scores are fixed within a pass, so the selection order is one sort of them
+(``_score_order``: ascending score, ties by ascending linear index), walked
+by a pointer that skips cells marked in the meantime: the first unmarked
+cell it reaches has the lowest score, ties going to the smallest linear
+index.  Marks are one flat bool array over the row-major grid, and the
+support is held as flat offsets per axis (coordinate times cell stride).
+A selection s marks span(s, t) for each support point t.
 Where ``_use_table`` allows, a subset-sum table does it with one add and one
 fancy write: row t holds t's offsets summed over each of the 2**ndim axis
 subsets P, and entry P of ``row_t + s - row_s`` takes t's coordinates on P
 and s's elsewhere.  Otherwise the doubling writes only sum_t 2**hamming(s, t)
 cells, in about 4 * ndim + 6 calls, doubling per axis the cells whose row of
 ``(t - s) * strides`` moves there.
+
+A pass is recorded as arrays, a ``CurationTrace``: the selected flat cells
+in order, their scores and the cells each newly marked.  No selection is
+decoded or wrapped in an object; the batches are one ``DemoBatches`` of the
+same cells, and ``CurationTrace.rows`` gives the trace table of
+``history.json`` with one ``unravel_index``.  ``CurationTrace.steps``, one
+``CurationStep`` per row, is derived from the arrays when it is read.
 """
 
 from __future__ import annotations
@@ -27,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # add_demos stays importable from here: bench/tracer.py wraps it at this lookup site.
-from .dataset import Dataset, DemoBatch, add_demos, add_many  # noqa: F401
+from .dataset import Dataset, DemoBatches, add_demos, add_many  # noqa: F401
 from .orbit import _above_tau
-from .spaces import Composition, Tensor, composition_labels, csv_text
+from .spaces import Composition, Tensor
 
 
 def aggregated_tensor(rates: Tensor) -> Tensor:
@@ -51,6 +59,8 @@ def aggregated_tensor(rates: Tensor) -> Tensor:
 
 @dataclass(frozen=True)
 class CurationStep:
+    """One row of ``CurationTrace.steps``; made only when that view is read."""
+
     step: int
     selected: Composition
     s_value: float
@@ -58,17 +68,51 @@ class CurationStep:
     batch_size: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurationTrace:
-    steps: tuple[CurationStep, ...]
+    """One marking pass as arrays over a grid of ``shape``, one entry per selection in order.
 
-    def to_csv(self) -> str:
-        header = ["step", "composition", "S_value", "newly_marked", "batch_size"]
-        rows = (
-            (s.step, label, repr(s.s_value), s.newly_marked, s.batch_size)
-            for s, label in zip(self.steps, composition_labels([s.selected for s in self.steps]))
-        )
-        return csv_text(header, rows)
+    ``cells`` are the selected flat row-major cells (int64), ``scores`` their
+    aggregated scores (float64) and ``newly_marked`` the cells each one
+    marked (int64); every selection emits a batch of ``batch_size`` demos.
+    The arrays are read-only.
+    """
+
+    shape: tuple[int, ...]
+    cells: np.ndarray
+    scores: np.ndarray
+    newly_marked: np.ndarray
+    batch_size: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "shape", tuple(self.shape))
+        for name, dtype in (("cells", np.int64), ("scores", np.float64), ("newly_marked", np.int64)):
+            values = np.array(getattr(self, name), dtype=dtype).reshape(-1)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        if not len(self.cells) == len(self.scores) == len(self.newly_marked):
+            raise ValueError("cells, scores and newly_marked differ in length")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CurationTrace):
+            return NotImplemented
+        return self.shape == other.shape and self.rows() == other.rows()
+
+    def rows(self) -> list[tuple[int, list[int], float, int, int]]:
+        """(step, selected composition, score, newly marked, batch size) per selection.
+
+        These are the trace rows of ``history.json``; the compositions come
+        from one ``unravel_index`` of the cells.
+        """
+        points = np.stack(np.unravel_index(self.cells, self.shape), axis=1).tolist()
+        sizes = [self.batch_size] * len(points)
+        scores, newly = self.scores.tolist(), self.newly_marked.tolist()
+        return list(zip(range(len(points)), points, scores, newly, sizes))
+
+    @property
+    def steps(self) -> tuple[CurationStep, ...]:
+        """The rows as ``CurationStep``s, derived from the arrays on each read."""
+        return tuple(CurationStep(i, tuple(c), s, n, b) for i, c, s, n, b in self.rows())
 
 
 # Marked cells are skipped in blocks of the score order: one gather and one
@@ -106,27 +150,47 @@ def _use_table(shape: tuple[int, ...]) -> bool:
     return math.prod(2 * size / (2 * size - 1) for size in shape) <= _TABLE_RATIO
 
 
+def _score_order(scores: np.ndarray) -> np.ndarray:
+    """Cells by ascending score, ties by ascending index: ``np.argsort(kind="stable")``'s order.
+
+    One unstable argsort ranks the scores; equal scores (0.0 and -0.0 too)
+    then sit in runs, numbered in order, and one int64 sort of
+    ``run * n + index`` puts each run in index order.
+    """
+    order = np.argsort(scores)
+    ranked = scores[order]
+    n = len(order)
+    keys = np.zeros(n, dtype=np.int64)
+    np.cumsum(ranked[1:] != ranked[:-1], out=keys[1:])  # the run of each rank
+    keys *= n
+    keys += order
+    keys.sort()
+    keys %= n
+    return keys
+
+
 def curate_expansion(
     rates: Tensor,
     dataset: Dataset,
     tau: float,
     unit_size: int,
-) -> tuple[list[DemoBatch], Dataset, CurationTrace]:
+) -> tuple[DemoBatches, Dataset, CurationTrace]:
     """One full marking pass; returns emitted batches, dataset, and trace.
 
     The score tensor is computed once up front and never refreshed inside the
     loop.  Marking starts from {R > tau}.  Each round selects the unmarked
     cell with minimal score (ties: smallest linear index) by walking the
-    stable argsort of the scores past marked cells, marks it, marks every
-    hypercube spanned against the current support, then emits a batch of
-    unit_size demos at the selection, so later spans see earlier selections
-    as support.  The returned dataset has every batch folded in.
+    score order past marked cells, marks it, marks every hypercube spanned
+    against the current support, then emits a batch of unit_size demos at the
+    selection, so later spans see earlier selections as support.  The
+    batches are one ``DemoBatches`` of the selected cells, and the returned
+    dataset has them folded in by one ``add_many``.
 
     Spans come from the subset-sum table where ``_use_table`` expects it to
     write at most ``_TABLE_RATIO`` times the doubling's cells, else from the
     doubling; both mark one union, then one count over the grid.  Rates must
-    lie in [0, 1]; that keeps out NaN, the one score on which the stable
-    argsort and an argmin over the unmarked cells would choose different cells.
+    lie in [0, 1]; that keeps out NaN, the one score on which the score order
+    and an argmin over the unmarked cells would choose different cells.
     """
     space = rates.space
     if space.shape != dataset.space.shape:
@@ -138,9 +202,10 @@ def curate_expansion(
     marked = _above_tau(rates, tau)
 
     scores = aggregated_tensor(rates).values
-    order = np.argsort(scores, kind="stable")
-    strides = np.array([math.prod(space.shape[m + 1 :]) for m in range(space.ndim)], dtype=np.intp)
-    support = np.argwhere(dataset.grid) * strides
+    order = _score_order(scores)
+    strides = [math.prod(space.shape[m + 1 :]) for m in range(space.ndim)]
+    axes = list(zip(strides, space.shape))
+    support = np.argwhere(dataset.grid) * np.array(strides, dtype=np.intp)
     subsets = None
     if _use_table(space.shape):
         subsets = _subset_sums(np.identity(space.ndim, dtype=np.intp))  # [m, P]: is m in P
@@ -148,39 +213,33 @@ def curate_expansion(
     rows = len(support)  # the rows past it are spare, so no selection copies the support
     marked_count = int(np.count_nonzero(marked))
     position = 0
-    batches: list[DemoBatch] = []
-    steps: list[CurationStep] = []
+    selections: list[int] = []
+    newly_marked: list[int] = []
 
     while marked_count < space.cardinality:
         while marked[order[position]]:
             # argmin is the first unmarked cell of the block, 0 if it has none
             ahead = marked[order[position : position + _SKIP_BLOCK]]
             position += int(ahead.argmin()) or len(ahead)
-        selected_idx = int(order[position])
-        selected = space.decode(selected_idx)
-        row = np.multiply(selected, strides)
+        selected = int(order[position])
+        row = np.array([selected // stride % size * stride for stride, size in axes])
         if rows == len(support):
             support = np.pad(support, [(0, rows + 1), (0, 0)])
         # span(s, s) is {s}, so adding s to the support first also marks s itself
         support[rows] = row if subsets is None else row @ subsets
         rows += 1
         if subsets is None:
-            marked[_span_cells(selected_idx, support[:rows] - row)] = True
+            marked[_span_cells(selected, support[:rows] - row)] = True
         else:  # entry P of row t: t's coordinates on the axes in P, s's elsewhere
-            marked[support[:rows] + (selected_idx - support[rows - 1])] = True
-        newly_marked = int(np.count_nonzero(marked)) - marked_count
-        marked_count += newly_marked
-        batches.append(DemoBatch(selected, unit_size))
-        steps.append(
-            CurationStep(
-                step=len(steps),
-                selected=selected,
-                s_value=float(scores[selected_idx]),
-                newly_marked=newly_marked,
-                batch_size=unit_size,
-            )
-        )
+            marked[support[:rows] + (selected - support[rows - 1])] = True
+        count = int(np.count_nonzero(marked))
+        newly_marked.append(count - marked_count)
+        marked_count = count
+        selections.append(selected)
         # Each round marks its selection, so the loop is bounded by the grid.
-        assert len(steps) <= space.cardinality
+        assert len(selections) <= space.cardinality
 
-    return batches, add_many(dataset, batches), CurationTrace(tuple(steps))
+    cells = np.array(selections, dtype=np.int64)
+    batches = DemoBatches(cells, np.full(len(cells), unit_size))
+    trace = CurationTrace(space.shape, cells, scores[cells], newly_marked, unit_size)
+    return batches, add_many(dataset, batches), trace

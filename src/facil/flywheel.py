@@ -9,13 +9,15 @@ underlying full-coordinate (world) dataset.  A reduced run builds one slot
 map per stage, ``slot_cells``: the world cell of each (slot, new-grid cell).
 It places batches, and gathers curation's view of the world dataset, through
 it; the reduced evaluations read success probabilities at the same cells.
-The seeding and each pass's selections fold into the world grid as one
-``DemoBatches`` through ``add_many``.  ``RunHistory.to_json`` renders each
-distinct space and dataset (from the labels the dataset keeps) once per call,
-as a ``Block`` re-indented wherever else it appears, and writes the document with
+The seeding and each pass's selected cells (``CurationTrace.cells``) fold
+into the world grid as one ``DemoBatches`` through ``add_many``; no
+selection is decoded.  ``RunHistory.to_json`` renders each distinct space and
+dataset (from the labels the dataset keeps) once per call, as a ``Block``
+re-indented wherever else it appears, and writes the document with
 ``json_text``, the exact ``json.dumps(indent=2)`` layout without the
 pure-Python encoder, handing it dataset counts and success counts as columns
-and trace and batch rows as tables.
+and trace and batch rows, made from each trace's arrays, as tables;
+``from_json`` rebuilds the arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curation import CurationStep, CurationTrace, curate_expansion
+from .curation import CurationTrace, curate_expansion
 from .dataset import (
     Dataset,
     DemoBatch,
@@ -118,7 +120,7 @@ class IterationRecord:
 
     @property
     def batches(self) -> tuple[DemoBatch, ...]:
-        """Each curation step emits one batch at its selection, in curation-grid coordinates.
+        """One batch per selection of the trace, made when read, in curation-grid coordinates.
 
         On a reduced stage those are not the datasets' world coordinates (and
         in ratio_guided mode one batch stands for several world batches), so
@@ -224,6 +226,23 @@ class RunHistory:
             if id(dataset) not in blocks:  # the dict dataset_to_doc gives, its counts as columns
                 counts = IntColumns(*dataset.support_columns)
                 blocks[id(dataset)] = Block({"space": block(dataset.space), "counts": counts})
+
+        def iteration(rec: IterationRecord) -> dict:
+            trace = rec.trace.rows()
+            return {
+                "iteration": rec.iteration,
+                "total_before": rec.total_before,
+                "support_before": rec.support_before,
+                "overall_rate": rec.overall_rate,
+                "report": rec.report._doc(block(rec.report.space), rec.report.successes),
+                "batches": [(selected, size) for _, selected, _, _, size in trace],
+                "trace": trace,
+                "total_after": rec.total_after,
+                "support_after": rec.support_after,
+                "rollouts_spent": rec.rollouts_spent,
+                "dataset_after": blocks[id(rec.dataset_after)],
+            }
+
         doc = {
             "stage": self.stage,
             "converged": self.converged,
@@ -232,25 +251,7 @@ class RunHistory:
             "world_space": block(self.world_space),
             "final_dataset": blocks[id(self.dataset)],
             "initial_dataset": blocks[id(self.initial_dataset)],
-            "iterations": [
-                {
-                    "iteration": rec.iteration,
-                    "total_before": rec.total_before,
-                    "support_before": rec.support_before,
-                    "overall_rate": rec.overall_rate,
-                    "report": rec.report._doc(block(rec.report.space), rec.report.successes),
-                    "batches": [[s.selected, s.batch_size] for s in rec.trace.steps],
-                    "trace": [
-                        [s.step, s.selected, s.s_value, s.newly_marked, s.batch_size]
-                        for s in rec.trace.steps
-                    ],
-                    "total_after": rec.total_after,
-                    "support_after": rec.support_after,
-                    "rollouts_spent": rec.rollouts_spent,
-                    "dataset_after": blocks[id(rec.dataset_after)],
-                }
-                for rec in self.records
-            ],
+            "iterations": [iteration(rec) for rec in self.records],
         }
         return json_text(doc)
 
@@ -258,28 +259,22 @@ class RunHistory:
     def from_json(cls, text: str) -> "RunHistory":
         """Rebuild a history; fields derivable from the others are not read back."""
         doc = json.loads(text)
+        config = FlywheelConfig(**doc["config"])
         initial = before = dataset_from_doc(doc["initial_dataset"])
         records = []
         for rd in doc["iterations"]:
             after = dataset_from_doc(rd["dataset_after"])
-            steps = tuple(
-                CurationStep(int(s[0]), tuple(s[1]), float(s[2]), int(s[3]), int(s[4]))
-                for s in rd["trace"]
-            )
-            records.append(
-                IterationRecord(
-                    iteration=int(rd["iteration"]),
-                    report=EvaluationReport.from_doc(rd["report"]),
-                    trace=CurationTrace(steps),
-                    dataset_before=before,
-                    dataset_after=after,
-                )
-            )
+            report = EvaluationReport.from_doc(rd["report"])
+            rows = rd["trace"]  # curation runs on the grid its report rates
+            cells = report.space.cells([row[1] for row in rows])
+            scores, newly = [row[2] for row in rows], [row[3] for row in rows]
+            trace = CurationTrace(report.space.shape, cells, scores, newly, config.unit_size)
+            records.append(IterationRecord(int(rd["iteration"]), report, trace, before, after))
             before = after
         return cls(
             stage=str(doc["stage"]),
             space=FactorSpace.from_doc(doc["space"]),
-            config=FlywheelConfig(**doc["config"]),
+            config=config,
             initial_dataset=initial,
             records=tuple(records),
         )
@@ -379,15 +374,14 @@ def run_flywheel(
         slot_map = slot_cells(space, world)
         place = slot_map.reshape(-1, 1) if mode == "exact" else slot_map[kept].T
 
-    def to_world(comps: Sequence[Composition]) -> DemoBatches:
+    def to_world(cells: np.ndarray) -> DemoBatches:
         """The world batches of one unit_size batch at each curation cell."""
-        cells = curation_space.cells(comps)
-        return DemoBatches(cells if place is None else place[cells], shares * len(comps))
+        return DemoBatches(cells if place is None else place[cells], shares * len(cells))
 
     init_comps = cfg.initial_compositions
     if init_comps is None:
         init_comps = diagonal_init(curation_space)
-    current = initial = add_many(initial, to_world(init_comps))
+    current = initial = add_many(initial, to_world(curation_space.cells(init_comps)))
 
     records: list[IterationRecord] = []
     for iteration in range(1, cfg.max_iterations + 1):
@@ -395,13 +389,13 @@ def run_flywheel(
         before = current
         converged = report.overall >= cfg.tau
         if converged:
-            trace = CurationTrace(steps=())
+            trace = CurationTrace(curation_space.shape, [], [], [], cfg.unit_size)
         else:
             view = current
             if place is not None:  # a curation cell counts the world demos placed through it
                 view = Dataset.from_grid(curation_space, current.grid.take(place).sum(axis=1))
             _, _, trace = curate_expansion(report.rates, view, cfg.tau, cfg.unit_size)
-            current = add_many(current, to_world([s.selected for s in trace.steps]))
+            current = add_many(current, to_world(trace.cells))
         records.append(IterationRecord(iteration, report, trace, before, current))
         if converged:
             break

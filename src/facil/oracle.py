@@ -394,8 +394,11 @@ class EvaluationReport:
         shape, labels = self.space.shape, {} if labels is None else labels
         if shape not in labels:
             labels[shape] = label_column(shape)
-        # A rate is n / k, so a row is its label plus one suffix per distinct count n.
-        counts, which = np.unique(self.successes, return_inverse=True)
+        # A rate is n / k, so a row is its label plus one suffix per count n: each of
+        # 0..k when there are no more of them than cells, else each distinct count.
+        counts, which = np.arange(self.k + 1), self.successes
+        if self.k >= len(which):
+            counts, which = np.unique(which, return_inverse=True)
         rates = (counts / self.k).tolist()  # the same division as ``rates``
         suffix = [f",{n},{self.k},{r!r}\n" for n, r in zip(counts.tolist(), rates)]
         rows = np.stack([labels[shape], np.array(suffix, dtype=object)[which]], 1)

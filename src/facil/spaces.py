@@ -10,7 +10,7 @@ A reduced space parses its slot labels once, into ``FactorSpace.slot_bases``,
 which ``slot_cells``, the one map of slot cells to world cells, reads.
 ``json_text`` is the one writer of the ``indent=2`` JSON layout: it writes a
 table (rows of one length) column by column, and a ``Block`` once however
-often it appears.
+often it appears, appending every piece to one list that it joins once.
 """
 
 from __future__ import annotations
@@ -434,6 +434,17 @@ def json_text(doc, newline: str = "\n") -> str:
     """``json.dumps(doc, indent=2)`` of a document with string keys, without its pure-Python walk.
 
     ``newline`` is a line break plus the indent of the level ``doc`` sits at.
+    Every piece is appended to one list (``_write``), joined once at the end,
+    so no text is copied once per nesting level.
+    """
+    out: list[str] = []
+    _write(doc, newline, out)
+    return "".join(out)
+
+
+def _write(doc, newline: str, out: list[str]) -> None:
+    """Append the pieces of ``doc``'s text at indent ``newline`` to ``out``.
+
     Plain ints (``type(v) is int``, so no bools) and finite floats are
     written by their own ``repr``, and a list that is a table column (see
     ``_column``) column by column; other scalars go through ``json.dumps``
@@ -442,30 +453,42 @@ def json_text(doc, newline: str = "\n") -> str:
     for, both through ``int_strings``, and a ``Block`` as its document.
     """
     if type(doc) is int:
-        return int.__repr__(doc)
-    if type(doc) is float and math.isfinite(doc):
-        return float.__repr__(doc)
-    if type(doc) is str:
-        return _quote(doc)
-    inner = newline + "  "
-    if isinstance(doc, (list, tuple)) and doc:
+        out.append(int.__repr__(doc))
+    elif type(doc) is float and math.isfinite(doc):
+        out.append(float.__repr__(doc))
+    elif type(doc) is str:
+        out.append(_quote(doc))
+    elif isinstance(doc, (list, tuple)) and doc:
+        inner = newline + "  "
         items = _column(doc, inner)
-        if items is None:  # not one column of a table: value by value
-            items = (json_text(v, inner) for v in doc)
-        return _bracketed("[]", items, newline)
-    if isinstance(doc, dict) and doc:
-        items = (_quote(k) + ": " + json_text(v, inner) for k, v in doc.items())
-        return _bracketed("{}", items, newline)
-    if isinstance(doc, np.ndarray) and doc.ndim == 1 and doc.dtype.kind in "iu":
-        return _bracketed("[]", int_strings(doc), newline)
-    if isinstance(doc, IntColumns):
+        if items is not None:
+            _bracketed("[]", items, newline, out)
+        else:  # not one column of a table: value by value
+            sep = "[" + inner
+            for value in doc:
+                out.append(sep)
+                sep = "," + inner
+                _write(value, inner, out)
+            out.append(newline + "]")
+    elif isinstance(doc, dict) and doc:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in doc.items():
+            out.append(sep + _quote(key) + ": ")
+            sep = "," + inner
+            _write(value, inner, out)
+        out.append(newline + "}")
+    elif isinstance(doc, np.ndarray) and doc.ndim == 1 and doc.dtype.kind in "iu":
+        _bracketed("[]", int_strings(doc), newline, out)
+    elif isinstance(doc, IntColumns):
         values = map(": ".__add__, int_strings(doc.values))
-        return _bracketed("{}", map(str.__add__, map(_quote, doc.keys), values), newline)
-    if isinstance(doc, Block):
+        _bracketed("{}", list(map(str.__add__, map(_quote, doc.keys), values)), newline, out)
+    elif isinstance(doc, Block):
         if doc.text is None:
             doc.text, doc.newline = json_text(doc.doc, newline), newline
-        return doc.text if newline == doc.newline else doc.text.replace(doc.newline, newline)
-    return json.dumps(doc)  # null, booleans, non-finite floats, subclasses, [] and {}
+        out.append(doc.text if newline == doc.newline else doc.text.replace(doc.newline, newline))
+    else:  # null, booleans, non-finite floats, subclasses, [] and {}
+        out.append(json.dumps(doc))
 
 
 def _column(values: Sequence, newline: str) -> list[str] | None:
@@ -493,10 +516,10 @@ def _column(values: Sequence, newline: str) -> list[str] | None:
     return [start + row + end for row in map(sep.join, zip(*columns))]
 
 
-def _bracketed(brackets: str, items: Iterable[str], newline: str) -> str:
-    """Items one per line at the next indent; no items give bare brackets."""
-    items = list(items)  # str.join makes this list anyway
+def _bracketed(brackets: str, items: list[str], newline: str, out: list[str]) -> None:
+    """Append items one per line at the next indent; no items give bare brackets."""
     if not items:
-        return brackets
+        out.append(brackets)
+        return
     inner = newline + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+    out += brackets[0] + inner, ("," + inner).join(items), newline + brackets[1]

@@ -28,7 +28,7 @@ from facil.analysis import (
 )
 from facil.cli import main
 from facil.curation import aggregated_tensor, curate_expansion
-from facil.dataset import Dataset, add_many
+from facil.dataset import Dataset, DemoBatches, add_many
 from facil.flywheel import FlywheelConfig, rollout_budget, run_flywheel, sequential_expansion
 from facil.oracle import (
     OracleParams,
@@ -128,8 +128,8 @@ def replay_expansion(rates, dataset, tau, unit_size, batches, after, trace):
         )
         assert step.s_value == scores[expected]
         assert step.batch_size == unit_size
-        assert batches[i].composition == expected
-        assert batches[i].count == unit_size
+        assert space.decode(batches.cells[i]) == expected
+        assert batches.counts[i] == unit_size
 
         before = len(marked)
         marked.add(expected)
@@ -137,7 +137,7 @@ def replay_expansion(rates, dataset, tau, unit_size, batches, after, trace):
             marked |= hypercube_span(expected, d)
         assert step.newly_marked == len(marked) - before
         support.add(expected)
-        folded = add_many(folded, [batches[i]])
+        folded = add_many(folded, DemoBatches(batches.cells[i : i + 1], batches.counts[i : i + 1]))
 
     assert len(marked) == space.cardinality, "loop ended before full marking"
     assert folded == after

@@ -306,9 +306,9 @@ def test_history_json_labels_and_renders_each_dataset_once():
     assert oa.iterations == 1 and oa.records[0].dataset_after is oa.initial_dataset
     assert len(oa.dataset.support) == 1296
     labelled = mock.Mock(wraps=facil.dataset.composition_labels)
-    rendered = mock.Mock(wraps=facil.spaces.json_text)  # every call below the top one
+    rendered = mock.Mock(wraps=facil.spaces._write)  # writes every value of the document
     with mock.patch.object(facil.dataset, "composition_labels", labelled):
-        with mock.patch.object(facil.spaces, "json_text", rendered):
+        with mock.patch.object(facil.spaces, "_write", rendered):
             text = oa.to_json()
         assert oa.to_json() == text  # the dataset keeps its labels for the next writer
     assert labelled.call_count == 1

@@ -528,17 +528,20 @@ def dense_ratio_successes(seed, tag, slot_probs, ratios, k) -> np.ndarray:
 def test_skipped_cells_leave_every_success_count_unchanged():
     """Drawing only the uncertain cells gives the dense path's counts.
 
-    The boundary examples put 2047 to 2049 uncertain cells, spread with gaps
-    over 5200, so the drawn indices cross _CHUNK_CELLS row passes.
+    The boundary examples put C - 1, C and C + 1 uncertain cells (C is
+    _CHUNK_CELLS, the cells of one pass), spread with gaps over 1.25 C
+    columns, so the drawn indices fill one pass short of, exactly to, or one
+    past its end; the last example's ratio-guided call draws C + 300 columns.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     top = 2**64 - 1
+    c = _CHUNK_CELLS
     boundary = [
-        dict(columns=2600, uncertain=u, mixed=m, fill="both", p_max=1.0, seed=seed, tag=tag, k=k)
+        dict(columns=c + c // 4, uncertain=u, mixed=m, fill="both", p_max=1.0, seed=seed, tag=tag, k=k)
         for u, m, seed, tag, k in (
-            (2047, 0, 0, 0, 5), (2048, 0, top, top, 3), (2049, 0, 0, top, 8),
-            (2047, 1, top, 0, 1), (2048, 300, 0, 7, 4),
+            (c - 1, 0, 0, 0, 5), (c, 0, top, top, 3), (c + 1, 0, 0, top, 8),
+            (c - 1, 1, top, 0, 1), (c, 300, 0, 7, 4),
         )
     ]
     special = [

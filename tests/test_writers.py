@@ -24,7 +24,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from facil.analysis import compositionality_check, violations_csv  # noqa: E402
-from facil.curation import CurationStep, CurationTrace  # noqa: E402
+from facil.curation import CurationTrace  # noqa: E402
 from facil.dataset import Dataset, dataset_to_csv, dataset_to_doc  # noqa: E402
 from facil.flywheel import (  # noqa: E402
     EVALUATION_MODES,
@@ -147,18 +147,14 @@ def test_dataset_writers_on_an_empty_support():
 def test_trace_orbit_and_violations_csv_equal_row_writers(shape, seed, steps):
     rng = np.random.default_rng(seed)
     comps = [tuple(int(v) for v in rng.integers(0, shape)) for _ in range(steps)]
-    trace = CurationTrace(
-        tuple(CurationStep(i, c, float(rng.normal()), i, 50) for i, c in enumerate(comps))
-    )
-    expected = reference_csv(
-        ["step", "composition", "S_value", "newly_marked", "batch_size"],
-        ((s.step, label(s.selected), repr(s.s_value), s.newly_marked, 50) for s in trace.steps),
-    )
-    check_same(trace.to_csv(), expected)
+    space = space_of(shape)
+    scores = [float(rng.normal()) for _ in comps]
+    trace = CurationTrace(shape, space.cells(comps), scores, range(steps), 50)
+    # the trace rows of history.json, from the arrays
+    assert trace.rows() == [(i, list(c), s, i, 50) for i, (c, s) in enumerate(zip(comps, scores))]
     orbit = reference_csv(["composition_indices"], ([label(c)] for c in sorted(set(comps))))
     check_same(orbit_to_csv(set(comps)), orbit)
 
-    space = space_of(shape)
     probs = Tensor(space, rng.random(space.cardinality))
     if comps:
         report = compositionality_check(set(comps), probs, 0.5)

@@ -23,8 +23,6 @@ from .curation import (
 )
 from .dataset import (
     Dataset,
-    DemoBatch,
-    add_demos,
     add_many,
     dataset_from_doc,
     dataset_to_csv,
@@ -44,7 +42,6 @@ from .flywheel import (
 from .oracle import (
     EvaluationReport,
     OracleParams,
-    compositional_family,
     default_family,
     default_params,
     mapped_evaluation,
@@ -54,7 +51,6 @@ from .oracle import (
 )
 from .orbit import (
     empirical_orbit,
-    hypercube_span,
     product_closure,
 )
 from .spaces import (
@@ -78,7 +74,6 @@ __all__ = [
     "CurationStep",
     "CurationTrace",
     "Dataset",
-    "DemoBatch",
     "EvaluationReport",
     "FactorDimension",
     "FactorSpace",
@@ -89,13 +84,11 @@ __all__ = [
     "ScalingFit",
     "StrategyOutcome",
     "Tensor",
-    "add_demos",
     "add_many",
     "aggregated_tensor",
     "baseline_sampler",
     "build_space",
     "compare_strategies",
-    "compositional_family",
     "compositionality_check",
     "curate_expansion",
     "dataset_from_doc",
@@ -107,7 +100,6 @@ __all__ = [
     "empirical_orbit",
     "fit_power_law",
     "generalization_gap",
-    "hypercube_span",
     "mapped_evaluation",
     "marginal_counts",
     "preset_space",

@@ -171,7 +171,7 @@ def truncate_history(history: RunHistory, budget: int) -> Dataset:
     The initial seeding counts toward the budget; if even it does not fit,
     the result is empty.
     """
-    best = Dataset.empty(history.world_space)
+    best = Dataset(history.world_space)
     if history.initial_dataset.total <= budget:
         best = history.initial_dataset
     for rec in history.records:

@@ -57,6 +57,7 @@ def aggregated_tensor(rates: Tensor) -> Tensor:
     return Tensor(rates.space, scores.reshape(-1))
 
 
+# CurationStep and CurationTrace.steps are kept only for bench/tracer.py, which reads them.
 @dataclass(frozen=True)
 class CurationStep:
     """One row of ``CurationTrace.steps``; made only when that view is read."""
@@ -242,4 +243,5 @@ def curate_expansion(
     cells = np.array(selections, dtype=np.int64)
     batches = DemoBatches(cells, np.full(len(cells), unit_size))
     trace = CurationTrace(space.shape, cells, scores[cells], newly_marked, unit_size)
+    # A 3-tuple only for bench/tracer.py; run_flywheel reads the trace and folds its cells.
     return batches, add_many(dataset, batches), trace

@@ -5,9 +5,9 @@ needs only its per-composition counts, held as one read-only int64 array
 shaped like the space (``Dataset.grid``).  Counts are validated where they
 enter from outside: the constructors, added batches and the plain-dict
 loader.  A count must be an integer; 2.7 raises ValueError
-rather than becoming 2.  ``add_many`` folds many batches at once: a
-``DemoBatches`` holds them as flat cell indices and counts, a list of
-``DemoBatch`` is turned into one, and one ``np.add.at`` adds them all.
+rather than becoming 2.  A batch is a block of identical demonstrations at
+one cell; ``DemoBatches`` holds many as flat cell indices and counts, the one
+batch form, and ``add_many`` folds them all with one ``np.add.at``.
 ``Dataset.support_columns`` reads the support with one ``argwhere`` and
 labels it one axis at a time (``composition_labels``), once per dataset,
 which keeps them; ``dataset_to_csv`` joins those labels and counts directly,
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .spaces import (
     FactorSpace,
     composition_labels,
     int_strings,
-    integer,
     integer_array,
     parse_composition,
 )
@@ -47,20 +46,6 @@ class InputMemoryError(MemoryError):
     def __init__(self, field: str, detail: str) -> None:
         super().__init__(f"{field}: {detail}")
         self.field, self.detail = field, detail
-
-
-@dataclass(frozen=True)
-class DemoBatch:
-    """A block of identical demonstrations at one composition."""
-
-    composition: Composition
-    count: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "composition", tuple(integer(v, "composition") for v in self.composition))
-        object.__setattr__(self, "count", integer(self.count, "batch count"))
-        if self.count < 1:
-            raise ValueError(f"batch count must be >= 1, got {self.count}")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -100,10 +85,6 @@ class Dataset:
         grid.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "grid", grid)
-
-    @classmethod
-    def empty(cls, space: FactorSpace) -> "Dataset":
-        return cls(space)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -161,20 +142,8 @@ class DemoBatches:
         return len(self.cells)
 
 
-def add_demos(dataset: Dataset, batch: DemoBatch) -> Dataset:
-    """Return a new dataset with the batch merged in."""
-    return add_many(dataset, [batch])
-
-
-def add_many(dataset: Dataset, batches: DemoBatches | Iterable[DemoBatch]) -> Dataset:
-    """Return a new dataset with every batch merged in.
-
-    An iterable of ``DemoBatch`` is first turned into one ``DemoBatches``.
-    """
-    if not isinstance(batches, DemoBatches):
-        batches = list(batches)
-        cells = dataset.space.cells([b.composition for b in batches])
-        batches = DemoBatches(cells, [b.count for b in batches])
+def add_many(dataset: Dataset, batches: DemoBatches) -> Dataset:
+    """Return a new dataset with every batch merged in."""
     cells = batches.cells
     if len(cells) and not (cells.min() >= 0 and cells.max() < dataset.grid.size):
         raise ValueError(f"batch cells outside the {dataset.grid.size} cells of the space")
@@ -184,6 +153,10 @@ def add_many(dataset: Dataset, batches: DemoBatches | Iterable[DemoBatch]) -> Da
     grid = dataset.grid.copy()
     np.add.at(grid.reshape(-1), cells, batches.counts)
     return Dataset.from_grid(dataset.space, grid)
+
+
+# Kept only for bench/tracer.py, which wraps this lookup site.
+add_demos = add_many
 
 
 def support_and_ratios(

@@ -11,13 +11,14 @@ It places batches, and gathers curation's view of the world dataset, through
 it; the reduced evaluations read success probabilities at the same cells.
 The seeding and each pass's selected cells (``CurationTrace.cells``) fold
 into the world grid as one ``DemoBatches`` through ``add_many``; no
-selection is decoded.  ``RunHistory.to_json`` renders each distinct space and
-dataset (from the labels the dataset keeps) once per call, as a ``Block``
-re-indented wherever else it appears, and writes the document with
-``json_text``, the exact ``json.dumps(indent=2)`` layout without the
-pure-Python encoder, handing it dataset counts and success counts as columns
-and trace and batch rows, made from each trace's arrays, as tables;
-``from_json`` rebuilds the arrays.
+selection is decoded, and no batch is an object of its own.
+``RunHistory.to_json`` renders each distinct space and dataset (from the
+labels the dataset keeps) once per call, as a ``Block`` re-indented
+wherever else it appears, and writes the document with ``json_text``, the
+exact ``json.dumps(indent=2)`` layout without the pure-Python encoder,
+handing it dataset counts and success counts as columns and trace and batch
+rows, both made from each trace's arrays, as tables; ``from_json`` rebuilds
+the arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 from .curation import CurationTrace, curate_expansion
 from .dataset import (
     Dataset,
-    DemoBatch,
     DemoBatches,
     InputMemoryError,
     add_many,
@@ -107,9 +107,9 @@ class IterationRecord:
     """One evaluate(-curate) cycle; the converged pass has no curation steps.
 
     ``dataset_before`` is the previous record's ``dataset_after`` (the run's
-    initial dataset for the first record).  Rates, totals, support sizes and
-    the emitted batches are read from the report, the two datasets and the
-    trace.
+    initial dataset for the first record).  Rates, totals and support sizes
+    are read from the report and the two datasets; the batches of a pass are
+    the trace's cells, ``batch_size`` demos each, in curation-grid coordinates.
     """
 
     iteration: int
@@ -117,16 +117,6 @@ class IterationRecord:
     trace: CurationTrace
     dataset_before: Dataset
     dataset_after: Dataset
-
-    @property
-    def batches(self) -> tuple[DemoBatch, ...]:
-        """One batch per selection of the trace, made when read, in curation-grid coordinates.
-
-        On a reduced stage those are not the datasets' world coordinates (and
-        in ratio_guided mode one batch stands for several world batches), so
-        ``add_many(dataset_before, batches) == dataset_after`` holds only for plain runs.
-        """
-        return tuple(DemoBatch(s.selected, s.batch_size) for s in self.trace.steps)
 
     @property
     def overall_rate(self) -> float:
@@ -367,7 +357,7 @@ def run_flywheel(
         apportioned = apportion_counts(cfg.unit_size, space.slot_ratios)
         kept = [j for j, share in enumerate(apportioned) if share > 0]
         shares = [apportioned[j] for j in kept]
-    initial, place = Dataset.empty(world), None  # a plain run puts each batch on its own cell
+    initial, place = Dataset(world), None  # a plain run puts each batch on its own cell
     if mode != "plain":
         # After the count grid, so that Dataset names a world too large for memory;
         # row i of place holds the world cells of a batch at curation cell i.

@@ -298,11 +298,6 @@ def default_family(seed: int) -> OracleParams:
     )
 
 
-def compositional_family(seed: int) -> OracleParams:
-    """Default constants with no blacklisted interactions at all."""
-    return replace(default_family(seed), blacklist=())
-
-
 def default_params(space: FactorSpace, seed: int) -> OracleParams:
     return default_family(seed).params_for(space)
 

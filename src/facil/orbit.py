@@ -1,7 +1,9 @@
-"""Coverage operators: thresholded orbits, hypercube spans, product closure.
+"""Coverage operators: thresholded orbits and product closure.
 
 An orbit keeps the cells whose rate is strictly above tau, the curation
 loop's marking rule; both apply it, input checks included, by ``_above_tau``.
+The hypercube spans that curation marks are computed on flat cells in
+``curation``; the product closure is the fixed point of repeating them.
 """
 
 from __future__ import annotations
@@ -11,18 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .spaces import Composition, Tensor, composition_labels, csv_text
-
-
-def hypercube_span(s: Composition, d: Composition) -> set[Composition]:
-    """All compositions whose per-dimension coordinate comes from {s_m, d_m}.
-
-    Size is 2^(number of differing dimensions); always contains s and d.
-    """
-    if len(s) != len(d):
-        raise ValueError(f"compositions {s} and {d} live in different spaces")
-    choices = [(a,) if a == b else (a, b) for a, b in zip(s, d)]
-    return set(product(*choices))
+from .spaces import Composition, Tensor
 
 
 def _above_tau(rates: Tensor, tau: float) -> np.ndarray:
@@ -53,7 +44,3 @@ def product_closure(comps: Iterable[Composition]) -> set[Composition]:
         raise ValueError("compositions must share one space")
     per_dim = [sorted({c[m] for c in comps}) for m in range(width)]
     return set(product(*per_dim))
-
-
-def orbit_to_csv(comps: Iterable[Composition]) -> str:
-    return csv_text(["composition_indices"], zip(composition_labels(sorted(comps))))

@@ -6,8 +6,9 @@ written as a tuple of level indices.  All dense per-composition arrays are
 stored flat in row-major order over the declared dimension order.
 ``FactorSpace.cells`` is the one check and conversion of compositions to
 those flat cells; ``encode``, ``validate`` and every other caller use it.
-A reduced space parses its slot labels once, into ``FactorSpace.slot_bases``,
-which ``slot_cells``, the one map of slot cells to world cells, reads.
+A reduced space parses its slot labels once, into ``FactorSpace.slot_bases``
+(a plain space has none and raises there), which ``slot_cells``, the one map
+of slot cells to world cells, reads.
 ``json_text`` is the one writer of the ``indent=2`` JSON layout: it writes a
 table (rows of one length) column by column, and a ``Block`` once however
 often it appears, appending every piece to one list that it joins once.
@@ -17,14 +18,13 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -141,7 +141,9 @@ class FactorSpace:
     @cached_property
     def slot_bases(self) -> np.ndarray:
         """A reduced space's slot base compositions, one read-only row each, parsed once."""
-        bases = np.array(slot_base_compositions(self))
+        if self.slot_ratios is None:
+            raise ValueError("space has no slot dimension with ratios")
+        bases = np.array([parse_composition(label) for label in self.dims[0].levels])
         bases.setflags(write=False)
         return bases
 
@@ -186,10 +188,6 @@ class FactorSpace:
             idx, v = divmod(idx, size)
             out.append(v)
         return tuple(reversed(out))
-
-    def compositions(self) -> Iterator[Composition]:
-        """All compositions in ascending linear-index order."""
-        return itertools.product(*map(range, self.shape))
 
     def to_doc(self) -> dict:
         doc: dict = {"dims": [{"name": d.name, "levels": list(d.levels)} for d in self.dims]}
@@ -307,13 +305,6 @@ def reduced_product(
         raise ValueError("support compositions must share one base space")
     slot_dim = FactorDimension("slot", tuple(map(format_composition, comps)))
     return FactorSpace((slot_dim,) + next_space.dims, slot_ratios=tuple(w for _, w in support))
-
-
-def slot_base_compositions(space: FactorSpace) -> list[Composition]:
-    """Decode the base compositions stored in a reduced space's slot labels."""
-    if space.slot_ratios is None:
-        raise ValueError("space has no slot dimension with ratios")
-    return [parse_composition(label) for label in space.dims[0].levels]
 
 
 def slot_cells(reduced: FactorSpace, world: FactorSpace) -> np.ndarray:

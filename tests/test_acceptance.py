@@ -30,15 +30,10 @@ from facil.cli import main
 from facil.curation import aggregated_tensor, curate_expansion
 from facil.dataset import Dataset, DemoBatches, add_many
 from facil.flywheel import FlywheelConfig, rollout_budget, run_flywheel, sequential_expansion
-from facil.oracle import (
-    OracleParams,
-    compositional_family,
-    default_family,
-    default_params,
-    success_tensor,
-)
-from facil.orbit import hypercube_span, product_closure
+from facil.oracle import OracleParams, default_family, default_params, success_tensor
+from facil.orbit import product_closure
 from facil.spaces import Tensor, build_space, preset_space
+from reference import hypercube_span
 
 
 @contextmanager
@@ -111,7 +106,7 @@ def replay_expansion(rates, dataset, tau, unit_size, batches, after, trace):
     """Independent step-by-step replay of one expansion run."""
     space = rates.space
     scores = aggregated_tensor(rates)
-    cells = list(space.compositions())
+    cells = list(itertools.product(*map(range, space.shape)))
     marked = {c for c in cells if rates[c] > tau}
     support = set(dataset.support)
     folded = dataset
@@ -162,7 +157,7 @@ def test_criterion_3_expansion_loop_correctness(capsys):
             tau = float(rng.uniform(0.05, 0.95))
             counts = {
                 c: int(rng.integers(1, 6))
-                for c in space.compositions()
+                for c in itertools.product(*map(range, space.shape))
                 if rng.random() < 0.3
             }
             dataset = Dataset(space, counts)
@@ -294,11 +289,12 @@ def test_criterion_8_generalization_gap(capsys):
     note: dict = {}
     with criterion(capsys, 8, 120.0, note):
         stages = [preset_space("pnp_object"), preset_space("pnp_action")]
-        histories = sequential_expansion(stages, compositional_family(7), FlywheelConfig())
+        compositional = dataclasses.replace(default_family(7), blacklist=())
+        histories = sequential_expansion(stages, compositional, FlywheelConfig())
         assert all(h.converged for h in histories)
         final = histories[-1]
 
-        clean = compositional_family(7).params_for(final.world_space)
+        clean = compositional.params_for(final.world_space)
         _, _, gap_clean = generalization_gap(
             clean, final.dataset, final.space, final.world_space, 20
         )

@@ -33,7 +33,6 @@ from facil.dataset import Dataset
 from facil.flywheel import FlywheelConfig, run_flywheel, sequential_expansion
 from facil.oracle import (
     OracleParams,
-    compositional_family,
     default_family,
     default_params,
     success_tensor,
@@ -304,10 +303,11 @@ def test_transfer_ablation_removes_curation_advantage():
 
 def test_generalization_gap_zero_without_blacklist():
     stages = [preset_space("pnp_object"), preset_space("pnp_action")]
-    histories = sequential_expansion(stages, compositional_family(7), FlywheelConfig())
+    compositional = dataclasses.replace(default_family(7), blacklist=())
+    histories = sequential_expansion(stages, compositional, FlywheelConfig())
     assert all(h.converged for h in histories)
     h = histories[1]
-    params = compositional_family(7).params_for(h.world_space)
+    params = compositional.params_for(h.world_space)
     rate_reduced, rate_full, gap = generalization_gap(
         params, h.dataset, h.space, h.world_space, 20
     )

@@ -10,8 +10,8 @@ import pytest
 from facil import curation
 from facil.curation import aggregated_tensor, curate_expansion
 from facil.dataset import Dataset
-from facil.orbit import hypercube_span
 from facil.spaces import Tensor, build_space
+from reference import hypercube_span
 
 
 def grid_space(shape):

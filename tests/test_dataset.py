@@ -9,9 +9,7 @@ import pytest
 
 from facil.dataset import (
     Dataset,
-    DemoBatch,
     DemoBatches,
-    add_demos,
     add_many,
     dataset_from_doc,
     dataset_to_csv,
@@ -27,11 +25,11 @@ def space3x2():
 
 
 def test_demo_batch_requires_positive_count():
-    with pytest.raises(ValueError):
-        DemoBatch((0, 0), 0)
-    with pytest.raises(ValueError):
-        DemoBatch((0, 0), -3)
-    assert DemoBatch((0, 1), 5).count == 5
+    with pytest.raises(ValueError, match="^batch count must be >= 1, got 0$"):
+        DemoBatches([0], [0])
+    with pytest.raises(ValueError, match="^batch count must be >= 1, got -3$"):
+        DemoBatches([0, 1], [2, -3])
+    assert DemoBatches([1], [5]).counts.tolist() == [5]
 
 
 def test_dataset_validates_compositions_and_counts():
@@ -54,8 +52,8 @@ def test_non_integral_counts_are_rejected():
             dataset_from_doc(dict(doc, counts={"0/1": bad, "2/0": 3}))
         with pytest.raises(ValueError, match="^counts: must be an integer"):
             Dataset(space, {(0, 1): bad})
-        with pytest.raises(ValueError, match="^batch count: must be an integer"):
-            DemoBatch((0, 1), bad)
+        with pytest.raises(ValueError, match="^batch counts: must be an integer"):
+            DemoBatches([1], [bad])
     with pytest.raises(ValueError, match="^batch counts: must be an integer"):
         DemoBatches([1, 4], [2.7, 3])
     with pytest.raises(ValueError, match="^batch cells: must be an integer"):
@@ -78,7 +76,7 @@ def test_non_integral_counts_are_rejected():
         Dataset(space, {(0, 1): -(2**63) - 1})
     # compositions: these used to be truncated to (0, 1), (1, 0) and (1, 1)
     with pytest.raises(ValueError, match="^composition: must be an integer, got 0.7"):
-        DemoBatch((0.7, 1), 2)
+        space.cells([(0.7, 1)])  # the composition check behind every batch cell
     with pytest.raises(ValueError, match="^composition: must be an integer, got 1.9"):
         Dataset(space, {(1.9, 0): 3})
     with pytest.raises(ValueError, match="^composition: must be an integer, got 1.9"):
@@ -88,15 +86,15 @@ def test_non_integral_counts_are_rejected():
     assert dataset_from_doc(doc) == expected
     assert Dataset(space, {(0, 1): np.int32(2), (2, 0): np.uint64(3)}) == expected
     assert Dataset.from_grid(space, np.array([0, 2, 0, 0, 3, 0], dtype=np.int8)) == expected
-    assert DemoBatch((0, 1), np.int64(2)).count == 2
-    assert add_many(Dataset.empty(space), DemoBatches([1, 4], np.array([2, 3]))) == expected
+    assert DemoBatches([1], [np.int64(2)]).counts.tolist() == [2]
+    assert add_many(Dataset(space), DemoBatches([1, 4], np.array([2, 3]))) == expected
 
 
-def test_add_demos_is_value_semantic():
+def test_add_many_is_value_semantic():
     space = space3x2()
-    d0 = Dataset.empty(space)
-    d1 = add_demos(d0, DemoBatch((1, 0), 4))
-    d2 = add_demos(d1, DemoBatch((1, 0), 6))
+    d0 = Dataset(space)
+    d1 = add_many(d0, DemoBatches(space.cells([(1, 0)]), [4]))
+    d2 = add_many(d1, DemoBatches(space.cells([(1, 0)]), [6]))
 
     assert d0.total == 0 and d0.support == frozenset()
     assert d1.count_at((1, 0)) == 4
@@ -106,17 +104,18 @@ def test_add_demos_is_value_semantic():
 
 def test_add_many_accumulates():
     space = space3x2()
-    d = add_many(
-        Dataset.empty(space),
-        [DemoBatch((0, 0), 1), DemoBatch((2, 1), 2), DemoBatch((0, 0), 3)],
-    )
+    d = add_many(Dataset(space), DemoBatches(space.cells([(0, 0), (2, 1), (0, 0)]), [1, 2, 3]))
     assert d.total == 6
     assert d.count_at((0, 0)) == 4
     assert d.support == frozenset({(0, 0), (2, 1)})
-    with pytest.raises(ValueError):
-        add_many(d, [DemoBatch((0, 0), 1), DemoBatch((3, 0), 1)])
-    with pytest.raises(ValueError):
-        add_demos(d, DemoBatch((0, 0, 0), 1))
+    with pytest.raises(ValueError, match="^composition \\(3, 0\\): index 3 out of range"):
+        space.cells([(0, 0), (3, 0)])
+    with pytest.raises(ValueError, match="^composition \\(0, 0, 0\\) has 3 entries"):
+        space.cells([(0, 0, 0)])
+    with pytest.raises(ValueError, match="^batch cells outside the 6 cells of the space$"):
+        add_many(d, DemoBatches([0, 6], [1, 1]))
+    with pytest.raises(ValueError, match="^batch cells outside"):
+        add_many(d, DemoBatches([-1], [1]))
 
 
 def test_grid_is_read_only_and_counts_ascend_by_linear_index():
@@ -146,13 +145,13 @@ def test_from_grid_copies_and_validates():
 def test_totals_that_would_reach_2_to_the_63_are_rejected():
     space = space3x2()
     half = 2**62
-    d = add_many(Dataset.empty(space), [DemoBatch((0, 0), half - 1), DemoBatch((1, 1), half)])
+    d = add_many(Dataset(space), DemoBatches(space.cells([(0, 0), (1, 1)]), [half - 1, half]))
     assert d.total == 2**63 - 1
     with pytest.raises(OverflowError):
-        add_demos(d, DemoBatch((2, 0), 1))
+        add_many(d, DemoBatches(space.cells([(2, 0)]), [1]))
     # two batches at one cell would wrap that cell, not only the total
     with pytest.raises(OverflowError):
-        add_many(Dataset.empty(space), [DemoBatch((0, 0), half), DemoBatch((0, 0), half)])
+        add_many(Dataset(space), DemoBatches(space.cells([(0, 0), (0, 0)]), [half, half]))
     # an int64 grid whose sum wraps to a small positive total
     with pytest.raises(OverflowError):
         Dataset.from_grid(space, [2**63 - 1, 2**63 - 1, 2, 0, 0, 0])
@@ -183,7 +182,7 @@ def test_support_and_ratios_ordering_and_normalization():
 
 def test_ratios_of_empty_dataset_error():
     with pytest.raises(ValueError):
-        support_and_ratios(Dataset.empty(space3x2()))
+        support_and_ratios(Dataset(space3x2()))
 
 
 def test_marginal_counts():

@@ -13,7 +13,7 @@ import pytest
 import facil.dataset
 import facil.flywheel
 import facil.spaces
-from facil.dataset import Dataset, DemoBatch, add_many
+from facil.dataset import Dataset, DemoBatches, add_many
 from facil.flywheel import (
     EVALUATION_MODES,
     FlywheelConfig,
@@ -26,7 +26,6 @@ from facil.flywheel import (
 )
 from facil.oracle import (
     OracleParams,
-    compositional_family,
     default_family,
     default_params,
     derive_tag,
@@ -38,8 +37,12 @@ from facil.spaces import (
     preset_space,
     product_space,
     reduced_product,
-    slot_base_compositions,
 )
+
+
+def compositional_params(space):
+    """The default oracle constants with no blacklisted interactions at all."""
+    return dataclasses.replace(default_family(7), blacklist=()).params_for(space)
 
 
 def hard_params(space, kappa0=1e9, seed=3):
@@ -166,13 +169,13 @@ def test_flywheel_config_validation_and_doc_round_trip():
 
 def test_immediate_convergence_keeps_diagonal_support():
     space = preset_space("pnp_object")
-    params = compositional_family(7).params_for(space)
+    params = compositional_params(space)
     history = run_flywheel(space, params, FlywheelConfig())
 
     assert history.converged
     assert history.iterations == 1
     rec = history.records[0]
-    assert rec.batches == ()
+    assert len(rec.trace.cells) == 0
     assert rec.trace.steps == ()
     assert rec.total_after == rec.total_before == 4 * 50
     assert rec.rollouts_spent == space.cardinality * 5
@@ -187,7 +190,7 @@ def test_capped_run_reports_not_converged():
     assert history.iterations == 1
     rec = history.records[0]
     assert rec.overall_rate == 0.0
-    assert len(rec.batches) > 0
+    assert len(rec.trace.cells) > 0
     assert rec.total_after > rec.total_before
 
 
@@ -215,7 +218,7 @@ def test_iteration_record_invariants_on_long_run():
 
 def test_initial_compositions_override():
     space = preset_space("pnp_object")
-    params = compositional_family(7).params_for(space)
+    params = compositional_params(space)
     cfg = FlywheelConfig(initial_compositions=((0, 3), (3, 0)))
     history = run_flywheel(space, params, cfg)
     assert history.initial_dataset.support == frozenset({(0, 3), (3, 0)})
@@ -258,8 +261,7 @@ def test_history_json_round_trip_is_bit_exact():
     assert len(again.records) == len(history.records)
     for a, b in zip(again.records, history.records):
         assert a.report.successes.tolist() == b.report.successes.tolist()
-        assert a.batches == b.batches
-        assert a.trace == b.trace
+        assert a.trace == b.trace  # the batches are the trace's cells
         assert a.dataset_after == b.dataset_after
 
 
@@ -366,8 +368,10 @@ def test_history_fields_derive_from_records():
                 assert rec.support_after == len(rec.dataset_after.support)
                 assert rec.overall_rate == rec.report.overall
                 assert rec.rollouts_spent == rec.report.total_rollouts == space.cardinality * 5
-                assert len(rec.batches) == len(rec.trace.steps)
-                assert rec.dataset_after == add_many(rec.dataset_before, rec.batches)
+                # a plain run's pass folds one batch_size batch at each traced cell
+                sizes = np.full(len(rec.trace.cells), rec.trace.batch_size)
+                batches = DemoBatches(rec.trace.cells, sizes)
+                assert rec.dataset_after == add_many(rec.dataset_before, batches)
 
 
 def test_stage_labels():
@@ -480,23 +484,29 @@ def test_reduced_run_decodes_slot_labels_once(mode):
     space = reduced_product([((0, 0), 0.5), ((1, 1), 0.5)], preset_space("environment"))
     world = product_space(preset_space("pnp_object"), preset_space("environment"))
     cfg = FlywheelConfig(evaluation_mode=mode, max_iterations=3)
-    decode = mock.Mock(wraps=facil.spaces.slot_base_compositions)
-    with mock.patch.object(facil.spaces, "slot_base_compositions", decode):
+    decode = mock.Mock(wraps=facil.spaces.parse_composition)
+    with mock.patch.object(facil.spaces, "parse_composition", decode):
         history = run_flywheel(space, hard_params(world), cfg, world=world)
     assert history.iterations == 3 and not history.converged
-    assert all(rec.trace.steps for rec in history.records)  # every iteration curated
-    assert decode.call_count == 1
+    assert all(len(rec.trace.cells) for rec in history.records)  # every iteration curated
+    assert decode.call_count == len(space.dims[0])  # once per slot label
 
 
 def per_slot_batches(space, cfg, selection):
-    """The world batches of one batch at a curation cell, one DemoBatch per slot."""
+    """The world batches of one batch at a curation cell, as (composition, count) per slot."""
     if space.slot_ratios is None:
-        return [DemoBatch(selection, cfg.unit_size)]
-    bases = slot_base_compositions(space)
+        return [(selection, cfg.unit_size)]
+    bases = [tuple(map(int, label.split("/"))) for label in space.dims[0].levels]
     if cfg.evaluation_mode == "exact":
-        return [DemoBatch(bases[selection[0]] + tuple(selection[1:]), cfg.unit_size)]
+        return [(bases[selection[0]] + tuple(selection[1:]), cfg.unit_size)]
     shares = apportion_counts(cfg.unit_size, space.slot_ratios)
-    return [DemoBatch(b + tuple(selection), n) for b, n in zip(bases, shares) if n > 0]
+    return [(b + tuple(selection), n) for b, n in zip(bases, shares) if n > 0]
+
+
+def fold(dataset, batches):
+    """add_many of (world composition, count) batches, placed one composition at a time."""
+    cells = dataset.space.cells([c for c, _ in batches])
+    return add_many(dataset, DemoBatches(cells, [n for _, n in batches]))
 
 
 def random_run(rng):
@@ -507,7 +517,7 @@ def random_run(rng):
     if mode == "plain":
         space = world = curation_space = base
     else:
-        cells = list(base.compositions())
+        cells = [base.decode(i) for i in range(base.cardinality)]
         picked = rng.choice(len(cells), size=int(rng.integers(1, len(cells) + 1)), replace=False)
         weights = rng.integers(1, 6, len(picked))
         support = [(cells[i], w / weights.sum()) for i, w in zip(picked, weights)]
@@ -516,7 +526,7 @@ def random_run(rng):
         curation_space = space if mode == "exact" else new_factor_subspace(space)
     initial = None
     if rng.random() < 0.5:  # repeated cells on purpose
-        cells = list(curation_space.compositions())
+        cells = [curation_space.decode(i) for i in range(curation_space.cardinality)]
         initial = [cells[i] for i in rng.integers(0, len(cells), int(rng.integers(1, 8)))]
     cfg = FlywheelConfig(
         tau=float(rng.choice([0.5, 0.8, 0.95])),
@@ -548,7 +558,7 @@ def test_array_fold_equals_per_slot_demo_batches():
 
         init = cfg.initial_compositions or diagonal_init(curation_space)
         batches = [wb for c in init for wb in per_slot_batches(space, cfg, c)]
-        expected = add_many(Dataset.empty(world), batches)
+        expected = fold(Dataset(world), batches)
         expected_sizes = [len(batches)]
         assert history.initial_dataset == expected, case
         for rec in history.records:
@@ -556,7 +566,7 @@ def test_array_fold_equals_per_slot_demo_batches():
                 batches = [
                     wb for s in rec.trace.steps for wb in per_slot_batches(space, cfg, s.selected)
                 ]
-                expected = add_many(expected, batches)
+                expected = fold(expected, batches)
                 expected_sizes.append(len(batches))
             assert rec.dataset_after == expected, case
         assert sizes == expected_sizes, case

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from facil.dataset import Dataset, DemoBatch, InputMemoryError, add_many, marginal_counts
+from facil.dataset import Dataset, DemoBatches, InputMemoryError, add_many, marginal_counts
 from facil.oracle import (
     _CHUNK_CELLS,
     DEFAULT_BETA,
@@ -23,7 +24,6 @@ from facil.oracle import (
     _cell_uniforms,
     _philox_words,
     _rollout_hits,
-    compositional_family,
     default_family,
     default_params,
     derive_tag,
@@ -147,7 +147,8 @@ def test_family_instantiates_per_space():
     line = family.params_for(build_space([("only", ["l0", "l1", "l2"])]))
     assert line.blacklist == frozenset()
 
-    assert compositional_family(9).params_for(preset_space("pnp_object")).blacklist == frozenset()
+    compositional = dataclasses.replace(default_family(9), blacklist=())
+    assert compositional.params_for(preset_space("pnp_object")).blacklist == frozenset()
 
 
 def test_blacklist_cuts_transfer_at_matching_cells():
@@ -262,7 +263,7 @@ def test_success_probability_formula():
         energy = float(d.grid[c]) + (0.0 if blocked else p.beta * weakest)
         return min(p.p_max, 1.0 - math.exp(-energy / p.kappa0))
 
-    for c in space.compositions():
+    for c in map(space.decode, range(space.cardinality)):
         assert success_prob(c) == pytest.approx(probs[c])
 
 
@@ -290,7 +291,7 @@ def test_blacklist_blocks_transfer_but_not_direct():
     assert probs[(1, 1)] == 0.0
 
     # direct demos at the blacklisted cell still count
-    d2 = add_many(d, [DemoBatch((1, 1), 30)])
+    d2 = add_many(d, DemoBatches(space.cells([(1, 1)]), [30]))
     probs2 = success_tensor(p, d2)
     assert probs2[(1, 1)] == pytest.approx(1.0 - math.exp(-30 / 10.0))
 
@@ -313,7 +314,7 @@ def test_energy_past_float_range_gives_p_max_without_a_numpy_warning():
 def test_one_demo_per_level_saturates_default_transfer():
     """beta = 3*kappa0: a single demo through a level already clears 0.95."""
     space = preset_space("pnp_object")
-    params = compositional_family(0).params_for(space)
+    params = dataclasses.replace(default_family(0), blacklist=()).params_for(space)
     d = Dataset(space, {(i, i): 1 for i in range(4)})
     probs = success_tensor(params, d)
     off_diag = probs[(0, 1)]
@@ -336,7 +337,7 @@ def test_simulate_evaluation_reports_consistent_counts():
 def test_simulate_evaluation_rejects_shape_mismatch():
     space = preset_space("pnp_object")
     params = default_params(space, 7)
-    d = Dataset.empty(space)
+    d = Dataset(space)
     with pytest.raises(ValueError):
         simulate_evaluation(params, d, preset_space("environment"), k=2)
     with pytest.raises(ValueError):
@@ -399,7 +400,7 @@ def test_rollouts_are_deterministic_and_thread_invariant():
 def test_rollouts_vary_with_tag_and_seed():
     space = preset_space("pnp_object")
     # seven direct demos per cell with kappa 10: p ~ 0.5 everywhere
-    d = Dataset(space, {c: 7 for c in space.compositions()})
+    d = Dataset.from_grid(space, np.full(space.cardinality, 7))
     p7 = plain_params(space, seed=7)
     base = simulate_evaluation(p7, d, space, k=64, iteration_tag=0)
     other_tag = simulate_evaluation(p7, d, space, k=64, iteration_tag=1)
@@ -414,14 +415,14 @@ def test_degenerate_probabilities_have_no_sampling_noise():
     d = Dataset(space, {(0, 0): 1, (1, 1): 1})  # saturates every cell
     report = simulate_evaluation(p, d, space, k=25)
     assert report.successes.tolist() == [25, 25, 25, 25]
-    empty = simulate_evaluation(p, Dataset.empty(space), space, k=25)
+    empty = simulate_evaluation(p, Dataset(space), space, k=25)
     assert empty.successes.tolist() == [0, 0, 0, 0]
 
 
 def test_evaluation_csv_layout():
     space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1"])])
     p = plain_params(space)
-    report = simulate_evaluation(p, Dataset.empty(space), space, k=2)
+    report = simulate_evaluation(p, Dataset(space), space, k=2)
     lines = report.to_csv().splitlines()
     assert lines[0] == "composition_indices,successes,k,rate"
     assert len(lines) == 5
@@ -438,9 +439,7 @@ def test_mapped_evaluation_expands_slot_prefixes():
     reduced = reduced_product([((0, 0), 0.5), ((1, 1), 0.5)], nxt)
     params = plain_params(world, kappa0=0.001, beta=0.0)
     # saturate exactly the (0,0,*) prefix; leave (1,1,*) empty
-    d = add_many(
-        Dataset.empty(world), [DemoBatch((0, 0, 0), 9), DemoBatch((0, 0, 1), 9)]
-    )
+    d = Dataset(world, {(0, 0, 0): 9, (0, 0, 1): 9})
     report = mapped_evaluation(params, d, reduced, k=6, iteration_tag=2)
     assert report.space == reduced
     assert report.total_rollouts == reduced.cardinality * 6
@@ -458,11 +457,7 @@ def test_ratio_guided_evaluation_budget_and_determinism():
     )
     reduced = reduced_product([((0, 0), 0.25), ((1, 1), 0.75)], nxt)
     params = plain_params(world, kappa0=0.001, beta=0.0)
-    d = add_many(
-        Dataset.empty(world),
-        [DemoBatch((0, 0, 0), 9), DemoBatch((0, 0, 1), 9),
-         DemoBatch((1, 1, 0), 9), DemoBatch((1, 1, 1), 9)],
-    )
+    d = Dataset(world, {(0, 0, 0): 9, (0, 0, 1): 9, (1, 1, 0): 9, (1, 1, 1): 9})
     report = ratio_guided_evaluation(params, d, reduced, k=10, iteration_tag=4)
     # only the new-factor sub-grid is enumerated
     assert report.space.shape == (2,)
@@ -676,7 +671,7 @@ def test_k_too_large_fails_even_when_no_cell_draws(k):
     world = product_space(base, nxt)
     reduced = reduced_product([((0, 0), 0.25), ((1, 1), 0.75)], nxt)
     params = plain_params(world)
-    empty = Dataset.empty(world)
+    empty = Dataset(world)
     with pytest.raises(InputMemoryError, match=r"^flywheel\.k: "):
         simulate_evaluation(params, empty, world, k=k)
     with pytest.raises(InputMemoryError, match=r"^flywheel\.k: "):

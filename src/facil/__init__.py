@@ -27,8 +27,6 @@ from .dataset import (
     dataset_from_doc,
     dataset_to_csv,
     dataset_to_doc,
-    marginal_counts,
-    support_and_ratios,
 )
 from .flywheel import (
     BudgetReport,
@@ -101,7 +99,6 @@ __all__ = [
     "fit_power_law",
     "generalization_gap",
     "mapped_evaluation",
-    "marginal_counts",
     "preset_space",
     "product_closure",
     "product_space",
@@ -112,5 +109,4 @@ __all__ = [
     "sequential_expansion",
     "simulate_evaluation",
     "success_tensor",
-    "support_and_ratios",
 ]

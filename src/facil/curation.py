@@ -206,7 +206,7 @@ def curate_expansion(
     order = _score_order(scores)
     strides = [math.prod(space.shape[m + 1 :]) for m in range(space.ndim)]
     axes = list(zip(strides, space.shape))
-    support = np.argwhere(dataset.grid) * np.array(strides, dtype=np.intp)
+    support = dataset.support_points * np.array(strides, dtype=np.intp)
     subsets = None
     if _use_table(space.shape):
         subsets = _subset_sums(np.identity(space.ndim, dtype=np.intp))  # [m, P]: is m in P
@@ -224,8 +224,10 @@ def curate_expansion(
             position += int(ahead.argmin()) or len(ahead)
         selected = int(order[position])
         row = np.array([selected // stride % size * stride for stride, size in axes])
-        if rows == len(support):
-            support = np.pad(support, [(0, rows + 1), (0, 0)])
+        if rows == len(support):  # double the rows: one allocation and one copy
+            grown = np.empty((2 * rows + 1, support.shape[1]), dtype=support.dtype)
+            grown[:rows] = support
+            support = grown
         # span(s, s) is {s}, so adding s to the support first also marks s itself
         support[rows] = row if subsets is None else row @ subsets
         rows += 1

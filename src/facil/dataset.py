@@ -7,12 +7,12 @@ enter from outside: the constructors, added batches and the plain-dict
 loader.  A count must be an integer; 2.7 raises ValueError
 rather than becoming 2.  A batch is a block of identical demonstrations at
 one cell; ``DemoBatches`` holds many as flat cell indices and counts, the one
-batch form, and ``add_many`` folds them all with one ``np.add.at``.
-``Dataset.support_columns`` reads the support with one ``argwhere`` and
-labels it one axis at a time (``composition_labels``), once per dataset,
-which keeps them; ``dataset_to_csv`` joins those labels and counts directly,
-``dataset_to_doc`` gives the dict form that JSON writers nest, and
-``RunHistory.to_json`` takes the columns as they are.
+batch form; ``add_many`` folds them all with one ``np.add.at`` into its one
+copy of the grid.  A dataset is the one reader of its grid, and makes its
+``total``, flat support (``support_cells``) and level ``marginals`` at most
+once; the support views and ``support_columns`` (labelled with
+``composition_labels``) read the flat support.  ``dataset_to_csv`` joins
+those labels and counts, ``dataset_to_doc`` gives the dict JSON writers nest.
 JSON text itself is made only where a file is written.  A total that would
 reach 2**63 raises OverflowError before it is stored (batch counts are summed
 as Python ints); a count grid the host cannot allocate raises
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -67,44 +66,57 @@ class Dataset:
             raise InputMemoryError("space", detail) from exc
         if counts:
             grid.flat[space.cells(list(counts))] = integer_array(list(counts.values()), "counts")
-        self._freeze(space, grid)
+        self._freeze(space, grid, None if counts else 0)  # an all-zero grid needs no check
 
     @classmethod
     def from_grid(cls, space: FactorSpace, grid: np.ndarray) -> "Dataset":
         """Dataset with a copy of a count array of the space's size."""
-        out = cls.__new__(cls)
-        out._freeze(space, np.array(integer_array(grid, "grid")).reshape(space.shape))
-        return out
+        grid = np.array(integer_array(grid, "grid")).reshape(space.shape)
+        return cls.__new__(cls)._freeze(space, grid)
 
-    def _freeze(self, space: FactorSpace, grid: np.ndarray) -> None:
-        if (grid < 0).any():
+    def _freeze(self, space: FactorSpace, grid: np.ndarray, total: int | None = None) -> "Dataset":
+        if total is not None:  # a fold's grid: its total is checked and no count went down
+            self.__dict__["total"] = total  # the cached_property's slot
+        elif (grid < 0).any():
             raise ValueError(f"negative count at {space.decode(int(np.argmin(grid)))}")
         # int64 sums wrap, so a total near 2**63 is summed again exactly in Python ints
-        if grid.sum(dtype=float) >= 2.0**62 and sum(grid.ravel().tolist()) >= 2**63:
+        elif grid.sum(dtype=float) >= 2.0**62 and sum(grid.ravel().tolist()) >= 2**63:
             raise OverflowError("total demo count must stay below 2**63")
         grid.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "grid", grid)
+        return self
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
         return self.space == other.space and np.array_equal(self.grid, other.grid)
 
-    @property
-    def counts(self) -> Mapping[Composition, int]:
-        """Nonzero counts keyed by composition, in ascending linear index."""
-        points = np.argwhere(self.grid)  # row-major, so ascending linear index
-        values = self.grid[tuple(points.T)].tolist()
-        return MappingProxyType(dict(zip(map(tuple, points.tolist()), values)))
-
-    @property
+    @cached_property
     def total(self) -> int:
         return int(self.grid.sum())
 
+    @cached_property
+    def support_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support's flat cells, ascending, and the counts there: one scan, kept read-only."""
+        cells = np.flatnonzero(self.grid)
+        counts = self.grid.reshape(-1)[cells]
+        cells.setflags(write=False)
+        counts.setflags(write=False)
+        return cells, counts
+
+    @property
+    def support_size(self) -> int:
+        return len(self.support_cells[0])
+
+    @property
+    def support_points(self) -> np.ndarray:
+        """The support compositions as rows of an (n, ndim) array, ascending linear index."""
+        return np.stack(np.unravel_index(self.support_cells[0], self.space.shape), axis=-1)
+
     @property
     def support(self) -> frozenset[Composition]:
-        return frozenset(map(tuple, np.argwhere(self.grid).tolist()))
+        return frozenset(map(tuple, self.support_points.tolist()))
 
     def count_at(self, c: Composition) -> int:
         return int(self.grid.flat[self.space.encode(c)])
@@ -115,10 +127,20 @@ class Dataset:
 
         Made on first use and kept: every writer of this dataset reads them.
         """
-        points = np.argwhere(self.grid)  # row-major, so ascending linear index
-        counts = self.grid[tuple(points.T)]
-        counts.setflags(write=False)
-        return tuple(composition_labels(points)), counts
+        return tuple(composition_labels(self.support_points)), self.support_cells[1]
+
+    @cached_property
+    def marginals(self) -> tuple[np.ndarray, ...]:
+        """Read-only ``grid.sum(axis=others)`` per axis: each pass sums away half its axes."""
+
+        def halves(part: np.ndarray) -> list[np.ndarray]:
+            part.setflags(write=False)
+            if part.ndim == 1:
+                return [part]
+            lead, trail = tuple(range(part.ndim // 2)), tuple(range(part.ndim // 2, part.ndim))
+            return halves(part.sum(axis=trail)) + halves(part.sum(axis=lead))
+
+        return tuple(halves(self.grid))
 
 
 class DemoBatches:
@@ -148,39 +170,16 @@ def add_many(dataset: Dataset, batches: DemoBatches) -> Dataset:
     if len(cells) and not (cells.min() >= 0 and cells.max() < dataset.grid.size):
         raise ValueError(f"batch cells outside the {dataset.grid.size} cells of the space")
     # summed as Python ints: no cell can wrap if the total cannot, but an int64 sum can
-    if dataset.total + sum(batches.counts.tolist()) >= 2**63:
+    total = dataset.total + sum(batches.counts.tolist())
+    if total >= 2**63:
         raise OverflowError("total demo count must stay below 2**63")
-    grid = dataset.grid.copy()
+    grid = dataset.grid.copy()  # the one copy, owned by the new dataset
     np.add.at(grid.reshape(-1), cells, batches.counts)
-    return Dataset.from_grid(dataset.space, grid)
+    return Dataset.__new__(Dataset)._freeze(dataset.space, grid, total)
 
 
 # Kept only for bench/tracer.py, which wraps this lookup site.
 add_demos = add_many
-
-
-def support_and_ratios(
-    dataset: Dataset,
-) -> tuple[frozenset[Composition], dict[Composition, float]]:
-    """The support f(D) and each support composition's share of the total.
-
-    Ratios are ordered by ascending linear index and sum to 1 within 1e-12.
-    Requesting ratios of an empty dataset is an error; the support of an
-    empty dataset is the empty set.
-    """
-    counts = dataset.counts
-    if not counts:
-        raise ValueError("empty dataset has no ratios")
-    total = dataset.total
-    return frozenset(counts), {c: n / total for c, n in counts.items()}
-
-
-def marginal_counts(dataset: Dataset, dim: int) -> np.ndarray:
-    """Demo counts aggregated per level of one dimension."""
-    if not 0 <= dim < dataset.space.ndim:
-        raise ValueError(f"dimension {dim} out of range for {dataset.space.ndim} dims")
-    others = tuple(m for m in range(dataset.space.ndim) if m != dim)
-    return dataset.grid.sum(axis=others)
 
 
 CSV_HEADER = ["composition_indices", "count"]

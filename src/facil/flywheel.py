@@ -11,7 +11,8 @@ It places batches, and gathers curation's view of the world dataset, through
 it; the reduced evaluations read success probabilities at the same cells.
 The seeding and each pass's selected cells (``CurationTrace.cells``) fold
 into the world grid as one ``DemoBatches`` through ``add_many``; no
-selection is decoded, and no batch is an object of its own.
+selection is decoded, and no batch is an object of its own.  Totals,
+support sizes and the next stage's slots come from what each dataset keeps.
 ``RunHistory.to_json`` renders each distinct space and dataset (from the
 labels the dataset keeps) once per call, as a ``Block`` re-indented
 wherever else it appears, and writes the document with ``json_text``, the
@@ -37,7 +38,6 @@ from .dataset import (
     InputMemoryError,
     add_many,
     dataset_from_doc,
-    support_and_ratios,
 )
 from .oracle import (
     EvaluationReport,
@@ -132,7 +132,7 @@ class IterationRecord:
 
     @property
     def support_before(self) -> int:
-        return int(np.count_nonzero(self.dataset_before.grid))
+        return self.dataset_before.support_size
 
     @property
     def total_after(self) -> int:
@@ -140,7 +140,7 @@ class IterationRecord:
 
     @property
     def support_after(self) -> int:
-        return int(np.count_nonzero(self.dataset_after.grid))
+        return self.dataset_after.support_size
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ class RunHistory:
             "converged": self.converged,
             "iterations": self.iterations,
             "total_demos": self.dataset.total,
-            "support_size": int(np.count_nonzero(self.dataset.grid)),
+            "support_size": self.dataset.support_size,
             "overall_rate": self.records[-1].overall_rate if self.records else None,
             "total_rollouts": self.total_rollouts,
         }
@@ -422,8 +422,10 @@ def sequential_expansion(
         if histories:
             if not histories[-1].converged:
                 break
-            _, ratios = support_and_ratios(histories[-1].dataset)
-            space = reduced_product(list(ratios.items()), grid)
+            inherited = histories[-1].dataset  # slots ascend; n / total divides Python ints
+            ratios = [n / inherited.total for n in inherited.support_cells[1].tolist()]
+            slots = zip(map(tuple, inherited.support_points.tolist()), ratios)
+            space = reduced_product(list(slots), grid)
             world = product_space(world, grid)
         try:
             history = run_flywheel(

@@ -33,7 +33,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .dataset import Dataset, InputMemoryError, marginal_counts
+from .dataset import Dataset, InputMemoryError
 from .spaces import (
     FactorSpace,
     Tensor,
@@ -307,7 +307,7 @@ def success_at(params: OracleParams, dataset: Dataset, cells: np.ndarray | None 
 
     The result has the shape of ``cells``; with no cells it covers the whole
     grid, in the space's shape.  Each term is read at one coordinate array
-    per axis, so the marginal sums are the only whole-grid reads.
+    per axis, so the dataset's kept marginals are the only whole-grid reads.
     """
     space = dataset.space
     params.check_space(space)
@@ -315,7 +315,7 @@ def success_at(params: OracleParams, dataset: Dataset, cells: np.ndarray | None 
         coords, direct = np.indices(space.shape, sparse=True), dataset.grid
     else:
         coords, direct = np.unravel_index(cells, space.shape), dataset.grid.reshape(-1)[cells]
-    *rest, last = (marginal_counts(dataset, m)[c] for m, c in enumerate(coords))
+    *rest, last = (marginal[c] for marginal, c in zip(dataset.marginals, coords))
     blocked = False
     for (da, la), (db, lb) in params.blacklist:
         blocked = blocked | ((coords[da] == la) & (coords[db] == lb))

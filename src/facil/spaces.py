@@ -140,10 +140,20 @@ class FactorSpace:
 
     @cached_property
     def slot_bases(self) -> np.ndarray:
-        """A reduced space's slot base compositions, one read-only row each, parsed once."""
+        """A reduced space's slot base compositions, one read-only row each, parsed once.
+
+        A label that is not as many '/'-joined level indices as the first raises ValueError.
+        """
         if self.slot_ratios is None:
             raise ValueError("space has no slot dimension with ratios")
-        bases = np.array([parse_composition(label) for label in self.dims[0].levels])
+        slot = self.dims[0]
+        width = slot.levels[0].count(SLOT_SEP) + 1
+        for label in slot.levels:
+            parts = label.split(SLOT_SEP)
+            if len(parts) != width or not all(p.isascii() and p.isdigit() for p in parts):
+                detail = f"label {label!r} is not {width} level indices joined by {SLOT_SEP!r}"
+                raise ValueError(f"slot dimension {slot.name!r}: {detail}")
+        bases = np.array([parse_composition(label) for label in slot.levels])
         bases.setflags(write=False)
         return bases
 

@@ -1,8 +1,9 @@
-"""Dataset value semantics, ratios, marginals, and serialization."""
+"""Dataset value semantics, kept support facts, marginals, and serialization."""
 
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,8 @@ from facil.dataset import (
     dataset_from_doc,
     dataset_to_csv,
     dataset_to_doc,
-    marginal_counts,
-    support_and_ratios,
 )
-from facil.spaces import build_space
+from facil.spaces import build_space, reduced_product
 
 
 def space3x2():
@@ -126,8 +125,15 @@ def test_grid_is_read_only_and_counts_ascend_by_linear_index():
         d.grid[0, 0] = 1
     with pytest.raises(ValueError):
         d.grid.reshape(-1)[0] = 1
-    assert list(d.counts) == [(0, 1), (1, 0), (2, 1)]
-    assert dict(d.counts) == {(0, 1): 7, (1, 0): 2, (2, 1): 4}
+    cells, counts = d.support_cells
+    assert cells.tolist() == space.cells([(0, 1), (1, 0), (2, 1)]).tolist()
+    assert counts.tolist() == [7, 2, 4]
+    assert d.support_points.tolist() == [[0, 1], [1, 0], [2, 1]]
+    assert d.support_size == 3
+    assert d.support_cells is d.support_cells  # one scan, then kept
+    for kept in (cells, counts):
+        with pytest.raises(ValueError):
+            kept[0] = 1
 
 
 def test_from_grid_copies_and_validates():
@@ -168,30 +174,74 @@ def test_flat_grid_follows_encode_order():
     assert arr.sum() == 16
 
 
-def test_support_and_ratios_ordering_and_normalization():
-    space = space3x2()
-    d = Dataset(space, {(2, 1): 30, (0, 0): 10, (1, 0): 60})
-    support, ratios = support_and_ratios(d)
-    assert support == frozenset({(0, 0), (1, 0), (2, 1)})
-    assert list(ratios) == [(0, 0), (1, 0), (2, 1)]  # ascending linear index
-    assert ratios[(0, 0)] == 0.1
-    assert ratios[(1, 0)] == 0.6
-    assert ratios[(2, 1)] == 0.3
-    assert abs(sum(ratios.values()) - 1.0) < 1e-12
-
-
 def test_ratios_of_empty_dataset_error():
-    with pytest.raises(ValueError):
-        support_and_ratios(Dataset(space3x2()))
+    # an empty dataset has an empty support in every view, so no slots to take ratios of
+    d = Dataset(space3x2())
+    assert d.total == 0 and d.support_size == 0 and d.support == frozenset()
+    assert d.support_points.shape == (0, 2)
+    assert d.support_columns[0] == () and d.support_columns[1].tolist() == []
+    with pytest.raises(ValueError, match="^support must be non-empty$"):
+        reduced_product([], space3x2())
 
 
 def test_marginal_counts():
     space = space3x2()
     d = Dataset(space, {(0, 0): 5, (0, 1): 2, (2, 1): 3})
-    assert marginal_counts(d, 0).tolist() == [7, 0, 3]
-    assert marginal_counts(d, 1).tolist() == [5, 5]
+    assert [m.tolist() for m in d.marginals] == [[7, 0, 3], [5, 5]]
+    assert d.marginals is d.marginals  # summed once, then kept
     with pytest.raises(ValueError):
-        marginal_counts(d, 2)
+        d.marginals[0][0] = 1
+
+
+def test_marginals_equal_per_axis_sums():
+    """Each marginal is ``grid.sum(axis=others)``, on 1 to 6 dims, empty and full grids."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=6)))
+        space = build_space([(f"d{m}", [f"l{j}" for j in range(n)]) for m, n in enumerate(shape)])
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        fill = draw(st.sampled_from(["zero", "sparse", "dense"]))
+        grid = rng.integers(0, draw(st.sampled_from([2, 50, 10**12])), shape)
+        if fill != "dense":
+            grid *= rng.random(shape) < (0.0 if fill == "zero" else 0.1)
+        return Dataset.from_grid(space, grid)
+
+    def check(d):
+        ndim = d.space.ndim
+        assert len(d.marginals) == ndim
+        for m, marginal in enumerate(d.marginals):
+            expected = d.grid.sum(axis=tuple(a for a in range(ndim) if a != m))
+            assert marginal.dtype == np.int64 and np.array_equal(marginal, expected)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(d=cases())
+    def property_(d):
+        check(d)
+
+    property_()
+    line = build_space([("a", ["x", "y", "z"])])
+    check(Dataset(line, {(1,): 4, (2,): 9}))  # 1-D: the marginal is the grid
+    check(Dataset(build_space([(f"d{m}", ["0", "1", "2"]) for m in range(6)])))  # all zero
+
+
+def test_fold_copies_the_grid_once():
+    """Folding a batch into a 10**6-cell dataset allocates the new grid and little else."""
+    space = build_space([(f"d{m}", [str(j) for j in range(100)]) for m in range(3)])
+    d = Dataset.from_grid(space, np.ones(space.shape, dtype=np.int64))
+    batch = DemoBatches(space.cells([(1, 2, 3)]), [5])
+    grid_bytes = d.grid.nbytes
+    tracemalloc.start()
+    try:
+        folded = add_many(d, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * grid_bytes, f"{peak / grid_bytes:.2f} grids"
+    assert folded.total == 10**6 + 5 == int(folded.grid.sum())
+    assert folded.count_at((1, 2, 3)) == 6 and not folded.grid.flags.writeable
 
 
 def test_csv_round_trip():

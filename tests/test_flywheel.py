@@ -418,6 +418,31 @@ def test_sequential_expansion_stops_after_failure():
     assert not histories[0].converged
 
 
+def test_stage_handoff_slots_ascend_with_python_int_ratios():
+    """The next stage's slots are the support in ascending linear index, each at n / total.
+
+    The ratios are divided as Python ints: at these counts numpy's float
+    division gives 0.4814814814814815 for 13/27, Python 0.48148148148148145.
+    """
+    unit = 17177801105091714
+    first = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1"])])
+    second = build_space([("c", ["c0", "c1"])])
+    # listed high cell first, so the order below is the handoff's own
+    cfg = FlywheelConfig(
+        unit_size=unit,
+        evaluation_mode="exact",
+        max_iterations=1,
+        initial_compositions=((1, 1),) * 14 + ((0, 0),) * 13,
+    )
+    family = OracleParams(kappa0=230.0, beta=690.0, p_max=1.0, blacklist=(), seed=7)
+    first_run, second_run = sequential_expansion([first, second], family, cfg)
+    assert first_run.converged and first_run.dataset.total == 27 * unit
+    assert second_run.space.dims[0].levels == ("0/0", "1/1")
+    assert second_run.space.slot_ratios == (13 * unit / (27 * unit), 14 * unit / (27 * unit))
+    assert second_run.space.slot_ratios[0] == 0.48148148148148145
+    assert abs(sum(second_run.space.slot_ratios) - 1.0) < 1e-12
+
+
 def test_sequential_expansion_validates_stage_one():
     space = preset_space("pnp_object")
     nxt = preset_space("environment")

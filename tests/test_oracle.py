@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from facil.dataset import Dataset, DemoBatches, InputMemoryError, add_many, marginal_counts
+from facil.dataset import Dataset, DemoBatches, InputMemoryError, add_many
 from facil.oracle import (
     _CHUNK_CELLS,
     DEFAULT_BETA,
@@ -171,7 +171,7 @@ def broadcast_success(params, dataset):
     direct = dataset.grid.reshape(-1).astype(float)
     weakest = np.full(space.shape, np.inf)
     for m in range(space.ndim):
-        marg = marginal_counts(dataset, m).astype(float)
+        marg = dataset.grid.sum(axis=tuple(a for a in range(space.ndim) if a != m)).astype(float)
         shape = [1] * space.ndim
         shape[m] = marg.size
         weakest = np.minimum(weakest, marg.reshape(shape))
@@ -259,7 +259,8 @@ def test_success_probability_formula():
     def success_prob(c):
         """Scalar reference: direct demos plus transfer through the weakest marginal."""
         blocked = any(c[da] == la and c[db] == lb for (da, la), (db, lb) in p.blacklist)
-        weakest = min(float(marginal_counts(d, m)[c[m]]) for m in range(space.ndim))
+        sums = [d.grid.sum(axis=tuple(a for a in range(space.ndim) if a != m)) for m in range(space.ndim)]
+        weakest = min(float(sums[m][c[m]]) for m in range(space.ndim))
         energy = float(d.grid[c]) + (0.0 if blocked else p.beta * weakest)
         return min(p.p_max, 1.0 - math.exp(-energy / p.kappa0))
 

@@ -186,6 +186,16 @@ def test_reduced_product_slot_labels_and_ratios():
     assert new_factor_subspace(reduced).dims[0].name == "temp"
 
 
+def test_slot_bases_name_the_first_label_that_is_not_level_indices():
+    temp = FactorDimension("temp", ("cold", "hot"))
+    for labels, bad in [(("a", "b"), "a"), (("0/1", "2"), "2"), (("0/1", "0/-1"), "0/-1"), (("0/1", "0/1 "), "0/1 ")]:
+        space = FactorSpace((FactorDimension("inherited", labels), temp), slot_ratios=(0.5, 0.5))
+        with pytest.raises(ValueError, match=f"^slot dimension 'inherited': label '{bad}' is not "):
+            space.slot_bases
+    space = FactorSpace((FactorDimension("inherited", ("3", "10")), temp), slot_ratios=(0.5, 0.5))
+    assert space.slot_bases.tolist() == [[3], [10]]
+
+
 def test_slot_cells_are_world_cells_in_slot_order():
     base = small_space()
     nxt = build_space([("temp", ["cold", "hot"])])

@@ -47,10 +47,6 @@ from .oracle import (
     simulate_evaluation,
     success_tensor,
 )
-from .orbit import (
-    empirical_orbit,
-    product_closure,
-)
 from .spaces import (
     Composition,
     FactorDimension,
@@ -95,12 +91,10 @@ __all__ = [
     "default_family",
     "default_params",
     "diagonal_init",
-    "empirical_orbit",
     "fit_power_law",
     "generalization_gap",
     "mapped_evaluation",
     "preset_space",
-    "product_closure",
     "product_space",
     "ratio_guided_evaluation",
     "reduced_product",

@@ -4,7 +4,10 @@ Covers the quantitative side: power-law fitting of failure rate against demo
 count, gaussian/uniform baseline dataset samplers, budget-matched strategy
 comparison against the curation flywheel, the reduced-vs-full benchmark gap,
 and the factor-design checker that flags compositions the factor structure
-predicts but evaluation does not deliver.
+predicts but evaluation does not deliver.  That check works on bool grids of
+the space's shape: the predicted grid is the product of the levels training
+uses on each axis, the empirical grid is curation's marking rule, and no
+composition is held in a set.
 """
 
 from __future__ import annotations
@@ -15,10 +18,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .curation import _above_tau
 from .dataset import Dataset
 from .flywheel import FlywheelConfig, RunHistory, run_flywheel
 from .oracle import (
@@ -27,7 +32,6 @@ from .oracle import (
     mapped_evaluation,
     simulate_evaluation,
 )
-from .orbit import empirical_orbit, product_closure
 from .spaces import Composition, FactorSpace, Tensor, composition_labels, csv_text, integer
 
 STRATEGY_NAMES = ("facil_ratio", "factors_mixture", "gaussian")
@@ -276,23 +280,34 @@ def generalization_gap(
     return rate_reduced, rate_full, rate_reduced - rate_full
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositionalityReport:
-    """Product-closure predictions checked against measured success."""
+    """Product-closure predictions checked against measured success.
+
+    ``predicted`` and ``empirical`` are read-only bool grids of the space's
+    shape; ``violations`` are the predicted cells that are not empirical, in
+    row-major order.
+    """
 
     space: FactorSpace
-    predicted: frozenset[Composition]
-    empirical: frozenset[Composition]
+    predicted: np.ndarray
+    empirical: np.ndarray
     violations: tuple[Composition, ...]
     pair_counts: Mapping[tuple[int, int], int]
 
+    def __post_init__(self) -> None:
+        for name in ("predicted", "empirical"):
+            grid = np.array(getattr(self, name), dtype=bool).reshape(self.space.shape)
+            grid.setflags(write=False)
+            object.__setattr__(self, name, grid)
+
     @property
     def predicted_size(self) -> int:
-        return len(self.predicted)
+        return int(np.count_nonzero(self.predicted))
 
     @property
     def empirical_size(self) -> int:
-        return len(self.empirical)
+        return int(np.count_nonzero(self.empirical))
 
 
 def compositionality_check(
@@ -302,36 +317,33 @@ def compositionality_check(
 ) -> CompositionalityReport:
     """Which compositions does the factor design promise but not deliver?
 
-    Predicted compositions are the product closure of the training support;
-    empirical ones are those whose measured (or exact) success rate is
-    strictly above tau, the curation loop's marking rule.
-    Each violation increments every dimension pair whose level pair never
-    occurs together in the training set, attributing the failure to
-    unverified pairwise interactions.
+    Predicted compositions are the product closure of the training support,
+    the product of the levels it uses on each axis; empirical ones are those
+    whose measured (or exact) success rate is strictly above tau, the
+    curation loop's marking rule.  Each violation increments every dimension
+    pair whose level pair never occurs together in the training set,
+    attributing the failure to unverified pairwise interactions.
     """
     if not train:
         raise ValueError("training support must be non-empty")
     space = rates.space
-    train = frozenset(space.validate(c) for c in train)
+    points = np.array([space.validate(c) for c in train], dtype=np.intp)  # (train, ndim)
 
-    predicted = product_closure(train)
-    empirical = empirical_orbit(rates, tau)
-    violations = tuple(sorted(predicted - empirical))  # lexicographic is row-major order
+    predicted = np.zeros(space.shape, dtype=bool)
+    predicted[np.ix_(*map(np.unique, points.T))] = True
+    empirical = _above_tau(rates, tau).reshape(space.shape)
+    cells = np.argwhere(predicted & ~empirical)  # row-major, so in lexicographic order
 
-    seen_pairs: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for m in range(space.ndim):
-        for n in range(m + 1, space.ndim):
-            seen_pairs[(m, n)] = {(c[m], c[n]) for c in train}
-    pair_counts = {key: 0 for key in seen_pairs}
-    for comp in violations:
-        for (m, n), seen in seen_pairs.items():
-            if (comp[m], comp[n]) not in seen:
-                pair_counts[(m, n)] += 1
+    pair_counts = {}
+    for m, n in combinations(range(space.ndim), 2):
+        seen = np.zeros((space.shape[m], space.shape[n]), dtype=bool)
+        seen[points[:, m], points[:, n]] = True
+        pair_counts[(m, n)] = int(np.count_nonzero(~seen[cells[:, m], cells[:, n]]))
     return CompositionalityReport(
         space=space,
-        predicted=frozenset(predicted),
+        predicted=predicted,
         empirical=empirical,
-        violations=violations,
+        violations=tuple(map(tuple, cells.tolist())),
         pair_counts=pair_counts,
     )
 

@@ -4,6 +4,9 @@ The expansion loop scores every composition by summing all axis-aligned
 slices through it (minus the overcounted self terms), then repeatedly batches
 the unmarked composition with the lowest score, predicting coverage via
 hypercube spans against the dataset support until the whole grid is marked.
+Marking starts from the cells whose rate is strictly above tau, the marking
+rule ``_above_tau`` (tau and every rate must lie in [0, 1]), which
+``analysis.compositionality_check`` also reads its empirical grid by.
 
 Scores are fixed within a pass, so the selection order is one sort of them
 (``_score_order``: ascending score, ties by ascending linear index), walked
@@ -36,8 +39,16 @@ import numpy as np
 
 # add_demos stays importable from here: bench/tracer.py wraps it at this lookup site.
 from .dataset import Dataset, DemoBatches, add_demos, add_many  # noqa: F401
-from .orbit import _above_tau
 from .spaces import Composition, Tensor
+
+
+def _above_tau(rates: Tensor, tau: float) -> np.ndarray:
+    """Flat mask of the cells whose rate is strictly above tau; tau and the rates lie in [0, 1]."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    if not (np.all(rates.values >= 0.0) and np.all(rates.values <= 1.0)):
+        raise ValueError("tensor is not a success-rate tensor (values outside [0, 1])")
+    return rates.values > tau
 
 
 def aggregated_tensor(rates: Tensor) -> Tensor:

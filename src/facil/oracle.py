@@ -144,18 +144,6 @@ def _philox_words(seed: int, tag: int, index: np.ndarray, draws: int):
         yield start, stop, x, y
 
 
-def _cell_uniforms(seed: int, tag: int, index: np.ndarray, draws: int) -> np.ndarray:
-    """A (len(index), draws) array of uniforms; row r starts cell index[r]'s stream.
-
-    Each draw d of ``_philox_words`` as d * 2**-53, the way ``Generator.random`` reads a word.
-    """
-    out = np.empty((len(index), draws))
-    for start, stop, a, b in _philox_words(seed, tag, index, draws):
-        words = np.stack((a[0], b[0], a[1], b[1]), axis=-1).transpose(1, 0, 2)
-        out[start:stop] = words.reshape(stop - start, -1)[:, :draws] * 2.0**-53
-    return out
-
-
 def _thresholds(p: np.ndarray) -> np.ndarray:
     """ceil(p * 2**53) as uint64: a draw d has d * 2**-53 < p exactly when d < it."""
     return np.ceil(p * 2.0**53).astype(_U64)

@@ -235,9 +235,6 @@ class Tensor:
     def __getitem__(self, c: Composition) -> float:
         return float(self.values[self.space.encode(c)])
 
-    def is_rates(self) -> bool:
-        return bool(np.all(self.values >= 0.0) and np.all(self.values <= 1.0))
-
 
 def build_space(dim_specs: Sequence[tuple[str, Sequence[str]]]) -> FactorSpace:
     """Build a factor space from (name, level labels) pairs in order."""

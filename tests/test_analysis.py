@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 
@@ -38,6 +39,7 @@ from facil.oracle import (
     success_tensor,
 )
 from facil.spaces import Tensor, build_space, preset_space
+import reference
 
 
 def test_stream_tag_distinguishes_names():
@@ -242,6 +244,8 @@ def test_compare_strategies_layout_and_reproducibility():
 
     with pytest.raises(ValueError):
         compare_strategies(space, params, [400, 100], cfg)
+    with pytest.raises(ValueError, match="^budgets must be >= 0$"):
+        compare_strategies(space, params, [-1, 5], cfg)
     # this used to fail as "budgets must be sorted ascending"
     with pytest.raises(ValueError, match="^budgets: must be an integer"):
         compare_strategies(space, params, [2.5], cfg)
@@ -316,6 +320,8 @@ def test_generalization_gap_zero_without_blacklist():
     assert gap == 0.0
     again = generalization_gap(params, h.dataset, h.space, h.world_space, 20)
     assert (rate_reduced, rate_full, gap) == again
+    with pytest.raises(ValueError, match="^full benchmark shape .* does not match dataset"):
+        generalization_gap(params, h.dataset, h.space, h.space, 20)
 
 
 def test_compositionality_check_flags_blocked_cells():
@@ -332,7 +338,7 @@ def test_compositionality_check_flags_blocked_cells():
     probs = success_tensor(params, d)
     report = compositionality_check(train, probs, 0.8)
 
-    assert report.predicted == frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+    assert report.predicted.tolist() == [[True, True], [True, True]]
     assert report.violations == ((0, 0), (1, 1))
     assert report.pair_counts == {(0, 1): 2}
     assert report.predicted_size == 4
@@ -359,8 +365,8 @@ def test_compositionality_check_passes_clean_design():
     )
     report = compositionality_check(train, success_tensor(params, d), 0.8)
     assert report.violations == ()
-    assert report.predicted == frozenset({(0, 0), (0, 1), (2, 0), (2, 1)})
-    assert report.predicted <= report.empirical
+    assert np.argwhere(report.predicted).tolist() == [[0, 0], [0, 1], [2, 0], [2, 1]]
+    assert not (report.predicted & ~report.empirical).any()
 
     with pytest.raises(ValueError):
         compositionality_check(set(), success_tensor(params, d), 0.8)
@@ -371,6 +377,45 @@ def test_compositionality_check_needs_rates_strictly_above_tau():
     rates = Tensor(space, np.array([0.8, 0.9, 0.9, 0.9]))
     report = compositionality_check({(0, 0), (1, 1)}, rates, 0.8)
     assert report.violations == ((0, 0),)
+
+
+def test_compositionality_check_equals_the_set_reference():
+    """The grids, violations, pair counts and violations CSV equal the set-based check's."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)))
+        point = st.tuples(*(st.integers(0, n - 1) for n in shape))
+        grid = list(itertools.product(*map(range, shape)))
+        # a list, so repeats reach the check; or the whole grid
+        train = draw(st.lists(point, min_size=1, max_size=8) | st.just(grid))
+        tau = draw(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0))
+        # each cell takes one of a few values, so ties at tau, 0 and 1 are common
+        value = st.sampled_from([0.0, 1.0, tau]) | st.floats(0.0, 1.0)
+        palette = draw(st.lists(value, min_size=1, max_size=6))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return shape, train, rng.choice(palette, size=len(grid)), tau
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(case=cases())
+    def property_(case):
+        shape, train, values, tau = case
+        space = build_space([(f"d{m}", [str(j) for j in range(n)]) for m, n in enumerate(shape)])
+        rates = Tensor(space, values)
+        got = compositionality_check(train, rates, tau)
+        want = reference.compositionality_check(train, rates, tau)
+        assert set(map(tuple, np.argwhere(got.predicted).tolist())) == want.predicted
+        assert set(map(tuple, np.argwhere(got.empirical).tolist())) == want.empirical
+        assert got.predicted_size == want.predicted_size
+        assert got.empirical_size == want.empirical_size
+        assert got.violations == want.violations
+        assert all(type(v) is int for c in got.violations for v in c)
+        assert got.pair_counts == want.pair_counts
+        assert violations_csv(got, rates) == violations_csv(want, rates)
+
+    property_()
 
 
 def test_scaling_csv_format():

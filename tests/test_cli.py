@@ -159,6 +159,26 @@ def test_budget_command(tmp_path, capsys, monkeypatch):
     assert "error: budget:" in capsys.readouterr().err
 
 
+def test_module_entry_point_runs_the_cli(tmp_path):
+    """``python -m facil.cli``, which README documents, runs ``main`` and exits with its code."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+        "FACIL_OUT": str(tmp_path / "out"),
+    }
+
+    def budget(slots: str) -> subprocess.CompletedProcess:
+        argv = ["-m", "facil.cli", "budget", "--grid", "24", "--base", "16", "--slots", slots, "--k", "5"]
+        return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+    proc = budget("7")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["speedup"] == 16.0
+    assert (tmp_path / "out" / "budget.json").read_text() == proc.stdout
+    proc = budget("0")
+    assert proc.returncode == 2 and proc.stderr.startswith("error: budget:")
+
+
 def test_budget_base_past_float_range_exits_two(tmp_path, capsys, monkeypatch):
     # speedup is the base as a float; 10**400 has none, 2**1023 still does.
     monkeypatch.setenv("FACIL_OUT", str(tmp_path / "out"))
@@ -283,6 +303,9 @@ def test_fit_rejects_non_finite_or_missing_values(tmp_path, monkeypatch, capsys,
             "flywheel.unit_size",
         ),
         ("run", '{"space": [["side", "lr"], [7, [null, 1.5]]]}', "space"),
+        ("run", '{"space": []}', "space"),
+        ("run", '{"space": [["", ["a"]]]}', "space"),
+        ("run", '{"oracle": {"blacklist": [[[0, 0, 1], [1, 1]]]}}', "oracle.blacklist[0]"),
         ("expand", '{"stages": ["pnp_object", [["side", ["l", 2]]]]}', "stages[1]"),
         # Rollout draws past any address space, so allocation fails at once.
         ("run", '{"space": "pnp_object", "flywheel": {"k": 10000000000000000}}', "flywheel.k"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from facil import curation
-from facil.curation import aggregated_tensor, curate_expansion
+from facil.curation import CurationTrace, aggregated_tensor, curate_expansion
 from facil.dataset import Dataset
 from facil.spaces import Tensor, build_space
 from reference import hypercube_span
@@ -143,6 +143,8 @@ def test_curation_validates_inputs():
         curate_expansion(rates, d2, 0.5, 0)
     with pytest.raises(ValueError):
         curate_expansion(rates, d2, 1.5, 10)
+    with pytest.raises(ValueError, match="^cells, scores and newly_marked differ in length$"):
+        CurationTrace((2, 2), [0, 3], [0.5], [1, 1], 10)
 
 
 def replay_curation(rates: Tensor, dataset: Dataset, tau: float) -> list[tuple]:
@@ -210,6 +212,11 @@ def test_curation_rejects_tensors_that_are_not_rates():
     for bad in (np.array([0.2, np.nan, 0.1, 0.3]), np.array([0.2, 1.5, 0.1, 0.3])):
         with pytest.raises(ValueError, match=message):
             curate_expansion(Tensor(space, bad), d, 0.5, 1)
+    # the marking rule itself: cells strictly above tau, on rates in [0, 1] only
+    marked = curation._above_tau(Tensor(space, [0.5, 0.25, 1.0, 0.0]), 0.25)
+    assert marked.tolist() == [True, False, True, False]
+    with pytest.raises(ValueError, match=message):
+        curation._above_tau(Tensor(space, np.full(4, 1.5)), 0.5)
 
 
 def grid_case(case):

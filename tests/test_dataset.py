@@ -29,6 +29,8 @@ def test_demo_batch_requires_positive_count():
     with pytest.raises(ValueError, match="^batch count must be >= 1, got -3$"):
         DemoBatches([0, 1], [2, -3])
     assert DemoBatches([1], [5]).counts.tolist() == [5]
+    with pytest.raises(ValueError, match="^2 cells for 1 batch counts$"):
+        DemoBatches([0, 1], [2])
 
 
 def test_dataset_validates_compositions_and_counts():

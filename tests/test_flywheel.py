@@ -480,6 +480,10 @@ def test_reduced_run_requires_world():
     params = default_family(7).params_for(preset_space("environment"))
     with pytest.raises(ValueError):
         run_flywheel(reduced, params, FlywheelConfig())
+    # a plain run's world, if given, is its own space's shape
+    plain = preset_space("environment")
+    with pytest.raises(ValueError, match="^world space does not match a plain search space$"):
+        run_flywheel(plain, params, FlywheelConfig(), world=preset_space("pnp_object"))
 
 
 @pytest.mark.parametrize("mode", ["exact", "ratio_guided"])

@@ -21,7 +21,6 @@ from facil.oracle import (
     DEFAULT_P_MAX,
     EvaluationReport,
     OracleParams,
-    _cell_uniforms,
     _philox_words,
     _rollout_hits,
     default_family,
@@ -34,6 +33,7 @@ from facil.oracle import (
     success_tensor,
 )
 from facil.spaces import build_space, preset_space, product_space, reduced_product, slot_cells
+from reference import _cell_uniforms
 
 
 def plain_params(space, **overrides):
@@ -691,6 +691,11 @@ def test_report_rejects_non_integral_counts():
         EvaluationReport(space, np.array([0.5, 1.0]), 1)
     report = EvaluationReport(space, np.array([1, 2], dtype=np.int16), np.int64(2))
     assert report == EvaluationReport.from_doc(doc) and type(report.k) is int
+    with pytest.raises(ValueError, match="^successes array does not match the benchmark space$"):
+        EvaluationReport(space, [1, 2, 0], 2)
+    for successes in ([1, 3], [-1, 0]):
+        with pytest.raises(ValueError, match=r"^per-cell successes must lie in 0\.\.k$"):
+            EvaluationReport(space, successes, 2)
 
 
 def test_report_rejects_k_below_one():

@@ -1,17 +1,33 @@
-"""Orbit thresholding, the reference hypercube span, and product closure."""
+"""The empirical orbit and the product closure, read from the compositionality
+check's bool grids, and the reference hypercube span.
+
+The empirical orbit is the cells whose rate is strictly above tau (curation's
+marking rule); the product closure is the product of the levels a training
+set uses on each axis, the fixed point of repeated hypercube spans.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from facil.orbit import empirical_orbit, product_closure
+from facil.analysis import compositionality_check
 from facil.spaces import Tensor, build_space
 from reference import hypercube_span
 
 
 def space2x3():
     return build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1", "b2"])])
+
+
+def closure(train, shape):
+    """The check's predicted grid for a training set on a grid of this shape."""
+    space = build_space([(f"d{m}", [str(v) for v in range(n)]) for m, n in enumerate(shape)])
+    return compositionality_check(train, Tensor(space, np.zeros(space.cardinality)), 0.5).predicted
+
+
+def cells_of(grid: np.ndarray) -> set[tuple[int, ...]]:
+    return set(map(tuple, np.argwhere(grid).tolist()))
 
 
 def test_hypercube_span_known_cases():
@@ -39,24 +55,32 @@ def test_hypercube_span_size_is_power_of_two():
 def test_empirical_orbit_strict_threshold():
     space = space2x3()
     rates = Tensor(space, np.array([0.0, 0.8, 0.81, 1.0, 0.5, 0.79]))
-    orbit = empirical_orbit(rates, 0.8)
+    report = compositionality_check({(0, 0)}, rates, 0.8)
     # strictly above tau only: the exact-tau cell stays out
-    assert orbit == frozenset({space.decode(2), space.decode(3)})
+    assert cells_of(report.empirical) == {space.decode(2), space.decode(3)}
+    assert report.empirical.shape == space.shape
+    assert report.empirical_size == 2
+    with pytest.raises(ValueError):
+        report.empirical[0, 0] = True
 
 
 def test_empirical_orbit_validates_inputs():
     space = space2x3()
-    with pytest.raises(ValueError):
-        empirical_orbit(Tensor(space, np.full(6, 0.5)), 1.5)
-    with pytest.raises(ValueError):
-        empirical_orbit(Tensor(space, np.full(6, 2.0)), 0.5)
+    for tau in (1.5, -0.1):
+        with pytest.raises(ValueError, match=r"tau must be in \[0, 1\]"):
+            compositionality_check({(0, 0)}, Tensor(space, np.full(6, 0.5)), tau)
+    for value in (2.0, -0.5, np.nan):
+        with pytest.raises(ValueError, match="not a success-rate tensor"):
+            compositionality_check({(0, 0)}, Tensor(space, np.full(6, value)), 0.5)
 
 
 def test_product_closure_small_example():
-    closure = product_closure([(0, 0), (1, 1)])
-    assert closure == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    grid = closure({(0, 0), (1, 1)}, (2, 2))
+    assert cells_of(grid) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     # already a product set: closure is the identity
-    assert product_closure(closure) == closure
+    assert np.array_equal(closure(cells_of(grid), (2, 2)), grid)
+    with pytest.raises(ValueError):
+        grid[0, 0] = False
 
 
 def test_product_closure_superset_and_idempotent():
@@ -67,20 +91,20 @@ def test_product_closure_superset_and_idempotent():
             tuple(int(v) for v in rng.integers(0, 4, size=n))
             for _ in range(int(rng.integers(1, 6)))
         }
-        closure = product_closure(comps)
-        assert comps <= closure
-        assert product_closure(closure) == closure
+        grid = closure(comps, (4,) * n)
+        assert comps <= cells_of(grid)
+        assert np.array_equal(closure(cells_of(grid), (4,) * n), grid)
 
 
 def test_product_closure_matches_per_dim_projection():
     comps = [(0, 2, 1), (3, 2, 1), (0, 0, 1)]
-    closure = product_closure(comps)
-    assert closure == {(a, b, 1) for a in (0, 3) for b in (0, 2)}
+    assert cells_of(closure(comps, (4, 3, 2))) == {(a, b, 1) for a in (0, 3) for b in (0, 2)}
 
 
 def test_product_closure_validates():
+    with pytest.raises(ValueError, match="training support must be non-empty"):
+        closure(set(), (2, 2))
+    with pytest.raises(ValueError, match="has 3 entries, space has 2 dims"):
+        closure([(0, 0), (0, 0, 0)], (2, 2))
     with pytest.raises(ValueError):
-        product_closure([])
-    with pytest.raises(ValueError):
-        product_closure([(0, 0), (0, 0, 0)])
-
+        closure([(0, 0), (0, 2)], (2, 2))

@@ -59,6 +59,9 @@ def test_encode_decode_row_major_round_trip():
     for idx, comp in enumerate(itertools.product(range(2), range(3), range(2))):
         assert space.encode(comp) == idx
         assert space.decode(idx) == comp
+    for idx in (-1, 12):
+        with pytest.raises(ValueError, match=f"^linear index {idx} out of range for cardinality 12$"):
+            space.decode(idx)
 
 
 def test_validate_rejects_bad_compositions():
@@ -184,6 +187,8 @@ def test_reduced_product_slot_labels_and_ratios():
         base.slot_bases
     assert new_factor_subspace(reduced).shape == (2,)
     assert new_factor_subspace(reduced).dims[0].name == "temp"
+    with pytest.raises(ValueError, match="^space has no slot dimension with ratios$"):
+        new_factor_subspace(base)
 
 
 def test_slot_bases_name_the_first_label_that_is_not_level_indices():
@@ -282,6 +287,9 @@ def test_slot_ratios_must_be_finite_and_positive():
     text = json.dumps(doc).replace("[0.5, 0.5]", "[NaN, 1.0]")
     with pytest.raises(ValueError, match="finite and positive"):
         FactorSpace.from_doc(json.loads(text))
+    # one ratio per slot level
+    with pytest.raises(ValueError, match="^slot_ratios has 3 entries for 2 slot levels$"):
+        FactorSpace.from_doc(dict(doc, slot_ratios=[0.2, 0.3, 0.5]))
 
 
 def test_product_space_concatenates_dimensions():
@@ -326,8 +334,6 @@ def test_tensor_validates_size():
         Tensor(space, np.zeros(5))
     t = Tensor(space, np.full(space.shape, 0.5))
     assert t[(1, 1)] == 0.5
-    assert t.is_rates()
-    assert not Tensor(space, np.full(space.shape, 1.5)).is_rates()
 
 
 def test_tensor_grid_is_read_only_copy_safe():

@@ -39,7 +39,7 @@ STRATEGY_NAMES = ("facil_ratio", "factors_mixture", "gaussian")
 
 def stream_tag(name: str) -> int:
     """Stable 64-bit tag for a strategy or benchmark label."""
-    return derive_tag(*name.encode("utf-8"))
+    return derive_tag(*bytes(name, "utf-8"))
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,8 @@ def _gaussian_mode(space: FactorSpace, mode: Composition | None, sigma: float) -
         raise ValueError(f"sigma must be > 0 with 2 * sigma * sigma > 0, got {sigma!r}")
     if mode is None:
         return tuple((size - 1) // 2 for size in space.shape)
-    return space.validate(mode)
+    space.cells([mode])  # raises ValueError naming a mode that is not a cell
+    return mode
 
 
 def _gaussian_probabilities(
@@ -327,17 +328,17 @@ def compositionality_check(
     if not train:
         raise ValueError("training support must be non-empty")
     space = rates.space
-    points = np.array([space.validate(c) for c in train], dtype=np.intp)  # (train, ndim)
+    columns = np.unravel_index(space.cells(list(train)), space.shape)  # one index array per axis
 
     predicted = np.zeros(space.shape, dtype=bool)
-    predicted[np.ix_(*map(np.unique, points.T))] = True
+    predicted[np.ix_(*map(np.unique, columns))] = True
     empirical = _above_tau(rates, tau).reshape(space.shape)
     cells = np.argwhere(predicted & ~empirical)  # row-major, so in lexicographic order
 
     pair_counts = {}
     for m, n in combinations(range(space.ndim), 2):
         seen = np.zeros((space.shape[m], space.shape[n]), dtype=bool)
-        seen[points[:, m], points[:, n]] = True
+        seen[columns[m], columns[n]] = True
         pair_counts[(m, n)] = int(np.count_nonzero(~seen[cells[:, m], cells[:, n]]))
     return CompositionalityReport(
         space=space,

@@ -56,6 +56,7 @@ from .spaces import (
     FactorSpace,
     PRESET_NAMES,
     build_space,
+    json_text,
     preset_space,
     product_space,
 )
@@ -245,9 +246,20 @@ def _construct(section: str, cls, **fields):
 
 def _check_in_space(space: FactorSpace, comp: Composition, path: str, where: str = "") -> None:
     try:
-        space.validate(comp)
+        space.cells([comp])
     except ValueError as exc:
         raise ConfigError(f"{path}: {where}{exc}") from exc
+
+
+def _check_all_in_space(
+    space: FactorSpace, comps: Sequence[Composition], path: str, where: str = ""
+) -> None:
+    """One check of a list of compositions; only after it fails, a loop names the first misfit."""
+    try:
+        space.cells(comps)
+    except ValueError:
+        for i, comp in enumerate(comps):
+            _check_in_space(space, comp, f"{path}[{i}]", where)
 
 
 @dataclass(frozen=True)
@@ -345,11 +357,7 @@ def _check_initial(
     the leading slot index is left unchecked.
     """
     comps = [comp[1:] if slot else comp for comp in config.flywheel.initial_compositions or ()]
-    try:
-        space.cells(comps)  # one check of them all; the loop only names the first misfit
-    except ValueError:
-        for i, comp in enumerate(comps):
-            _check_in_space(space, comp, f"flywheel.initial_compositions[{i}]", where)
+    _check_all_in_space(space, comps, "flywheel.initial_compositions", where)
 
 
 def _not_converged(history: RunHistory) -> int:
@@ -371,7 +379,7 @@ def _cmd_run(config: RunConfig, out: Path, args: argparse.Namespace) -> int:
     _check_initial(config, space)
     history = run_flywheel(space, config.oracle.params_for(space), config.flywheel)
     _write_history_files(out, history)
-    _write(out / "summary.json", json.dumps(history.summary(), indent=2) + "\n")
+    _write(out / "summary.json", json_text(history.summary()) + "\n")
     return 0 if history.converged else _not_converged(history)
 
 
@@ -399,7 +407,7 @@ def _cmd_expand(config: RunConfig, out: Path, args: argparse.Namespace) -> int:
         "stages": [h.summary() for h in histories],
         "all_converged": all(h.converged for h in histories) and len(histories) == len(stages),
     }
-    _write(out / "summary.json", json.dumps(summary, indent=2) + "\n")
+    _write(out / "summary.json", json_text(summary) + "\n")
     # a stage that does not converge ends the chain, so it is the last one run
     return 0 if summary["all_converged"] else _not_converged(histories[-1])
 
@@ -440,8 +448,7 @@ def _cmd_check_comp(config: RunConfig, out: Path, args: argparse.Namespace) -> i
     train = config.train
     if train is None:
         raise ConfigError("check.train: required for check-comp")
-    for i, comp in enumerate(train):
-        _check_in_space(space, comp, f"check.train[{i}]")
+    _check_all_in_space(space, train, "check.train")
     if config.demos_per_composition * len(set(train)) >= 2**63:
         _fail("check.demos_per_composition", "times the training compositions must be below 2**63")
     dataset = Dataset(space, {comp: config.demos_per_composition for comp in train})
@@ -456,7 +463,7 @@ def _cmd_check_comp(config: RunConfig, out: Path, args: argparse.Namespace) -> i
             f"{m}:{n}": count for (m, n), count in sorted(report.pair_counts.items())
         },
     }
-    _write(out / "check.json", json.dumps(check_summary, indent=2) + "\n")
+    _write(out / "check.json", json_text(check_summary) + "\n")
     return 0
 
 
@@ -465,7 +472,7 @@ def _cmd_budget(config: RunConfig, out: Path, args: argparse.Namespace) -> int:
         report = rollout_budget(args.grid, args.base, args.slots, args.k)
     except ValueError as exc:
         raise ConfigError(f"budget: {exc}") from exc
-    text = json.dumps(asdict(report), indent=2) + "\n"
+    text = json_text(asdict(report)) + "\n"
     _write(out / "budget.json", text)
     sys.stdout.write(text)
     return 0

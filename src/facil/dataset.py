@@ -78,7 +78,8 @@ class Dataset:
         if total is not None:  # a fold's grid: its total is checked and no count went down
             self.__dict__["total"] = total  # the cached_property's slot
         elif (grid < 0).any():
-            raise ValueError(f"negative count at {space.decode(int(np.argmin(grid)))}")
+            at = tuple(map(int, np.unravel_index(np.argmin(grid), grid.shape)))
+            raise ValueError(f"negative count at {at}")
         # int64 sums wrap, so a total near 2**63 is summed again exactly in Python ints
         elif grid.sum(dtype=float) >= 2.0**62 and sum(grid.ravel().tolist()) >= 2**63:
             raise OverflowError("total demo count must stay below 2**63")
@@ -117,9 +118,6 @@ class Dataset:
     @property
     def support(self) -> frozenset[Composition]:
         return frozenset(map(tuple, self.support_points.tolist()))
-
-    def count_at(self, c: Composition) -> int:
-        return int(self.grid.flat[self.space.encode(c)])
 
     @cached_property
     def support_columns(self) -> tuple[tuple[str, ...], np.ndarray]:

@@ -5,7 +5,8 @@ a fixed list of level labels.  A composition is one cell of that product,
 written as a tuple of level indices.  All dense per-composition arrays are
 stored flat in row-major order over the declared dimension order.
 ``FactorSpace.cells`` is the one check and conversion of compositions to
-those flat cells; ``encode``, ``validate`` and every other caller use it.
+those flat cells, a whole list in one call; ``np.unravel_index`` turns
+cells back into compositions.
 A reduced space parses its slot labels once, into ``FactorSpace.slot_bases``
 (a plain space has none and raises there), which ``slot_cells``, the one map
 of slot cells to world cells, reads.
@@ -180,25 +181,6 @@ class FactorSpace:
             raise ValueError(f"composition {c}: index {c[m]} out of range for dim {m} (size {size})")
         return np.ravel_multi_index(tuple(points.astype(np.int64, copy=False).T), self.shape)
 
-    def validate(self, c: Composition) -> Composition:
-        """A composition as a tuple of Python ints, checked by ``cells``."""
-        return self.decode(self.encode(c))
-
-    def encode(self, c: Composition) -> int:
-        """Row-major linear index of a composition."""
-        return int(self.cells([c])[0])
-
-    def decode(self, idx: int) -> Composition:
-        """Composition at a row-major linear index."""
-        idx = int(idx)
-        if not 0 <= idx < self.cardinality:
-            raise ValueError(f"linear index {idx} out of range for cardinality {self.cardinality}")
-        out = []
-        for size in reversed(self.shape):
-            idx, v = divmod(idx, size)
-            out.append(v)
-        return tuple(reversed(out))
-
     def to_doc(self) -> dict:
         doc: dict = {"dims": [{"name": d.name, "levels": list(d.levels)} for d in self.dims]}
         if self.slot_ratios is not None:
@@ -233,7 +215,7 @@ class Tensor:
         return self.values.reshape(self.space.shape)
 
     def __getitem__(self, c: Composition) -> float:
-        return float(self.values[self.space.encode(c)])
+        return float(self.values[self.space.cells([c])[0]])
 
 
 def build_space(dim_specs: Sequence[tuple[str, Sequence[str]]]) -> FactorSpace:

@@ -57,7 +57,8 @@ def _above_tau(rates: Tensor, tau: float) -> np.ndarray:
 
 def empirical_orbit(rates: Tensor, tau: float) -> frozenset[Composition]:
     """Compositions whose measured success rate is strictly above tau."""
-    return frozenset(map(rates.space.decode, np.flatnonzero(_above_tau(rates, tau))))
+    above = _above_tau(rates, tau)  # flat, row-major as np.ndindex walks the grid
+    return frozenset(c for c, keep in zip(np.ndindex(rates.space.shape), above) if keep)
 
 
 def product_closure(comps: Iterable[Composition]) -> set[Composition]:
@@ -112,7 +113,10 @@ def compositionality_check(
     if not train:
         raise ValueError("training support must be non-empty")
     space = rates.space
-    train = frozenset(space.validate(c) for c in train)
+    train = frozenset(map(tuple, train))
+    for c in train:
+        if len(c) != space.ndim or not all(0 <= v < n for v, n in zip(c, space.shape)):
+            raise ValueError(f"composition {c} is not a cell of a grid of shape {space.shape}")
 
     predicted = product_closure(train)
     empirical = empirical_orbit(rates, tau)

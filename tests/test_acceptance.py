@@ -122,7 +122,7 @@ def replay_expansion(rates, dataset, tau, unit_size, batches, after, trace):
         )
         assert step.s_value == scores[expected]
         assert step.batch_size == unit_size
-        assert space.decode(batches.cells[i]) == expected
+        assert np.unravel_index(batches.cells[i], space.shape) == expected
         assert batches.counts[i] == unit_size
 
         before = len(marked)

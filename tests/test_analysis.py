@@ -117,7 +117,7 @@ def test_gaussian_concentrates_as_sigma_shrinks():
     space = preset_space("pnp_object")
     d = baseline_sampler("gaussian", space, 500, 12, mode=(2, 3), sigma=0.01)
     assert d.support == frozenset({(2, 3)})
-    assert d.count_at((2, 3)) == 500
+    assert d.grid[2, 3] == 500
 
 
 def test_gaussian_default_mode_is_grid_center():
@@ -129,7 +129,7 @@ def test_gaussian_default_mode_is_grid_center():
 def test_gaussian_mass_decays_from_mode():
     space = build_space([("a", [f"a{i}" for i in range(5)])])
     d = baseline_sampler("gaussian", space, 100_000, 3, mode=(2,), sigma=1.0)
-    counts = [d.count_at((i,)) for i in range(5)]
+    counts = d.grid.tolist()
     assert counts[2] == max(counts)
     assert counts[1] > counts[0] and counts[3] > counts[4]
 
@@ -194,7 +194,7 @@ def test_sampler_determinism_and_validation():
     with pytest.raises(ValueError, match="sigma"):
         baseline_sampler("gaussian", space, 10, 0, sigma=1e-200)
     narrow = baseline_sampler("gaussian", space, 10, 0, mode=(1, 2), sigma=1e-160)
-    assert narrow.count_at((1, 2)) == 10
+    assert narrow.grid[1, 2] == 10
 
 
 def test_strategy_outcome_validation():

@@ -25,7 +25,7 @@ from facil.oracle import (
     DEFAULT_P_MAX,
     OracleParams,
 )
-from facil.spaces import preset_space
+from facil.spaces import FactorSpace, preset_space
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -287,6 +287,8 @@ def test_fit_rejects_non_finite_or_missing_values(tmp_path, monkeypatch, capsys,
             '{"check": {"train": [[0, 0], [1, 1]], "demos_per_composition": 9223372036854775807}}',
             "check.demos_per_composition",
         ),
+        ("check-comp", '{"check": {"train": [[0, 0], [9, 0]]}}', "check.train[1]"),
+        ("check-comp", '{"check": {"train": [[0, 0], [1, 1], [0, 0, 0]]}}', "check.train[2]"),
         (
             "run",
             '{"flywheel": {"initial_compositions": [[0.7, 0]]}}',
@@ -703,6 +705,28 @@ def test_check_comp_command(tmp_path, capsys):
     cfg2 = write_config(tmp_path, doc, "no_train.json")
     assert main(["check-comp", "--config", cfg2]) == 2
     assert "check.train" in capsys.readouterr().err
+
+
+def test_check_comp_checks_its_training_set_in_bulk(tmp_path, monkeypatch):
+    # the training set is checked in bulk, so the FactorSpace.cells calls do not grow with it
+    monkeypatch.setenv("FACIL_OUT", str(tmp_path / "out"))
+    real_cells = FactorSpace.cells
+    calls = []
+
+    def counting_cells(self, comps):
+        calls.append(1)
+        return real_cells(self, comps)
+
+    monkeypatch.setattr(FactorSpace, "cells", counting_cells)
+    space = [[name, [str(v) for v in range(10)]] for name in ("a", "b")]
+    counts = []
+    for n in (10, 50):
+        train = [[i % 10, i // 10] for i in range(n)]
+        cfg = write_config(tmp_path, {"space": space, "check": {"train": train}}, f"train_{n}.json")
+        calls.clear()
+        assert main(["check-comp", "--config", cfg]) == 0
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[1] == counts[0]
 
 
 def test_unknown_command_exits_via_argparse():

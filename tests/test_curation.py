@@ -38,7 +38,7 @@ def brute_force_scores(grid: np.ndarray) -> np.ndarray:
 
 def batch_compositions(space, batches):
     """The composition of each batch of a ``DemoBatches``, in order."""
-    return [space.decode(cell) for cell in batches.cells]
+    return list(zip(*(axis.tolist() for axis in np.unravel_index(batches.cells, space.shape))))
 
 
 def test_aggregated_tensor_2x2_by_hand():
@@ -84,7 +84,7 @@ def test_single_selection_spans_whole_grid():
     assert trace.steps[0].selected == (0, 0)
     # span against support cell (1, 1) marks the whole 2x2 grid
     assert trace.steps[0].newly_marked == 4
-    assert after.count_at((0, 0)) == 15
+    assert after.grid[0, 0] == 15
     assert after.total == d.total + 10
 
 

@@ -546,7 +546,7 @@ def random_run(rng):
     if mode == "plain":
         space = world = curation_space = base
     else:
-        cells = [base.decode(i) for i in range(base.cardinality)]
+        cells = list(np.ndindex(base.shape))
         picked = rng.choice(len(cells), size=int(rng.integers(1, len(cells) + 1)), replace=False)
         weights = rng.integers(1, 6, len(picked))
         support = [(cells[i], w / weights.sum()) for i, w in zip(picked, weights)]
@@ -555,7 +555,7 @@ def random_run(rng):
         curation_space = space if mode == "exact" else new_factor_subspace(space)
     initial = None
     if rng.random() < 0.5:  # repeated cells on purpose
-        cells = [curation_space.decode(i) for i in range(curation_space.cardinality)]
+        cells = list(np.ndindex(curation_space.shape))
         initial = [cells[i] for i in rng.integers(0, len(cells), int(rng.integers(1, 8)))]
     cfg = FlywheelConfig(
         tau=float(rng.choice([0.5, 0.8, 0.95])),

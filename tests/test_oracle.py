@@ -264,7 +264,7 @@ def test_success_probability_formula():
         energy = float(d.grid[c]) + (0.0 if blocked else p.beta * weakest)
         return min(p.p_max, 1.0 - math.exp(-energy / p.kappa0))
 
-    for c in map(space.decode, range(space.cardinality)):
+    for c in np.ndindex(space.shape):
         assert success_prob(c) == pytest.approx(probs[c])
 
 

@@ -57,7 +57,7 @@ def test_empirical_orbit_strict_threshold():
     rates = Tensor(space, np.array([0.0, 0.8, 0.81, 1.0, 0.5, 0.79]))
     report = compositionality_check({(0, 0)}, rates, 0.8)
     # strictly above tau only: the exact-tau cell stays out
-    assert cells_of(report.empirical) == {space.decode(2), space.decode(3)}
+    assert cells_of(report.empirical) == {np.unravel_index(2, space.shape), np.unravel_index(3, space.shape)}
     assert report.empirical.shape == space.shape
     assert report.empirical_size == 2
     with pytest.raises(ValueError):

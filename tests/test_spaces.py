@@ -52,33 +52,32 @@ def test_shape_ndim_cardinality():
     assert space.cardinality == 6
 
 
-def test_encode_decode_row_major_round_trip():
+def test_cells_and_unravel_index_round_trip_row_major():
     space = build_space(
         [("a", ["a0", "a1"]), ("b", ["b0", "b1", "b2"]), ("c", ["c0", "c1"])]
     )
-    for idx, comp in enumerate(itertools.product(range(2), range(3), range(2))):
-        assert space.encode(comp) == idx
-        assert space.decode(idx) == comp
-    for idx in (-1, 12):
-        with pytest.raises(ValueError, match=f"^linear index {idx} out of range for cardinality 12$"):
-            space.decode(idx)
+    comps = list(itertools.product(range(2), range(3), range(2)))
+    assert space.cells(comps).tolist() == list(range(12))
+    for idx, comp in enumerate(comps):
+        assert space.cells([comp]).tolist() == [idx]
+        assert np.unravel_index(idx, space.shape) == comp
 
 
-def test_validate_rejects_bad_compositions():
+def test_cells_rejects_bad_compositions():
     space = small_space()
     with pytest.raises(ValueError):
-        space.validate((0,))
+        space.cells([(0,)])
     with pytest.raises(ValueError):
-        space.validate((3, 0))
+        space.cells([(3, 0)])
     with pytest.raises(ValueError):
-        space.validate((0, -1))
-    assert space.validate((2, 1)) == (2, 1)
-    assert space.validate((np.int64(2), True)) == (2, 1)
+        space.cells([(0, -1)])
+    assert space.cells([(2, 1)]).tolist() == [5]
+    assert space.cells([(np.int64(2), True)]).tolist() == [5]
     # each of these used to be truncated (or parsed) to a valid cell
     with pytest.raises(ValueError, match="^composition: must be an integer, got 1.5"):
-        space.encode((1.5, 1))
+        space.cells([(1.5, 1)])
     with pytest.raises(ValueError, match="^composition: must be an integer, got '1'"):
-        space.validate(("1", 0))
+        space.cells([("1", 0)])
     with pytest.raises(ValueError, match="^composition: must be an integer, got 1.5"):
         Tensor(space, np.zeros(6))[(1.5, 0)]
     with pytest.raises(ValueError, match="^support: must be an integer, got 0.5"):
@@ -95,7 +94,7 @@ def test_cells_matches_ravel_multi_index_and_rejects_bad_entries():
         expected = np.ravel_multi_index(tuple(points.T), shape)
         assert np.array_equal(space.cells(comps), expected)
         assert np.array_equal(space.cells(points), expected)
-        assert [space.encode(c) for c in comps] == expected.tolist()
+        assert [int(space.cells([c])[0]) for c in comps] == expected.tolist()
         # one bad composition among valid ones; a second bad one after it is not the one named
         row, m = int(rng.integers(0, len(comps) + 1)), int(rng.integers(0, len(shape)))
         good = tuple(int(v) for v in rng.integers(0, shape))
@@ -207,7 +206,7 @@ def test_slot_cells_are_world_cells_in_slot_order():
     world = product_space(base, nxt)
     reduced = reduced_product([((2, 0), 0.25), ((0, 1), 0.75)], nxt)
     got = slot_cells(reduced, world)
-    expected = [[world.encode(b + (t,)) for t in range(2)] for b in [(2, 0), (0, 1)]]
+    expected = [world.cells([b + (t,) for t in range(2)]).tolist() for b in [(2, 0), (0, 1)]]
     assert got.dtype == np.int64 and got.tolist() == expected
 
     two_colors = build_space([("color", ["red", "green"]), ("shape", ["round", "flat"])])
@@ -239,13 +238,12 @@ def test_slot_cells_property():
         picked = data.draw(
             st.lists(st.integers(0, base.cardinality - 1), min_size=1, unique=True), label="slots"
         )
-        bases = [base.decode(i) for i in picked]
+        bases = [tuple(map(int, np.unravel_index(i, base.shape))) for i in picked]
         reduced = reduced_product([(b, 1 / len(bases)) for b in bases], nxt)
         got = slot_cells(reduced, world)
         assert got.shape == (len(bases), nxt.cardinality)
         for j, b in enumerate(bases):
-            for c in range(nxt.cardinality):
-                assert got[j, c] == world.encode(b + nxt.decode(c))
+            assert got[j].tolist() == world.cells([b + c for c in np.ndindex(nxt.shape)]).tolist()
 
     property_()
 

@@ -6,9 +6,9 @@ check-comp (factor-design checker), budget (rollout arithmetic).  The
 table ``_COMMANDS`` holds each command's name, handler and help line;
 ``_parser`` builds argparse from it once per process, on first use.  All
 outputs are deterministic functions of (config, flags), so reruns produce
-byte-identical files.  Exit codes: 0 success, 1 ran but did not converge,
-2 configuration, input or output-file error, 3 any other failure (its
-traceback goes to stderr).
+byte-identical files, written as UTF-8 bytes.  Exit codes: 0 success, 1 ran
+but did not converge, 2 configuration, input or output-file error, 3 any
+other failure (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import sys
 import traceback
 from dataclasses import asdict, dataclass, replace
 from functools import cache, reduce
+from itertools import chain
 from pathlib import Path
 from typing import NoReturn, Sequence
 
@@ -119,11 +120,32 @@ def _optional(read):
     return lambda value, path: None if value is None else read(value, path)
 
 
+def _plain_indices(values: list) -> bool:
+    """Every value a plain int (no bool) in [0, 2**63): one type scan, no field paths."""
+    plain = set(map(type, values)) <= {int}
+    return plain and 0 <= min(values, default=0) and max(values, default=0) < 2**63
+
+
 def _indices(value, path: str) -> Composition:
-    comp = _list_of(_integer)(value, path)
+    if type(value) is list and _plain_indices(value):
+        return tuple(value)
+    comp = _list_of(_integer)(value, path)  # names the first misfit
     if any(v < 0 for v in comp):
         _fail(path, f"level indices must be >= 0, got {list(comp)}")
     return comp
+
+
+def _compositions(nonempty: bool = False):
+    """A list of index lists: one type scan, and item by item only to name a misfit."""
+    read_each = _list_of(_indices, nonempty)
+
+    def read_compositions(value, path: str) -> tuple:
+        if type(value) is list and (value or not nonempty) and set(map(type, value)) <= {list}:
+            if _plain_indices(list(chain.from_iterable(value))):
+                return tuple(map(tuple, value))
+        return read_each(value, path)
+
+    return read_compositions
 
 
 def _choice(options: Sequence[str]):
@@ -202,7 +224,7 @@ _SCHEMA: dict = {
         "k": (FlywheelConfig.k, _integer),
         "max_iterations": (FlywheelConfig.max_iterations, _integer),
         "evaluation_mode": (FlywheelConfig.evaluation_mode, lambda value, path: value),
-        "initial_compositions": (FlywheelConfig.initial_compositions, _optional(_list_of(_indices))),
+        "initial_compositions": (FlywheelConfig.initial_compositions, _optional(_compositions())),
     },
     "strategies": (list(STRATEGY_NAMES), _list_of(_choice(STRATEGY_NAMES), nonempty=True)),
     "budgets": ([500, 2000, 8000, 32000, 128000], _budgets),
@@ -211,7 +233,7 @@ _SCHEMA: dict = {
         "sigma": (1.0, _sigma),
     },
     "check": {
-        "train": (None, _optional(_list_of(_indices, nonempty=True))),
+        "train": (None, _optional(_compositions(nonempty=True))),
         "demos_per_composition": (2400, _positive(_integer)),
     },
     "out": ("facil_out", _out_dir),
@@ -332,7 +354,7 @@ def _resolve_out_dir(config: RunConfig) -> Path:
 
 def _write(path: Path, text: str) -> None:
     try:
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8"))
     except OSError as exc:  # a directory in the file's place, a full disk
         _fail(_out_field(), f"cannot write {str(path)!r} ({exc})")
 

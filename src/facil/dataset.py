@@ -10,9 +10,9 @@ one cell; ``DemoBatches`` holds many as flat cell indices and counts, the one
 batch form; ``add_many`` folds them all with one ``np.add.at`` into its one
 copy of the grid.  A dataset is the one reader of its grid, and makes its
 ``total``, flat support (``support_cells``) and level ``marginals`` at most
-once; the support views and ``support_columns`` (labelled with
-``composition_labels``) read the flat support.  ``dataset_to_csv`` joins
-those labels and counts, ``dataset_to_doc`` gives the dict JSON writers nest.
+once; the support views and ``support_columns`` (from ``label_column`` when
+dense) read the flat support.  ``dataset_to_csv`` joins those labels and
+counts, ``dataset_to_doc`` gives the dict JSON writers nest.
 JSON text itself is made only where a file is written.  A total that would
 reach 2**63 raises OverflowError before it is stored (batch counts are summed
 as Python ints); a count grid the host cannot allocate raises
@@ -35,6 +35,7 @@ from .spaces import (
     composition_labels,
     int_strings,
     integer_array,
+    label_column,
     parse_composition,
 )
 
@@ -124,8 +125,13 @@ class Dataset:
         """Labels and read-only counts of the support, in ascending linear index.
 
         Made on first use and kept: every writer of this dataset reads them.
+        ``composition_labels`` costs ``ndim`` concatenations per support cell,
+        ``label_column`` about one per grid cell, so a dense support reads it.
         """
-        return tuple(composition_labels(self.support_points)), self.support_cells[1]
+        (cells, counts), space = self.support_cells, self.space
+        if len(cells) * space.ndim >= 2 * space.cardinality:  # timed crossovers: 1.5x to 2x
+            return tuple(label_column(space.shape)[cells].tolist()), counts
+        return tuple(composition_labels(self.support_points)), counts
 
     @cached_property
     def marginals(self) -> tuple[np.ndarray, ...]:

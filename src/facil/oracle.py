@@ -314,6 +314,7 @@ def success_at(params: OracleParams, dataset: Dataset, cells: np.ndarray | None 
         np.copyto(p, 0.0, where=blocked)
         p += direct  # energy
         np.divide(np.negative(p, out=p), params.kappa0, out=p)
+        np.maximum(p, -700.0, out=p)  # exact: 1 - exp(x) is 1.0 below -37.4; exp slows past -745
         np.subtract(1.0, np.exp(p, out=p), out=p)
         return np.minimum(params.p_max, p, out=p)
 

@@ -163,17 +163,22 @@ class FactorSpace:
 
         Entries go through ``integer_array`` (1.5, 2.0 and "1" raise).  A wrong
         length or an index out of range, past int64 too, raises ValueError
-        naming the first such composition; a non-empty array that is not 2-D
-        raises ValueError naming its shape.
+        naming the first such composition (walking only a list that is not
+        (n, ndim) integers); a non-empty array that is not 2-D names its shape.
         """
         if isinstance(comps, np.ndarray) and comps.ndim != 2 and comps.size:
             raise ValueError(f"composition array of shape {comps.shape} is not (n, {self.ndim})")
-        wrong = None  # an array's rows share its width, so only its width is checked
-        if not (isinstance(comps, np.ndarray) and comps.shape[1:] == (self.ndim,)):
+        try:
+            points = _integers(comps, "composition")
+            rectangular = points.shape[1:] == (self.ndim,)
+        except ValueError:  # a ragged list too
+            rectangular = False
+        if not rectangular:  # name a wrong length first; else converting raises again
             wrong = next((tuple(c) for c in comps if len(c) != self.ndim), None)
-        if wrong is not None:
-            raise ValueError(f"composition {wrong} has {len(wrong)} entries, space has {self.ndim} dims")
-        points = _integers(comps, "composition").reshape(len(comps), self.ndim)
+            if wrong is not None:
+                raise ValueError(f"composition {wrong} has {len(wrong)} entries, space has {self.ndim} dims")
+            points = _integers(comps, "composition")
+        points = points.reshape(len(comps), self.ndim)
         outside = (points < 0) | (points >= np.array(self.shape))  # past int64 too
         if outside.any():
             row, m = np.argwhere(outside)[0]
@@ -343,8 +348,8 @@ def label_column(shape: Sequence[int]) -> np.ndarray:
     """Labels of every cell of a grid in row-major order, as an object array.
 
     Built by one outer string concatenation per axis.  Writers build it per
-    file written, or per history for the rates files, and drop it: the
-    column of a 32**4 grid holds about 67 MB.
+    history for the rates files, and a dense dataset once for its support
+    labels, and drop it: the column of a 32**4 grid holds about 67 MB.
     """
     parts = map(_level_labels, range(len(shape)), shape)
     return reduce(lambda column, part: np.add.outer(column, part).ravel(), parts)
@@ -461,8 +466,8 @@ def _write(doc, newline: str, out: list[str]) -> None:
     elif isinstance(doc, np.ndarray) and doc.ndim == 1 and doc.dtype.kind in "iu":
         _bracketed("[]", int_strings(doc), newline, out)
     elif isinstance(doc, IntColumns):
-        values = map(": ".__add__, int_strings(doc.values))
-        _bracketed("{}", list(map(str.__add__, map(_quote, doc.keys), values)), newline, out)
+        rows = [f"{_quote(key)}: {n}" for key, n in zip(doc.keys, int_strings(doc.values))]
+        _bracketed("{}", rows, newline, out)
     elif isinstance(doc, Block):
         if doc.text is None:
             doc.text, doc.newline = json_text(doc.doc, newline), newline

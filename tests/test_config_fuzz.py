@@ -16,7 +16,17 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from facil.analysis import STRATEGY_NAMES  # noqa: E402
-from facil.cli import _SCHEMA, ConfigError, RunConfig, build_config, main  # noqa: E402
+from facil.cli import (  # noqa: E402
+    _SCHEMA,
+    ConfigError,
+    RunConfig,
+    _compositions,
+    _indices,
+    _integer,
+    _list_of,
+    build_config,
+    main,
+)
 from facil.flywheel import EVALUATION_MODES  # noqa: E402
 from facil.spaces import PRESET_NAMES  # noqa: E402
 
@@ -162,3 +172,40 @@ def test_main_exits_zero_one_or_two_and_raises_nothing(monkeypatch, command, doc
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps(doc), encoding="utf-8")
         assert main([command, "--config", str(cfg)]) in (0, 1, 2)
+
+
+def _per_item_indices(value, path: str) -> tuple:
+    """Reference for one composition: each value read and checked in turn."""
+    comp = _list_of(_integer)(value, path)
+    if any(v < 0 for v in comp):
+        raise ConfigError(f"{path}: level indices must be >= 0, got {list(comp)}")
+    return comp
+
+
+def _per_item_compositions(value, path: str, nonempty: bool) -> tuple:
+    """Reference for a list of compositions: item by item, the first misfit named."""
+    if not isinstance(value, list) or (nonempty and not value):
+        raise ConfigError(f"{path}: must be a non-empty list" if nonempty else f"{path}: must be a list")
+    return tuple(_per_item_indices(item, f"{path}[{i}]") for i, item in enumerate(value))
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+index = st.integers(min_value=0, max_value=9) | st.sampled_from(
+    [-1, 2**63 - 1, 2**63, True, 1.0, "1"]
+)
+index_lists = st.lists(st.lists(index, max_size=4), max_size=5)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(value=st.one_of(index_lists, st.lists(index, max_size=4), leaves), nonempty=st.booleans())
+def test_bulk_index_readers_equal_the_per_item_readers(value, nonempty):
+    """The one-scan readers give the per-item readers' tuple or their exact error message."""
+    expected = _outcome(_per_item_compositions, value, "check.train", nonempty)
+    assert _outcome(_compositions(nonempty), value, "check.train") == expected
+    assert _outcome(_indices, value, "gaussian.mode") == _outcome(_per_item_indices, value, "gaussian.mode")

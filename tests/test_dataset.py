@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import facil.dataset
 from facil.dataset import (
     Dataset,
     DemoBatches,
@@ -16,7 +19,7 @@ from facil.dataset import (
     dataset_to_csv,
     dataset_to_doc,
 )
-from facil.spaces import build_space, reduced_product
+from facil.spaces import build_space, composition_labels, reduced_product
 
 
 def space3x2():
@@ -181,6 +184,41 @@ def test_ratios_of_empty_dataset_error():
     assert d.support_columns[0] == () and d.support_columns[1].tolist() == []
     with pytest.raises(ValueError, match="^support must be non-empty$"):
         reduced_product([], space3x2())
+
+
+def test_support_columns_label_dense_and_sparse_supports_alike():
+    """Supports just below, at and above the label-column crossover, on 1 to 6 dims.
+
+    A support of n cells is read from the grid's label column when n * ndim
+    reaches twice the cardinality, else labelled per support cell; the two
+    must give the same tuple.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=6)))
+        space = build_space([(f"d{m}", [f"l{j}" for j in range(n)]) for m, n in enumerate(shape)])
+        crossover = math.ceil(2 * space.cardinality / space.ndim)
+        size = min(space.cardinality, max(0, crossover + draw(st.sampled_from([-1, 0, 1]))))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        grid = np.zeros(space.cardinality, dtype=np.int64)
+        grid[rng.choice(space.cardinality, size, replace=False)] = rng.integers(1, 100, size)
+        return Dataset.from_grid(space, grid)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(d=cases())
+    def property_(d):
+        column = mock.Mock(wraps=facil.dataset.label_column)
+        with mock.patch.object(facil.dataset, "label_column", column):
+            labels, counts = d.support_columns
+        dense = d.support_size * d.space.ndim >= 2 * d.space.cardinality
+        assert column.call_count == dense
+        assert labels == tuple(composition_labels(d.support_points))
+        assert counts is d.support_cells[1]
+
+    property_()
 
 
 def test_marginal_counts():

@@ -307,13 +307,17 @@ def test_history_json_labels_and_renders_each_dataset_once():
     oa = sequential_expansion(stages, oracle, cfg)[1]
     assert oa.iterations == 1 and oa.records[0].dataset_after is oa.initial_dataset
     assert len(oa.dataset.support) == 1296
-    labelled = mock.Mock(wraps=facil.dataset.composition_labels)
+    # a dense support is labelled from the grid's label column, a sparse one per
+    # support cell; either way each dataset is labelled once
+    gathered = mock.Mock(wraps=facil.dataset.composition_labels)
+    column = mock.Mock(wraps=facil.dataset.label_column)
     rendered = mock.Mock(wraps=facil.spaces._write)  # writes every value of the document
-    with mock.patch.object(facil.dataset, "composition_labels", labelled):
-        with mock.patch.object(facil.spaces, "_write", rendered):
-            text = oa.to_json()
-        assert oa.to_json() == text  # the dataset keeps its labels for the next writer
-    assert labelled.call_count == 1
+    with mock.patch.object(facil.dataset, "composition_labels", gathered):
+        with mock.patch.object(facil.dataset, "label_column", column):
+            with mock.patch.object(facil.spaces, "_write", rendered):
+                text = oa.to_json()
+            assert oa.to_json() == text  # the dataset keeps its labels for the next writer
+    assert gathered.call_count + column.call_count == 1
     labels, counts = oa.dataset.support_columns
     assert isinstance(labels, tuple) and len(labels) == 1296
     with pytest.raises(ValueError):

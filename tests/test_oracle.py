@@ -243,6 +243,21 @@ def test_success_at_equals_the_broadcast_formula_bit_for_bit():
     property_()
 
 
+def test_success_at_is_exact_across_the_exponent_clamp():
+    """Energy over kappa0 from 0 to past exp's underflow, in steps of 0.37 to 2.
+
+    Below about -37.4, 1 - exp(x) rounds to 1.0, so clamping x at -700 changes
+    no bit; a clamp nearer 0 would show here as a probability below 1.
+    """
+    space = build_space([("a", [str(j) for j in range(2001)])])
+    d = Dataset.from_grid(space, np.arange(2001))
+    for kappa0 in (1.0, 0.5, 1.3, 2.7):
+        params = plain_params(space, kappa0=kappa0)
+        got, expected = success_at(params, d), broadcast_success(params, d)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert (got < 1.0).any() and (got[-1000:] == 1.0).all()
+
+
 def test_success_probability_formula():
     space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1"])])
     p = plain_params(space, beta=4.0)

@@ -312,23 +312,25 @@ class CompositionalityReport:
 
 
 def compositionality_check(
-    train: set[Composition] | frozenset[Composition],
+    train: set[Composition] | frozenset[Composition] | np.ndarray,
     rates: Tensor,
     tau: float,
 ) -> CompositionalityReport:
     """Which compositions does the factor design promise but not deliver?
 
-    Predicted compositions are the product closure of the training support,
-    the product of the levels it uses on each axis; empirical ones are those
+    Predicted compositions are the product closure of the training support
+    (compositions, or an array of their flat cells, taken as checked), the
+    product of the levels it uses on each axis; empirical ones are those
     whose measured (or exact) success rate is strictly above tau, the
     curation loop's marking rule.  Each violation increments every dimension
     pair whose level pair never occurs together in the training set,
     attributing the failure to unverified pairwise interactions.
     """
-    if not train:
+    if not len(train):
         raise ValueError("training support must be non-empty")
     space = rates.space
-    columns = np.unravel_index(space.cells(list(train)), space.shape)  # one index array per axis
+    cells = train if isinstance(train, np.ndarray) else space.cells(list(train))
+    columns = np.unravel_index(cells, space.shape)  # one index array per axis
 
     predicted = np.zeros(space.shape, dtype=bool)
     predicted[np.ix_(*map(np.unique, columns))] = True

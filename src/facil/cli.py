@@ -6,7 +6,7 @@ check-comp (factor-design checker), budget (rollout arithmetic).  The
 table ``_COMMANDS`` holds each command's name, handler and help line;
 ``_parser`` builds argparse from it once per process, on first use.  All
 outputs are deterministic functions of (config, flags), so reruns produce
-byte-identical files, written as UTF-8 bytes.  Exit codes: 0 success, 1 ran
+byte-identical files, written in UTF-8 slices.  Exit codes: 0 success, 1 ran
 but did not converge, 2 configuration, input or output-file error, 3 any
 other failure (its traceback goes to stderr).
 """
@@ -25,6 +25,8 @@ from itertools import chain
 from pathlib import Path
 from typing import NoReturn, Sequence
 
+import numpy as np
+
 from .analysis import (
     STRATEGY_NAMES,
     comparison_csv,
@@ -35,7 +37,7 @@ from .analysis import (
     scaling_csv,
     violations_csv,
 )
-from .dataset import Dataset, InputMemoryError, dataset_to_csv
+from .dataset import Dataset, DemoBatches, InputMemoryError, add_many, dataset_to_csv
 from .flywheel import (
     FlywheelConfig,
     RunHistory,
@@ -275,10 +277,10 @@ def _check_in_space(space: FactorSpace, comp: Composition, path: str, where: str
 
 def _check_all_in_space(
     space: FactorSpace, comps: Sequence[Composition], path: str, where: str = ""
-) -> None:
-    """One check of a list of compositions; only after it fails, a loop names the first misfit."""
+) -> np.ndarray:
+    """Their flat cells, from one check; only after it fails, a loop names the first misfit."""
     try:
-        space.cells(comps)
+        return space.cells(comps)
     except ValueError:
         for i, comp in enumerate(comps):
             _check_in_space(space, comp, f"{path}[{i}]", where)
@@ -352,16 +354,19 @@ def _resolve_out_dir(config: RunConfig) -> Path:
     return path
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, *texts: str) -> None:
+    """Write the texts in turn as UTF-8, 2**16 characters (64 KiB of ASCII) encoded at a time."""
     try:
-        path.write_bytes(text.encode("utf-8"))
+        with path.open("wb") as file:  # so no bytes copy of a whole file exists
+            for text in texts:
+                file.writelines(text[i : i + 2**16].encode("utf-8") for i in range(0, len(text), 2**16))
     except OSError as exc:  # a directory in the file's place, a full disk
         _fail(_out_field(), f"cannot write {str(path)!r} ({exc})")
 
 
 def _write_history_files(out: Path, history: RunHistory, suffix: str = "") -> None:
     tag = f"_{suffix}" if suffix else ""
-    _write(out / f"history{tag}.json", history.to_json() + "\n")
+    _write(out / f"history{tag}.json", history.to_json(), "\n")
     _write(out / f"iterations{tag}.csv", history.iterations_csv())
     _write(out / f"dataset{tag}.csv", dataset_to_csv(history.dataset))
     labels: dict = {}  # the reports of one history share their grid's label column
@@ -401,7 +406,7 @@ def _cmd_run(config: RunConfig, out: Path, args: argparse.Namespace) -> int:
     _check_initial(config, space)
     history = run_flywheel(space, config.oracle.params_for(space), config.flywheel)
     _write_history_files(out, history)
-    _write(out / "summary.json", json_text(history.summary()) + "\n")
+    _write(out / "summary.json", json_text(history.summary()), "\n")
     return 0 if history.converged else _not_converged(history)
 
 
@@ -429,7 +434,7 @@ def _cmd_expand(config: RunConfig, out: Path, args: argparse.Namespace) -> int:
         "stages": [h.summary() for h in histories],
         "all_converged": all(h.converged for h in histories) and len(histories) == len(stages),
     }
-    _write(out / "summary.json", json_text(summary) + "\n")
+    _write(out / "summary.json", json_text(summary), "\n")
     # a stage that does not converge ends the chain, so it is the last one run
     return 0 if summary["all_converged"] else _not_converged(histories[-1])
 
@@ -466,16 +471,15 @@ def _cmd_fit(config: RunConfig, out: Path, args: argparse.Namespace) -> int:
 
 
 def _cmd_check_comp(config: RunConfig, out: Path, args: argparse.Namespace) -> int:
-    space = config.space
-    train = config.train
+    space, train, per_cell = config.space, config.train, config.demos_per_composition
     if train is None:
         raise ConfigError("check.train: required for check-comp")
-    _check_all_in_space(space, train, "check.train")
-    if config.demos_per_composition * len(set(train)) >= 2**63:
+    cells = np.unique(_check_all_in_space(space, train, "check.train"))  # the one array of them
+    if per_cell * len(cells) >= 2**63:
         _fail("check.demos_per_composition", "times the training compositions must be below 2**63")
-    dataset = Dataset(space, {comp: config.demos_per_composition for comp in train})
+    dataset = add_many(Dataset(space), DemoBatches(cells, np.full(len(cells), per_cell)))
     probs = success_tensor(config.oracle.params_for(space), dataset)
-    report = compositionality_check(set(train), probs, config.flywheel.tau)
+    report = compositionality_check(cells, probs, config.flywheel.tau)
     _write(out / "violations.csv", violations_csv(report, probs))
     check_summary = {
         "predicted_size": report.predicted_size,
@@ -485,7 +489,7 @@ def _cmd_check_comp(config: RunConfig, out: Path, args: argparse.Namespace) -> i
             f"{m}:{n}": count for (m, n), count in sorted(report.pair_counts.items())
         },
     }
-    _write(out / "check.json", json_text(check_summary) + "\n")
+    _write(out / "check.json", json_text(check_summary), "\n")
     return 0
 
 

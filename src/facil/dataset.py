@@ -169,7 +169,7 @@ class DemoBatches:
 
 
 def add_many(dataset: Dataset, batches: DemoBatches) -> Dataset:
-    """Return a new dataset with every batch merged in."""
+    """Return a new dataset with every batch merged in; an empty dataset's zeros are not copied."""
     cells = batches.cells
     if len(cells) and not (cells.min() >= 0 and cells.max() < dataset.grid.size):
         raise ValueError(f"batch cells outside the {dataset.grid.size} cells of the space")
@@ -177,7 +177,7 @@ def add_many(dataset: Dataset, batches: DemoBatches) -> Dataset:
     total = dataset.total + sum(batches.counts.tolist())
     if total >= 2**63:
         raise OverflowError("total demo count must stay below 2**63")
-    grid = dataset.grid.copy()  # the one copy, owned by the new dataset
+    grid = dataset.grid.copy() if dataset.total else np.zeros(dataset.grid.shape, dtype=np.int64)
     np.add.at(grid.reshape(-1), cells, batches.counts)
     return Dataset.__new__(Dataset)._freeze(dataset.space, grid, total)
 

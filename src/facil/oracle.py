@@ -15,15 +15,15 @@ serves all three evaluations (the full grid, every slot x new cell in exact
 mode, and slots picked by their frozen ratios): it takes a (slots x cells)
 block of success probabilities, computed by ``success_at`` at the cells read,
 and returns each cell's hits.  Its rounds run in place on two uint64 lanes,
-(x0, x2) and (x1, x3), in buffers each call sizes for one pass of cells and
-reuses; the fixed parts of counter (j + 1, cell, 0, 0) fold the first three
+(x0, x2) and (x1, x3), in one block of six buffers sized per call for a pass
+and reused; the fixed parts of counter (j + 1, cell, 0, 0) fold the first 3
 rounds.  A draw u = d * 2**-53 is below p exactly when d < ceil(p * 2**53), so
 hits are counted on the words as they leave the rounds.  Only cells whose
 outcome is uncertain draw: a cell at exactly 0 or 1 is known, and each cell's
 stream depends only on (seed, tag, cell).  A report keeps only the per-cell
 success counts and k; rates and rollout totals are derived.  Its rates CSV is
-written from arrays: the grid's label column plus, per cell, one of the at
-most k + 1 row suffixes ",n,k,rate", each formatted once.
+one join of the header and, per cell, a label from the grid's label column
+and one of the at most k + 1 suffixes ",n,k,rate", each formatted once.
 """
 
 from __future__ import annotations
@@ -99,14 +99,15 @@ def _philox_words(seed: int, tag: int, index: np.ndarray, draws: int):
     Cell i's stream is numpy's ``Philox(key=[seed, tag], counter=[0, i, 0, 0])``:
     block j is Philox4x64-10 of counter (j + 1, i, 0, 0) under key (seed, tag),
     words x0, x1, x2, x3.  The lanes a = (x0, x2) and b = (x1, x3) are
-    (2, blocks, stop - start) views of six buffers every pass reuses, holding
-    draws w >> 11: draw 4j + w of row r is (a[0], b[0], a[1], b[1])[w][j, r].
+    (2, blocks, stop - start) views of two of six buffers, cut from one block
+    that every pass reuses, holding draws w >> 11: draw 4j + w of row r is
+    (a[0], b[0], a[1], b[1])[w][j, r].
     The words past ``draws`` in the last block read _NEVER.
     """
     if not len(index):
         return
     blocks = -(-draws // 4)
-    a, b, *t = (np.empty((2, blocks * min(len(index), _CHUNK_CELLS)), dtype=_U64) for _ in range(6))
+    a, b, *t = np.empty((6, 2, blocks * min(len(index), _CHUNK_CELLS)), dtype=_U64)  # one block
     keys = np.array([[seed & _MASK64], [tag & _MASK64]], dtype=_U64) + _PHILOX_ROUNDS * _PHILOX_BUMP
     # Counter (j + 1, i, 0, 0) folds: round 0 gives (i ^ k0, 0, f(j), g(j)),
     # round 1 multiplies x0 per cell and x2 per block, round 2 x2 alone.
@@ -277,13 +278,7 @@ DEFAULT_BLACKLIST: tuple[BlacklistPair, ...] = (
 
 
 def default_family(seed: int) -> OracleParams:
-    return OracleParams(
-        kappa0=DEFAULT_KAPPA0,
-        beta=DEFAULT_BETA,
-        p_max=DEFAULT_P_MAX,
-        blacklist=DEFAULT_BLACKLIST,
-        seed=seed,
-    )
+    return OracleParams(DEFAULT_KAPPA0, DEFAULT_BETA, DEFAULT_P_MAX, DEFAULT_BLACKLIST, seed)
 
 
 def default_params(space: FactorSpace, seed: int) -> OracleParams:
@@ -351,11 +346,8 @@ class EvaluationReport:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EvaluationReport):
             return NotImplemented
-        return (
-            self.space == other.space
-            and self.k == other.k
-            and np.array_equal(self.successes, other.successes)
-        )
+        same = self.space == other.space and self.k == other.k
+        return same and np.array_equal(self.successes, other.successes)
 
     @property
     def rates(self) -> Tensor:
@@ -385,8 +377,10 @@ class EvaluationReport:
             counts, which = np.unique(which, return_inverse=True)
         rates = (counts / self.k).tolist()  # the same division as ``rates``
         suffix = [f",{n},{self.k},{r!r}\n" for n, r in zip(counts.tolist(), rates)]
-        rows = np.stack([labels[shape], np.array(suffix, dtype=object)[which]], 1)
-        return "composition_indices,successes,k,rate\n" + "".join(rows.ravel().tolist())
+        rows = ["composition_indices,successes,k,rate\n"] * (2 * len(which) + 1)
+        rows[1::2] = labels[shape].tolist()  # the header, then each label and its suffix
+        rows[2::2] = np.array(suffix, dtype=object)[which].tolist()
+        return "".join(rows)
 
     def to_doc(self) -> dict:
         return self._doc(self.space.to_doc(), self.successes.tolist())

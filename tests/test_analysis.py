@@ -414,6 +414,11 @@ def test_compositionality_check_equals_the_set_reference():
         assert all(type(v) is int for c in got.violations for v in c)
         assert got.pair_counts == want.pair_counts
         assert violations_csv(got, rates) == violations_csv(want, rates)
+        # the flat cells check-comp passes, repeats and all, give the same report
+        flat = compositionality_check(space.cells(train), rates, tau)
+        assert np.array_equal(flat.predicted, got.predicted)
+        assert np.array_equal(flat.empirical, got.empirical)
+        assert (flat.violations, flat.pair_counts) == (got.violations, got.pair_counts)
 
     property_()
 

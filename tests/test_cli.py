@@ -492,6 +492,17 @@ def not_converged_line(history: RunHistory) -> str:
             },
             "OA",
         ),
+        # the default tau 0.8 is 4 of the default k 5 rollouts: 4 of 16 cells sit exactly
+        # at tau, and the line counts only the 9 strictly below it
+        (
+            "run",
+            {
+                "space": "pnp_object",
+                "oracle": {"beta": 0.0, "kappa0": 20.0},
+                "flywheel": {"max_iterations": 2},
+            },
+            "O",
+        ),
     ],
 )
 def test_not_converged_prints_one_stderr_line(tmp_path, capsys, command, doc, stage):
@@ -505,6 +516,9 @@ def test_not_converged_prints_one_stderr_line(tmp_path, capsys, command, doc, st
     history = RunHistory.from_json((out / name).read_text())
     assert history.stage == stage and not history.converged
     assert captured.err == not_converged_line(history)
+    if history.config.tau == 0.8:  # the boundary case: a cell at tau is not below it
+        rates = history.records[-1].report.rates.values.tolist()
+        assert rates.count(0.8) == 4 and "9 of 16 cells below tau" in captured.err
 
 
 def test_converged_run_prints_nothing(tmp_path, capsys):

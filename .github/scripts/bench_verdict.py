@@ -2,9 +2,13 @@
 
 ``bench/run.py`` exits 0 even when an output sha256 differs from its pin in
 ``bench/spec.json``; its verdict is the log's last line, one JSON object.
-The run passed when ``correct`` is true and ``failed`` is 0.  Otherwise each
-failing field is printed with what it should be and what it is, and the exit
-code is 1.
+The run passed when ``correct`` is true and ``failed`` is 0, and, in a traced
+log (``--trace 1``, whose metrics hold ``trace.wall_s``), when
+``oracle.success_tensor.calls`` is above 0.  Every workload evaluates a whole
+grid at least once, so 0 means a call bypassed that layer's lookup site and its
+numbers vanished; no exit code, sha256 or pinned count shows that.  Otherwise
+each failing field is printed with what it should be and what it is, and the
+exit code is 1.
 
 Usage: python3 .github/scripts/bench_verdict.py LOG
 """
@@ -16,15 +20,21 @@ import sys
 from pathlib import Path
 
 CHECKS = (("correct", lambda v: v is True, "true"), ("failed", lambda v: v == 0, "0"))
+TRACED_CHECKS = (("oracle.success_tensor.calls", lambda v: v["value"] > 0, "a count above 0"),)
 
 
 def failures(line: str) -> list[str]:
     """One message per field of the verdict line that does not pass."""
     result = json.loads(line)
+    checks = [(result, CHECKS)]
+    metrics = result.get("metrics", {})
+    if "trace.wall_s" in metrics:
+        checks.append((metrics, TRACED_CHECKS))
     return [
-        f"{name}: expected {want}, got {json.dumps(result[name]) if name in result else 'no value'}"
-        for name, passes, want in CHECKS
-        if name not in result or not passes(result[name])
+        f"{name}: expected {want}, got {json.dumps(fields[name]) if name in fields else 'no value'}"
+        for fields, group in checks
+        for name, passes, want in group
+        if name not in fields or not passes(fields[name])
     ]
 
 

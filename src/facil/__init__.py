@@ -51,7 +51,6 @@ from .spaces import (
     Composition,
     FactorDimension,
     FactorSpace,
-    Tensor,
     build_space,
     diagonal_init,
     preset_space,
@@ -77,7 +76,6 @@ __all__ = [
     "RunHistory",
     "ScalingFit",
     "StrategyOutcome",
-    "Tensor",
     "add_many",
     "aggregated_tensor",
     "baseline_sampler",

@@ -32,7 +32,7 @@ from .oracle import (
     mapped_evaluation,
     simulate_evaluation,
 )
-from .spaces import Composition, FactorSpace, Tensor, composition_labels, csv_text, integer
+from .spaces import Composition, FactorSpace, composition_labels, csv_text, integer
 
 STRATEGY_NAMES = ("facil_ratio", "factors_mixture", "gaussian")
 
@@ -285,12 +285,11 @@ def generalization_gap(
 class CompositionalityReport:
     """Product-closure predictions checked against measured success.
 
-    ``predicted`` and ``empirical`` are read-only bool grids of the space's
-    shape; ``violations`` are the predicted cells that are not empirical, in
-    row-major order.
+    ``predicted`` and ``empirical`` are read-only bool grids of the rate
+    grid's shape; ``violations`` are the predicted cells that are not
+    empirical, in row-major order.
     """
 
-    space: FactorSpace
     predicted: np.ndarray
     empirical: np.ndarray
     violations: tuple[Composition, ...]
@@ -298,7 +297,7 @@ class CompositionalityReport:
 
     def __post_init__(self) -> None:
         for name in ("predicted", "empirical"):
-            grid = np.array(getattr(self, name), dtype=bool).reshape(self.space.shape)
+            grid = np.array(getattr(self, name), dtype=bool)
             grid.setflags(write=False)
             object.__setattr__(self, name, grid)
 
@@ -312,38 +311,36 @@ class CompositionalityReport:
 
 
 def compositionality_check(
-    train: set[Composition] | frozenset[Composition] | np.ndarray,
-    rates: Tensor,
+    train: np.ndarray,
+    rates: np.ndarray,
     tau: float,
 ) -> CompositionalityReport:
     """Which compositions does the factor design promise but not deliver?
 
     Predicted compositions are the product closure of the training support
-    (compositions, or an array of their flat cells, taken as checked), the
-    product of the levels it uses on each axis; empirical ones are those
-    whose measured (or exact) success rate is strictly above tau, the
-    curation loop's marking rule.  Each violation increments every dimension
-    pair whose level pair never occurs together in the training set,
-    attributing the failure to unverified pairwise interactions.
+    (its flat cells, as ``FactorSpace.cells`` checks and returns them), the
+    product of the levels it uses on each axis of the rate grid; empirical
+    ones are those whose measured (or exact) success rate is strictly above
+    tau, the curation loop's marking rule.  Each violation increments every
+    dimension pair whose level pair never occurs together in the training
+    set, attributing the failure to unverified pairwise interactions.
     """
     if not len(train):
         raise ValueError("training support must be non-empty")
-    space = rates.space
-    cells = train if isinstance(train, np.ndarray) else space.cells(list(train))
-    columns = np.unravel_index(cells, space.shape)  # one index array per axis
+    shape = rates.shape
+    columns = np.unravel_index(train, shape)  # one index array per axis
 
-    predicted = np.zeros(space.shape, dtype=bool)
+    predicted = np.zeros(shape, dtype=bool)
     predicted[np.ix_(*map(np.unique, columns))] = True
-    empirical = _above_tau(rates, tau).reshape(space.shape)
+    empirical = _above_tau(rates, tau)
     cells = np.argwhere(predicted & ~empirical)  # row-major, so in lexicographic order
 
     pair_counts = {}
-    for m, n in combinations(range(space.ndim), 2):
-        seen = np.zeros((space.shape[m], space.shape[n]), dtype=bool)
+    for m, n in combinations(range(len(shape)), 2):
+        seen = np.zeros((shape[m], shape[n]), dtype=bool)
         seen[columns[m], columns[n]] = True
         pair_counts[(m, n)] = int(np.count_nonzero(~seen[cells[:, m], cells[:, n]]))
     return CompositionalityReport(
-        space=space,
         predicted=predicted,
         empirical=empirical,
         violations=tuple(map(tuple, cells.tolist())),
@@ -351,9 +348,9 @@ def compositionality_check(
     )
 
 
-def violations_csv(report: CompositionalityReport, rates: Tensor) -> str:
-    points = np.array(report.violations, dtype=np.int64).reshape(-1, rates.space.ndim)
-    rows = zip(composition_labels(points), map(repr, rates.grid[tuple(points.T)].tolist()))
+def violations_csv(report: CompositionalityReport, rates: np.ndarray) -> str:
+    points = np.array(report.violations, dtype=np.int64).reshape(-1, rates.ndim)
+    rows = zip(composition_labels(points), map(repr, rates[tuple(points.T)].tolist()))
     return csv_text(["composition_indices", "predicted_p_or_rate"], rows)
 
 

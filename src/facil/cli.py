@@ -391,7 +391,7 @@ def _not_converged(history: RunHistory) -> int:
     """Exit code 1, with one stderr line on where the run stopped short of tau."""
     cfg = history.config
     last = history.records[-1]
-    below = int((last.report.rates.values < cfg.tau).sum())
+    below = int((last.report.rates < cfg.tau).sum())
     print(
         f"not converged: stage {history.stage}: {history.iterations} of "
         f"max_iterations {cfg.max_iterations} used, overall rate {last.overall_rate!r} "

@@ -39,33 +39,32 @@ import numpy as np
 
 # add_demos stays importable from here: bench/tracer.py wraps it at this lookup site.
 from .dataset import Dataset, DemoBatches, add_demos, add_many  # noqa: F401
-from .spaces import Composition, Tensor
+from .spaces import Composition
 
 
-def _above_tau(rates: Tensor, tau: float) -> np.ndarray:
-    """Flat mask of the cells whose rate is strictly above tau; tau and the rates lie in [0, 1]."""
+def _above_tau(rates: np.ndarray, tau: float) -> np.ndarray:
+    """Mask of the cells whose rate is strictly above tau; tau and the rates lie in [0, 1]."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    if not (np.all(rates.values >= 0.0) and np.all(rates.values <= 1.0)):
+    if not (np.all(rates >= 0.0) and np.all(rates <= 1.0)):
         raise ValueError("tensor is not a success-rate tensor (values outside [0, 1])")
-    return rates.values > tau
+    return rates > tau
 
 
-def aggregated_tensor(rates: Tensor) -> Tensor:
+def aggregated_tensor(rates: np.ndarray) -> np.ndarray:
     """Per-cell sum of all axis slices through the cell.
 
     S_i = sum_m sum_{j : j_m = i_m} R_j - (n - 1) * R_i for an n-dim grid:
     each dimension contributes the total of the slab sharing coordinate m
     with i, and the cell's own value, counted n times, is kept once.
     """
-    grid = rates.grid
-    n = grid.ndim
+    n = rates.ndim
     axes = tuple(range(n))
-    scores = -(n - 1) * grid
+    scores = -(n - 1) * rates
     for m in axes:
         others = tuple(a for a in axes if a != m)
-        scores = scores + grid.sum(axis=others, keepdims=True)
-    return Tensor(rates.space, scores.reshape(-1))
+        scores = scores + rates.sum(axis=others, keepdims=True)
+    return scores
 
 
 # CurationStep and CurationTrace.steps are kept only for bench/tracer.py, which reads them.
@@ -182,7 +181,7 @@ def _score_order(scores: np.ndarray) -> np.ndarray:
 
 
 def curate_expansion(
-    rates: Tensor,
+    rates: np.ndarray,
     dataset: Dataset,
     tau: float,
     unit_size: int,
@@ -204,16 +203,16 @@ def curate_expansion(
     lie in [0, 1]; that keeps out NaN, the one score on which the score order
     and an argmin over the unmarked cells would choose different cells.
     """
-    space = rates.space
-    if space.shape != dataset.space.shape:
+    space = dataset.space
+    if rates.shape != space.shape:
         raise ValueError(
-            f"rate tensor shape {space.shape} does not match dataset space {dataset.space.shape}"
+            f"rate tensor shape {rates.shape} does not match dataset space {space.shape}"
         )
     if unit_size < 1:
         raise ValueError(f"unit_size must be >= 1, got {unit_size}")
-    marked = _above_tau(rates, tau)
+    marked = _above_tau(rates, tau).reshape(-1)
 
-    scores = aggregated_tensor(rates).values
+    scores = aggregated_tensor(rates).reshape(-1)
     order = _score_order(scores)
     strides = [math.prod(space.shape[m + 1 :]) for m in range(space.ndim)]
     axes = list(zip(strides, space.shape))

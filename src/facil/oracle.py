@@ -36,7 +36,6 @@ import numpy as np
 from .dataset import Dataset, InputMemoryError
 from .spaces import (
     FactorSpace,
-    Tensor,
     integer,
     integer_array,
     label_column,
@@ -314,17 +313,20 @@ def success_at(params: OracleParams, dataset: Dataset, cells: np.ndarray | None 
         return np.minimum(params.p_max, p, out=p)
 
 
-def success_tensor(params: OracleParams, dataset: Dataset) -> Tensor:
-    """Exact success probabilities over the dataset's space (no sampling)."""
-    return Tensor(dataset.space, success_at(params, dataset))
+def success_tensor(params: OracleParams, dataset: Dataset) -> np.ndarray:
+    """Exact success probabilities over the dataset's space (no sampling), a read-only grid."""
+    grid = success_at(params, dataset)
+    grid.setflags(write=False)
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
 class EvaluationReport:
     """Empirical per-composition rates from k Bernoulli rollouts each.
 
-    Only the success counts and k are stored; ``rates`` is computed on each
-    read, and only the ``overall`` mean is kept.
+    Only the success counts and k are stored; ``rates``, a read-only grid of
+    the space's shape, is computed on each read, and only the ``overall``
+    mean is kept.
     """
 
     space: FactorSpace
@@ -350,8 +352,10 @@ class EvaluationReport:
         return same and np.array_equal(self.successes, other.successes)
 
     @property
-    def rates(self) -> Tensor:
-        return Tensor(self.space, self.successes / self.k)
+    def rates(self) -> np.ndarray:
+        rates = (self.successes / self.k).reshape(self.space.shape)
+        rates.setflags(write=False)
+        return rates
 
     @property
     def total_rollouts(self) -> int:
@@ -416,7 +420,7 @@ def simulate_evaluation(
         raise ValueError(
             f"benchmark shape {bench_space.shape} does not match dataset space {dataset.space.shape}"
         )
-    probs = success_tensor(params, dataset).values[None]
+    probs = success_tensor(params, dataset).reshape(-1)[None]
     return EvaluationReport(bench_space, _rollout_hits(probs, k, params.seed, iteration_tag), k)
 
 

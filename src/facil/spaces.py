@@ -1,9 +1,9 @@
-"""Discrete factor grids: dimensions, compositions, dense tensors, presets.
+"""Discrete factor grids: dimensions, compositions, presets.
 
 A factor space is an ordered Cartesian product of named dimensions, each with
 a fixed list of level labels.  A composition is one cell of that product,
-written as a tuple of level indices.  All dense per-composition arrays are
-stored flat in row-major order over the declared dimension order.
+written as a tuple of level indices.  Per-cell values are numpy arrays of
+the space's shape, row-major over the declared dimension order.
 ``FactorSpace.cells`` is the one check and conversion of compositions to
 those flat cells, a whole list in one call; ``np.unravel_index`` turns
 cells back into compositions.
@@ -197,30 +197,6 @@ class FactorSpace:
         dims = tuple(FactorDimension(d["name"], tuple(d["levels"])) for d in doc["dims"])
         ratios = doc.get("slot_ratios")
         return cls(dims, tuple(ratios) if ratios is not None else None)
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """Dense real array over a space's compositions, flat row-major."""
-
-    space: FactorSpace
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float).reshape(-1).copy()
-        if vals.size != self.space.cardinality:
-            raise ValueError(
-                f"tensor has {vals.size} values for cardinality {self.space.cardinality}"
-            )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.values.reshape(self.space.shape)
-
-    def __getitem__(self, c: Composition) -> float:
-        return float(self.values[self.space.cells([c])[0]])
 
 
 def build_space(dim_specs: Sequence[tuple[str, Sequence[str]]]) -> FactorSpace:

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from facil.oracle import _philox_words
-from facil.spaces import Composition, FactorSpace, Tensor
+from facil.spaces import Composition
 
 
 def hypercube_span(s: Composition, d: Composition) -> set[Composition]:
@@ -46,19 +46,20 @@ def _cell_uniforms(seed: int, tag: int, index: np.ndarray, draws: int) -> np.nda
 # change to curation's rule shows up against it.
 
 
-def _above_tau(rates: Tensor, tau: float) -> np.ndarray:
+def _above_tau(rates: np.ndarray, tau: float) -> np.ndarray:
     """Flat mask of the cells whose rate is strictly above tau; tau and the rates lie in [0, 1]."""
+    values = rates.reshape(-1)
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    if not bool(np.all(rates.values >= 0.0) and np.all(rates.values <= 1.0)):
+    if not bool(np.all(values >= 0.0) and np.all(values <= 1.0)):
         raise ValueError("tensor is not a success-rate tensor (values outside [0, 1])")
-    return rates.values > tau
+    return values > tau
 
 
-def empirical_orbit(rates: Tensor, tau: float) -> frozenset[Composition]:
-    """Compositions whose measured success rate is strictly above tau."""
+def empirical_orbit(rates: np.ndarray, tau: float) -> frozenset[Composition]:
+    """Compositions whose measured success rate (a grid) is strictly above tau."""
     above = _above_tau(rates, tau)  # flat, row-major as np.ndindex walks the grid
-    return frozenset(c for c, keep in zip(np.ndindex(rates.space.shape), above) if keep)
+    return frozenset(c for c, keep in zip(np.ndindex(rates.shape), above) if keep)
 
 
 def product_closure(comps: Iterable[Composition]) -> set[Composition]:
@@ -81,7 +82,6 @@ def product_closure(comps: Iterable[Composition]) -> set[Composition]:
 class CompositionalityReport:
     """Product-closure predictions checked against measured success."""
 
-    space: FactorSpace
     predicted: frozenset[Composition]
     empirical: frozenset[Composition]
     violations: tuple[Composition, ...]
@@ -98,7 +98,7 @@ class CompositionalityReport:
 
 def compositionality_check(
     train: set[Composition] | frozenset[Composition],
-    rates: Tensor,
+    rates: np.ndarray,
     tau: float,
 ) -> CompositionalityReport:
     """Which compositions does the factor design promise but not deliver?
@@ -112,19 +112,19 @@ def compositionality_check(
     """
     if not train:
         raise ValueError("training support must be non-empty")
-    space = rates.space
+    shape = rates.shape
     train = frozenset(map(tuple, train))
     for c in train:
-        if len(c) != space.ndim or not all(0 <= v < n for v, n in zip(c, space.shape)):
-            raise ValueError(f"composition {c} is not a cell of a grid of shape {space.shape}")
+        if len(c) != len(shape) or not all(0 <= v < n for v, n in zip(c, shape)):
+            raise ValueError(f"composition {c} is not a cell of a grid of shape {shape}")
 
     predicted = product_closure(train)
     empirical = empirical_orbit(rates, tau)
     violations = tuple(sorted(predicted - empirical))  # lexicographic is row-major order
 
     seen_pairs: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for m in range(space.ndim):
-        for n in range(m + 1, space.ndim):
+    for m in range(len(shape)):
+        for n in range(m + 1, len(shape)):
             seen_pairs[(m, n)] = {(c[m], c[n]) for c in train}
     pair_counts = {key: 0 for key in seen_pairs}
     for comp in violations:
@@ -132,7 +132,6 @@ def compositionality_check(
             if (comp[m], comp[n]) not in seen:
                 pair_counts[(m, n)] += 1
     return CompositionalityReport(
-        space=space,
         predicted=frozenset(predicted),
         empirical=empirical,
         violations=violations,

@@ -31,7 +31,7 @@ from facil.curation import aggregated_tensor, curate_expansion
 from facil.dataset import Dataset, DemoBatches, add_many
 from facil.flywheel import FlywheelConfig, rollout_budget, run_flywheel, sequential_expansion
 from facil.oracle import OracleParams, default_family, default_params, success_tensor
-from facil.spaces import Tensor, build_space, preset_space
+from facil.spaces import build_space, preset_space
 from reference import hypercube_span
 
 
@@ -92,10 +92,7 @@ def test_criterion_2_aggregated_tensor_equivalence(capsys):
             ndim = int(rng.integers(2, 5))
             shape = tuple(int(rng.integers(2, 7)) for _ in range(ndim))
             grid = rng.random(shape)
-            space = build_space(
-                [(f"d{m}", [f"v{v}" for v in range(s)]) for m, s in enumerate(shape)]
-            )
-            got = aggregated_tensor(Tensor(space, grid.reshape(-1))).grid
+            got = aggregated_tensor(grid)
             worst = max(worst, float(np.max(np.abs(got - brute_force_scores(grid)))))
         assert worst <= 1e-12, f"worst deviation {worst:.3e}"
         note["detail"] = f"200 tensors, worst |delta| {worst:.1e}"
@@ -103,7 +100,7 @@ def test_criterion_2_aggregated_tensor_equivalence(capsys):
 
 def replay_expansion(rates, dataset, tau, unit_size, batches, after, trace):
     """Independent step-by-step replay of one expansion run."""
-    space = rates.space
+    space = dataset.space
     scores = aggregated_tensor(rates)
     cells = list(itertools.product(*map(range, space.shape)))
     marked = {c for c in cells if rates[c] > tau}
@@ -152,7 +149,7 @@ def test_criterion_3_expansion_loop_correctness(capsys):
             else:
                 # quarter-step rates make exact score ties common
                 values = rng.integers(0, 5, size=space.cardinality) / 4.0
-            rates = Tensor(space, values)
+            rates = values.reshape(shape)
             tau = float(rng.uniform(0.05, 0.95))
             counts = {
                 c: int(rng.integers(1, 6))
@@ -200,8 +197,8 @@ def test_criterion_4_closure_equivalence(capsys):
                 tuple(int(rng.integers(0, s)) for s in shape) for _ in range(t_size)
             }
             space = build_space([(f"d{m}", list(map(str, range(n)))) for m, n in enumerate(shape)])
-            rates = Tensor(space, np.zeros(space.cardinality))
-            predicted = compositionality_check(comps, rates, 0.5).predicted
+            rates = np.zeros(shape)
+            predicted = compositionality_check(space.cells(list(comps)), rates, 0.5).predicted
             assert set(map(tuple, np.argwhere(predicted).tolist())) == span_fixpoint(comps)
         note["detail"] = "100 instances, the check's predicted grid == pairwise-span fixpoint"
 
@@ -331,7 +328,8 @@ def test_criterion_9_compositionality_checker(capsys):
             blacklist=frozenset({((0, 0), (1, 0)), ((0, 1), (1, 1))}),
             seed=0,
         )
-        report = compositionality_check(train, success_tensor(params, dataset), 0.8)
+        probs = success_tensor(params, dataset)
+        report = compositionality_check(light.cells(list(train)), probs, 0.8)
         assert report.predicted.all() and report.predicted_size == 4
         assert report.violations == ((0, 0), (1, 1))
 
@@ -342,7 +340,8 @@ def test_criterion_9_compositionality_checker(capsys):
         train2 = {(2, 0), (0, 1)}
         dataset2 = Dataset(shadow, {c: 2400 for c in train2})
         params2 = dataclasses.replace(params, blacklist=frozenset())
-        report2 = compositionality_check(train2, success_tensor(params2, dataset2), 0.8)
+        probs2 = success_tensor(params2, dataset2)
+        report2 = compositionality_check(shadow.cells(list(train2)), probs2, 0.8)
         assert report2.violations == ()
         both = report2.predicted & report2.empirical
         assert both[2, 1] and both[0, 0]

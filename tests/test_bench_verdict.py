@@ -33,6 +33,31 @@ def test_verdict_names_each_failing_field(tmp_path, capsys, last, messages):
     assert capsys.readouterr().err.splitlines() == [f"bench verdict: {m}" for m in messages]
 
 
+TRACED = '"metrics": {"trace.wall_s": {"value": 0.03, "unit": "s"}%s}'
+CALLS = ', "oracle.success_tensor.calls": {"value": %d, "unit": "count"}'
+
+
+@pytest.mark.parametrize(
+    "metrics, messages",
+    [
+        (TRACED % (CALLS % 3), []),
+        (
+            TRACED % (CALLS % 0),
+            ['oracle.success_tensor.calls: expected a count above 0, got {"value": 0, "unit": "count"}'],
+        ),
+        (TRACED % "", ["oracle.success_tensor.calls: expected a count above 0, got no value"]),
+        # an untraced log has no layer counts to check
+        ('"metrics": {"wall_s": {"value": 0.03, "unit": "s"}}', []),
+    ],
+)
+def test_a_traced_log_fails_when_success_tensor_reads_no_calls(tmp_path, capsys, metrics, messages):
+    log = tmp_path / "trace.log"
+    last = f'{{"correct": true, "failed": 0, {metrics}}}'
+    log.write_text(f"counts match the pinned counts\n{last}\n", encoding="utf-8")
+    assert bench_verdict.main(["bench_verdict.py", str(log)]) == (1 if messages else 0)
+    assert capsys.readouterr().err.splitlines() == [f"bench verdict: {m}" for m in messages]
+
+
 def test_an_empty_log_fails(tmp_path, capsys):
     log = tmp_path / "bench.log"
     log.write_text("", encoding="utf-8")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from facil import curation
 from facil.curation import CurationTrace, aggregated_tensor, curate_expansion
 from facil.dataset import Dataset
-from facil.spaces import Tensor, build_space
+from facil.spaces import build_space
 from reference import hypercube_span
 
 
@@ -42,9 +43,7 @@ def batch_compositions(space, batches):
 
 
 def test_aggregated_tensor_2x2_by_hand():
-    space = grid_space((2, 2))
-    rates = Tensor(space, np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(-1))
-    scores = aggregated_tensor(rates)
+    scores = aggregated_tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert scores[(0, 0)] == 6.0  # row 3 + col 4 - 1
     assert scores[(0, 1)] == 7.0
     assert scores[(1, 0)] == 8.0
@@ -57,15 +56,14 @@ def test_aggregated_tensor_matches_brute_force():
         ndim = int(rng.integers(2, 5))
         shape = tuple(int(rng.integers(2, 5)) for _ in range(ndim))
         grid = rng.random(shape)
-        space = grid_space(shape)
-        got = aggregated_tensor(Tensor(space, grid.reshape(-1))).grid
+        got = aggregated_tensor(grid)
         want = brute_force_scores(grid)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_no_expansion_when_everything_clears_tau():
     space = grid_space((2, 2))
-    rates = Tensor(space, np.full(4, 0.9))
+    rates = np.full(space.shape, 0.9)
     d = Dataset(space, {(0, 0): 5})
     batches, after, trace = curate_expansion(rates, d, 0.8, 10)
     assert len(batches) == 0
@@ -75,7 +73,7 @@ def test_no_expansion_when_everything_clears_tau():
 
 def test_single_selection_spans_whole_grid():
     space = grid_space((2, 2))
-    rates = Tensor(space, np.zeros(4))
+    rates = np.zeros(space.shape)
     d = Dataset(space, {(0, 0): 5, (1, 1): 5})
     batches, after, trace = curate_expansion(rates, d, 0.5, 10)
 
@@ -90,7 +88,7 @@ def test_single_selection_spans_whole_grid():
 
 def test_tie_break_and_span_order_on_a_line():
     space = grid_space((4,))
-    rates = Tensor(space, np.array([0.4, 0.2, 0.2, 0.3]))
+    rates = np.array([0.4, 0.2, 0.2, 0.3])
     d = Dataset(space, {(3,): 1})
     batches, after, trace = curate_expansion(rates, d, 0.5, 2)
 
@@ -106,7 +104,7 @@ def test_tie_break_and_span_order_on_a_line():
 def test_batches_fold_into_returned_dataset():
     rng = np.random.default_rng(9)
     space = grid_space((3, 3))
-    rates = Tensor(space, rng.random(9) * 0.5)
+    rates = rng.random(space.shape) * 0.5
     d = Dataset(space, {(0, 0): 4, (1, 2): 4})
     batches, after, trace = curate_expansion(rates, d, 0.6, 7)
     assert after.total == d.total + 7 * len(batches)
@@ -121,7 +119,7 @@ def test_batches_fold_into_returned_dataset():
 def test_curation_is_deterministic():
     rng = np.random.default_rng(13)
     space = grid_space((3, 2, 2))
-    rates = Tensor(space, rng.random(12))
+    rates = rng.random(space.shape)
     d = Dataset(space, {(0, 0, 0): 3})
     first = curate_expansion(rates, d, 0.7, 5)
     second = curate_expansion(rates, d, 0.7, 5)
@@ -134,7 +132,7 @@ def test_curation_is_deterministic():
 def test_curation_validates_inputs():
     space = grid_space((2, 2))
     other = grid_space((2, 3))
-    rates = Tensor(space, np.zeros(4))
+    rates = np.zeros(space.shape)
     d = Dataset(other, {})
     with pytest.raises(ValueError):
         curate_expansion(rates, d, 0.5, 10)
@@ -147,11 +145,20 @@ def test_curation_validates_inputs():
         CurationTrace((2, 2), [0, 3], [0.5], [1, 1], 10)
 
 
-def replay_curation(rates: Tensor, dataset: Dataset, tau: float) -> list[tuple]:
+def test_curation_rejects_a_rate_grid_of_another_shape():
+    """Rates are a grid of the dataset's shape: a flat array of the right size is not one."""
+    d = Dataset(grid_space((2, 3)), {})
+    for rates in (np.zeros(6), np.zeros((3, 2)), np.zeros((2, 2))):
+        message = f"rate tensor shape {rates.shape} does not match dataset space (2, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            curate_expansion(rates, d, 0.5, 10)
+
+
+def replay_curation(rates: np.ndarray, dataset: Dataset, tau: float) -> list[tuple]:
     """The marking loop by its definition: marks are a set, spans come from hypercube_span."""
-    scores = aggregated_tensor(rates).values
-    cells = list(itertools.product(*(range(size) for size in rates.space.shape)))
-    marked = {c for c, rate in zip(cells, rates.values) if rate > tau}
+    scores = aggregated_tensor(rates).reshape(-1)
+    cells = list(itertools.product(*(range(size) for size in rates.shape)))
+    marked = {c for c, rate in zip(cells, rates.reshape(-1)) if rate > tau}
     support = set(dataset.support)
     steps = []
     while len(marked) < len(cells):
@@ -186,23 +193,23 @@ def cases_in_4_to_6_dims(support_kind):
             counts = {tuple(int(v) for v in p): 3 for p in points}
         else:
             counts = {tuple(j % size for size in shape): 2 for j in range(max(shape))}
-        yield Tensor(space, rates), Dataset(space, counts)
+        yield rates.reshape(shape), Dataset(space, counts)
 
 
-def check_replay(tensor: Tensor, d: Dataset) -> list[tuple]:
+def check_replay(rates: np.ndarray, d: Dataset) -> list[tuple]:
     """curate_expansion gives the replay's selections, scores, marks and batches."""
-    batches, after, trace = curate_expansion(tensor, d, 0.6, 4)
-    want = replay_curation(tensor, d, 0.6)
+    batches, after, trace = curate_expansion(rates, d, 0.6, 4)
+    want = replay_curation(rates, d, 0.6)
     assert [(s.selected, s.s_value, s.newly_marked) for s in trace.steps] == want
-    assert batch_compositions(tensor.space, batches) == [s[0] for s in want]
+    assert batch_compositions(d.space, batches) == [s[0] for s in want]
     assert after.total == d.total + 4 * len(want)
     return want
 
 
 @pytest.mark.parametrize("support_kind", SUPPORT_KINDS)
 def test_curation_replays_hypercube_span_unions_in_4_to_6_dims(support_kind):
-    for tensor, d in cases_in_4_to_6_dims(support_kind):
-        check_replay(tensor, d)
+    for rates, d in cases_in_4_to_6_dims(support_kind):
+        check_replay(rates, d)
 
 
 def test_curation_rejects_tensors_that_are_not_rates():
@@ -211,12 +218,12 @@ def test_curation_rejects_tensors_that_are_not_rates():
     message = r"tensor is not a success-rate tensor \(values outside \[0, 1\]\)"
     for bad in (np.array([0.2, np.nan, 0.1, 0.3]), np.array([0.2, 1.5, 0.1, 0.3])):
         with pytest.raises(ValueError, match=message):
-            curate_expansion(Tensor(space, bad), d, 0.5, 1)
+            curate_expansion(bad.reshape(space.shape), d, 0.5, 1)
     # the marking rule itself: cells strictly above tau, on rates in [0, 1] only
-    marked = curation._above_tau(Tensor(space, [0.5, 0.25, 1.0, 0.0]), 0.25)
-    assert marked.tolist() == [True, False, True, False]
+    marked = curation._above_tau(np.array([[0.5, 0.25], [1.0, 0.0]]), 0.25)
+    assert marked.tolist() == [[True, False], [True, False]]
     with pytest.raises(ValueError, match=message):
-        curation._above_tau(Tensor(space, np.full(4, 1.5)), 0.5)
+        curation._above_tau(np.full(space.shape, 1.5), 0.5)
 
 
 def grid_case(case):
@@ -241,7 +248,7 @@ def grid_case(case):
         rates = np.full(1200, 0.25)
         counts = {(1, 0, j): 1 for j in range(300)}
     space = grid_space(shape)
-    return Tensor(space, rates), Dataset(space, counts)
+    return rates.reshape(shape), Dataset(space, counts)
 
 
 @pytest.mark.parametrize("case", GRID_CASES)
@@ -257,8 +264,8 @@ def test_each_span_form_replays_every_case(form, monkeypatch):
     # forced, so each form meets every case whichever one the rule picks for its grid
     monkeypatch.setattr(curation, "_use_table", lambda shape: form == "table")
     for kind in SUPPORT_KINDS:
-        for tensor, d in cases_in_4_to_6_dims(kind):
-            check_replay(tensor, d)
+        for rates, d in cases_in_4_to_6_dims(kind):
+            check_replay(rates, d)
     for case in GRID_CASES:
         check_replay(*grid_case(case))
 

@@ -238,7 +238,7 @@ def test_success_at_equals_the_broadcast_formula_bit_for_bit():
         assert at_cells.shape == cells.shape and whole.shape == d.space.shape
         assert np.array_equal(at_cells.view(np.uint64), expected[cells].view(np.uint64))
         assert np.array_equal(whole.reshape(-1).view(np.uint64), expected.view(np.uint64))
-        assert np.array_equal(success_tensor(params, d).values.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(success_tensor(params, d).reshape(-1).view(np.uint64), expected.view(np.uint64))
 
     property_()
 
@@ -324,7 +324,7 @@ def test_energy_past_float_range_gives_p_max_without_a_numpy_warning():
     d = Dataset(space, {(0, 0): 3})  # every other cell has no demos and an empty marginal
     for overrides in ({"kappa0": 1e-320}, {"beta": 1e308}, {"kappa0": 1e-320, "beta": 1e308}):
         probs = success_tensor(plain_params(space, p_max=0.9, **overrides), d)
-        assert probs.values.tolist() == [0.9, 0.0, 0.0, 0.0]
+        assert probs.tolist() == [[0.9, 0.0], [0.0, 0.0]]
 
 
 def test_one_demo_per_level_saturates_default_transfer():
@@ -346,8 +346,41 @@ def test_simulate_evaluation_reports_consistent_counts():
     assert report.k == 8
     assert report.total_rollouts == space.cardinality * 8
     assert np.all(report.successes >= 0) and np.all(report.successes <= 8)
-    assert np.allclose(report.rates.values, report.successes / 8)
-    assert report.overall == pytest.approx(float(report.rates.values.mean()))
+    assert np.allclose(report.rates.reshape(-1), report.successes / 8)
+    assert report.overall == pytest.approx(float(report.rates.mean()))
+
+
+def test_per_cell_grids_are_read_only():
+    """success_tensor and a report's rates are read-only float grids of the space's shape."""
+    space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1", "b2"])])
+    params = plain_params(space)
+    d = Dataset(space, {(0, 0): 3, (1, 2): 30})
+    report = simulate_evaluation(params, d, space, k=4)
+    for grid in (success_tensor(params, d), report.rates):
+        assert grid.shape == space.shape and grid.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 0.5
+    assert np.array_equal(report.rates, (report.successes / 4).reshape(space.shape))
+    assert report.rates is not report.rates  # computed on each read, so never stale
+
+
+def test_per_cell_grids_are_not_copied():
+    """On 20**4 cells each read peaks under 1.5x its grid's bytes; one more copy would be 2x."""
+    space = build_space([(f"d{m}", [str(v) for v in range(20)]) for m in range(4)])
+    rng = np.random.default_rng(5)
+    params = dataclasses.replace(plain_params(space), beta=1.0)
+    d = Dataset.from_grid(space, rng.integers(0, 3, space.shape))
+    report = EvaluationReport(space, rng.integers(0, 6, space.cardinality), 5)
+    for read in (lambda: success_tensor(params, d), lambda: report.rates):
+        read()  # anything a first read builds and keeps is not part of the read
+        tracemalloc.start()
+        try:
+            grid = read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == space.shape
+        assert peak < 1.5 * grid.nbytes, f"peak {peak / grid.nbytes:.2f}x the grid's bytes"
 
 
 def test_simulate_evaluation_rejects_shape_mismatch():
@@ -584,7 +617,7 @@ def test_skipped_cells_leave_every_success_count_unchanged():
         params = plain_params(world, p_max=case["p_max"], seed=case["seed"])
         d = Dataset.from_grid(world, counts)
         seed, tag, k = case["seed"], case["tag"], case["k"]
-        probs = success_tensor(params, d).values
+        probs = success_tensor(params, d).reshape(-1)
         slot_probs = probs[slot_cells(reduced, world)]
         fractional = np.count_nonzero((probs > 0) & (probs < 1))
         if case["p_max"] == 1.0:  # the layout holds exactly what it says

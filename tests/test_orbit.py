@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from facil.analysis import compositionality_check
-from facil.spaces import Tensor, build_space
+from facil.spaces import build_space
 from reference import hypercube_span
 
 
@@ -23,7 +23,7 @@ def space2x3():
 def closure(train, shape):
     """The check's predicted grid for a training set on a grid of this shape."""
     space = build_space([(f"d{m}", [str(v) for v in range(n)]) for m, n in enumerate(shape)])
-    return compositionality_check(train, Tensor(space, np.zeros(space.cardinality)), 0.5).predicted
+    return compositionality_check(space.cells(list(train)), np.zeros(shape), 0.5).predicted
 
 
 def cells_of(grid: np.ndarray) -> set[tuple[int, ...]]:
@@ -54,8 +54,8 @@ def test_hypercube_span_size_is_power_of_two():
 
 def test_empirical_orbit_strict_threshold():
     space = space2x3()
-    rates = Tensor(space, np.array([0.0, 0.8, 0.81, 1.0, 0.5, 0.79]))
-    report = compositionality_check({(0, 0)}, rates, 0.8)
+    rates = np.array([[0.0, 0.8, 0.81], [1.0, 0.5, 0.79]])
+    report = compositionality_check(space.cells([(0, 0)]), rates, 0.8)
     # strictly above tau only: the exact-tau cell stays out
     assert cells_of(report.empirical) == {np.unravel_index(2, space.shape), np.unravel_index(3, space.shape)}
     assert report.empirical.shape == space.shape
@@ -68,10 +68,10 @@ def test_empirical_orbit_validates_inputs():
     space = space2x3()
     for tau in (1.5, -0.1):
         with pytest.raises(ValueError, match=r"tau must be in \[0, 1\]"):
-            compositionality_check({(0, 0)}, Tensor(space, np.full(6, 0.5)), tau)
+            compositionality_check(space.cells([(0, 0)]), np.full(space.shape, 0.5), tau)
     for value in (2.0, -0.5, np.nan):
         with pytest.raises(ValueError, match="not a success-rate tensor"):
-            compositionality_check({(0, 0)}, Tensor(space, np.full(6, value)), 0.5)
+            compositionality_check(space.cells([(0, 0)]), np.full(space.shape, value), 0.5)
 
 
 def test_product_closure_small_example():

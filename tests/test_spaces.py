@@ -15,7 +15,6 @@ from facil.spaces import (
     FactorDimension,
     FactorSpace,
     PRESET_NAMES,
-    Tensor,
     build_space,
     diagonal_init,
     format_composition,
@@ -78,8 +77,6 @@ def test_cells_rejects_bad_compositions():
         space.cells([(1.5, 1)])
     with pytest.raises(ValueError, match="^composition: must be an integer, got '1'"):
         space.cells([("1", 0)])
-    with pytest.raises(ValueError, match="^composition: must be an integer, got 1.5"):
-        Tensor(space, np.zeros(6))[(1.5, 0)]
     with pytest.raises(ValueError, match="^support: must be an integer, got 0.5"):
         reduced_product([((0.5, 1), 1.0)], space)
 
@@ -324,20 +321,3 @@ def test_composition_text_round_trip():
         parse_composition("3/x/2")
     with pytest.raises(ValueError):
         parse_composition("")
-
-
-def test_tensor_validates_size():
-    space = small_space()
-    with pytest.raises(ValueError):
-        Tensor(space, np.zeros(5))
-    t = Tensor(space, np.full(space.shape, 0.5))
-    assert t[(1, 1)] == 0.5
-
-
-def test_tensor_grid_is_read_only_copy_safe():
-    space = small_space()
-    values = np.zeros(space.shape)
-    t = Tensor(space, values)
-    values[0, 0] = 9.0
-    # the tensor stored its own copy at construction time
-    assert t[(0, 0)] == 0.0

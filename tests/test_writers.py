@@ -33,7 +33,7 @@ from facil.flywheel import (  # noqa: E402
     sequential_expansion,
 )
 from facil.oracle import EvaluationReport, OracleParams  # noqa: E402
-from facil.spaces import FactorSpace, Tensor, build_space, json_text, label_column  # noqa: E402
+from facil.spaces import FactorSpace, build_space, json_text, label_column  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -152,9 +152,9 @@ def test_trace_rows_and_violations_csv_equal_row_writers(shape, seed, steps):
     # the trace rows of history.json, from the arrays
     assert trace.rows() == [(i, list(c), s, i, 50) for i, (c, s) in enumerate(zip(comps, scores))]
 
-    probs = Tensor(space, rng.random(space.cardinality))
+    probs = rng.random(space.shape)
     if comps:
-        report = compositionality_check(set(comps), probs, 0.5)
+        report = compositionality_check(space.cells(comps), probs, 0.5)
         expected = reference_csv(
             ["composition_indices", "predicted_p_or_rate"],
             ((label(c), repr(float(probs[c]))) for c in report.violations),

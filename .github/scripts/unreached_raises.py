@@ -24,10 +24,7 @@ ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "facil"
 
 ALLOWED = {
-    ("dataset.py", 'raise InputMemoryError("space", detail) from exc'): (
-        "a grid numpy cannot allocate; tests reach it only in a subprocess under RLIMIT_AS"
-    ),
-    ("flywheel.py", 'raise InputMemoryError(f"stages[{index - 1}]", exc.detail) from exc'): (
+    ("flywheel.py", 'raise InputMemoryError(f"stages[{index - 1}]: does not fit in memory ({exc})") from exc'): (
         "a stage that grows the world past memory; reached only in a subprocess under RLIMIT_AS"
     ),
     ("flywheel.py", "raise"): (

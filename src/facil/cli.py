@@ -8,7 +8,10 @@ table ``_COMMANDS`` holds each command's name, handler and help line;
 outputs are deterministic functions of (config, flags), so reruns produce
 byte-identical files, written in UTF-8 slices.  Exit codes: 0 success, 1 ran
 but did not converge, 2 configuration, input or output-file error, 3 any
-other failure (its traceback goes to stderr).
+other failure (its traceback goes to stderr).  ``main`` is the one memory
+boundary: any MemoryError a command raises exits 2 naming the field that
+sized the array, an InputMemoryError's own, else ``space`` (``fit.input``
+for fit).
 """
 
 from __future__ import annotations
@@ -423,8 +426,8 @@ def _cmd_expand(config: RunConfig, out: Path, args: argparse.Namespace) -> int:
         _check_initial(config, stage, where, slot)
     try:
         histories = sequential_expansion(stages, config.oracle, config.flywheel)
-    except ValueError as exc:
-        if not (exact and config.flywheel.initial_compositions):
+    except ValueError as exc:  # FactorSpace.cells's messages start with "composition"
+        if not (exact and config.flywheel.initial_compositions and str(exc).startswith("composition")):
             raise
         # the one input check left to run time: a slot index past a stage's support
         raise ConfigError(f"flywheel.initial_compositions: {exc}") from exc
@@ -550,13 +553,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = parse_config(args.config)
         if args.seed is not None:
             config = replace(config, oracle=replace(config.oracle, seed=_seed(args.seed, "seed")))
-        out = _resolve_out_dir(config)
-        try:
-            return args.handler(config, out, args)
-        except OverflowError as exc:  # a Dataset total of run, expand or compare would reach 2**63
-            _fail("flywheel.unit_size", str(exc))
+        return args.handler(config, _resolve_out_dir(config), args)
     except (ConfigError, InputMemoryError) as exc:  # both messages start with the field
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a Dataset total of run, expand or compare would reach 2**63
+        print(f"error: flywheel.unit_size: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an array the config sized past the host
+        field = "fit.input" if args.command == "fit" else "space"
+        print(f"error: {field}: does not fit in memory ({exc})", file=sys.stderr)
         return 2
     except Exception:  # any other failure is a fault of facil, never "did not converge"
         traceback.print_exc()

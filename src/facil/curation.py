@@ -63,7 +63,7 @@ def aggregated_tensor(rates: np.ndarray) -> np.ndarray:
     scores = -(n - 1) * rates
     for m in axes:
         others = tuple(a for a in axes if a != m)
-        scores = scores + rates.sum(axis=others, keepdims=True)
+        scores += rates.sum(axis=others, keepdims=True)
     return scores
 
 

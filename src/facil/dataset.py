@@ -15,8 +15,7 @@ dense) read the flat support.  ``dataset_to_csv`` joins those labels and
 counts, ``dataset_to_doc`` gives the dict JSON writers nest.
 JSON text itself is made only where a file is written.  A total that would
 reach 2**63 raises OverflowError before it is stored (batch counts are summed
-as Python ints); a count grid the host cannot allocate raises
-InputMemoryError naming the ``space``.
+as Python ints).
 Updates are value-semantic: adding a batch returns a new snapshot and leaves
 the input untouched, so iteration histories can hold per-iteration datasets.
 """
@@ -41,11 +40,7 @@ from .spaces import (
 
 
 class InputMemoryError(MemoryError):
-    """An array sized by config field ``field`` does not fit in memory; str() starts with it."""
-
-    def __init__(self, field: str, detail: str) -> None:
-        super().__init__(f"{field}: {detail}")
-        self.field, self.detail = field, detail
+    """An array a config field sizes does not fit in memory; str() starts with the field's path."""
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -60,11 +55,7 @@ class Dataset:
     grid: np.ndarray
 
     def __init__(self, space: FactorSpace, counts: Mapping[Composition, int] | None = None):
-        try:
-            grid = np.zeros(space.shape, dtype=np.int64)
-        except MemoryError as exc:
-            detail = f"the demo count grid does not fit in memory ({exc})"
-            raise InputMemoryError("space", detail) from exc
+        grid = np.zeros(space.shape, dtype=np.int64)
         if counts:
             grid.flat[space.cells(list(counts))] = integer_array(list(counts.values()), "counts")
         self._freeze(space, grid, None if counts else 0)  # an all-zero grid needs no check

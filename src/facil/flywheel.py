@@ -357,10 +357,8 @@ def run_flywheel(
         apportioned = apportion_counts(cfg.unit_size, space.slot_ratios)
         kept = [j for j, share in enumerate(apportioned) if share > 0]
         shares = [apportioned[j] for j in kept]
-    initial, place = Dataset(world), None  # a plain run puts each batch on its own cell
-    if mode != "plain":
-        # After the count grid, so that Dataset names a world too large for memory;
-        # row i of place holds the world cells of a batch at curation cell i.
+    place = None  # a plain run puts each batch on its own cell
+    if mode != "plain":  # row i of place holds the world cells of a batch at curation cell i
         slot_map = slot_cells(space, world)
         place = slot_map.reshape(-1, 1) if mode == "exact" else slot_map[kept].T
 
@@ -371,7 +369,7 @@ def run_flywheel(
     init_comps = cfg.initial_compositions
     if init_comps is None:
         init_comps = diagonal_init(curation_space)
-    current = initial = add_many(initial, to_world(curation_space.cells(init_comps)))
+    current = initial = add_many(Dataset(world), to_world(curation_space.cells(init_comps)))
 
     records: list[IterationRecord] = []
     for iteration in range(1, cfg.max_iterations + 1):
@@ -436,9 +434,9 @@ def sequential_expansion(
                 stage=label,
                 eval_tag_base=derive_tag(0, index),
             )
-        except InputMemoryError as exc:
-            if exc.field == "space":  # this stage's grid grew the world past memory
-                raise InputMemoryError(f"stages[{index - 1}]", exc.detail) from exc
+        except InputMemoryError:  # flywheel.k's probe names its own field
             raise
+        except MemoryError as exc:  # this stage's grid grew the world past memory
+            raise InputMemoryError(f"stages[{index - 1}]: does not fit in memory ({exc})") from exc
         histories.append(history)
     return histories

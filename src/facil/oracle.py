@@ -172,7 +172,7 @@ def _rollout_hits(
         np.empty((cells, draws))
     except (MemoryError, ValueError) as exc:  # ValueError: past what numpy can size
         detail = f"{cells} cells x {draws} draws do not fit in memory"
-        raise InputMemoryError("flywheel.k", detail) from exc
+        raise InputMemoryError(f"flywheel.k: {detail}") from exc
     ones = np.all(slot_probs >= 1.0, axis=0)
     hits = np.where(ones, k, 0)
     index = np.flatnonzero(~ones & np.any(slot_probs > 0.0, axis=0))

@@ -14,6 +14,7 @@ import pytest
 
 import facil.analysis
 import facil.dataset
+import facil.flywheel
 import facil.oracle
 from facil import cli
 from facil.cli import ConfigError, build_config, main, parse_config
@@ -395,14 +396,26 @@ sys.exit(main(sys.argv[1:]))
 
 
 # 6 axes of 100 levels: numpy sizes the 8 TB count grid but cannot allocate it.
+# Smaller grids fit their count grid but no float array of their size, and a
+# baseline-only compare allocates no count grid before its own arrays.
 @pytest.mark.parametrize(
     "command, doc, field",
     [
         ("run", {"space": inline_dims(0, 6, 100)}, "space"),
         ("compare", {"space": inline_dims(0, 6, 100)}, "space"),
         ("expand", {"stages": ["pnp_object", inline_dims(0, 6, 100)]}, "stages[1]"),
+        ("compare", {"space": inline_dims(0, 6, 100), "strategies": ["gaussian"]}, "space"),
+        ("compare", {"space": inline_dims(0, 6, 100), "strategies": ["factors_mixture"]}, "space"),
+        ("run", {"space": inline_dims(0, 4, 100)}, "space"),
+        ("check-comp", {"space": inline_dims(0, 5, 40), "check": {"train": [[0] * 5]}}, "space"),
+        (
+            "expand",
+            {"stages": ["pnp_object", inline_dims(0, 6, 100)], "flywheel": {"evaluation_mode": "exact"}},
+            "stages[1]",
+        ),
     ],
-    ids=["run", "compare", "expand"],
+    ids=["run", "compare", "expand", "compare-gaussian", "compare-factors-mixture", "run-4-axes",
+         "check-comp", "expand-exact"],
 )
 def test_grid_the_host_cannot_allocate_exits_two_naming_the_field(tmp_path, command, doc, field):
     resource = pytest.importorskip("resource")
@@ -416,7 +429,7 @@ def test_grid_the_host_cannot_allocate_exits_two_naming_the_field(tmp_path, comm
     argv = [sys.executable, "-c", LIMITED_MAIN, command, "--config", write_config(tmp_path, doc)]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith(f"error: {field}: the demo count grid does not fit in memory")
+    assert proc.stderr.startswith(f"error: {field}: does not fit in memory (")
     assert "Traceback" not in proc.stderr
 
 
@@ -847,3 +860,15 @@ def test_any_other_failure_exits_three_never_one(tmp_path, monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("Traceback (most recent call last):")
     assert err.endswith("RuntimeError: planted fault\n")
+
+
+def test_a_value_error_inside_an_exact_expansion_is_a_fault(tmp_path, monkeypatch, capsys):
+    """Only the composition check's own error names flywheel.initial_compositions."""
+    monkeypatch.setenv("FACIL_OUT", str(tmp_path / "out"))
+    monkeypatch.setattr(facil.flywheel, "curate_expansion", mock.Mock(side_effect=ValueError("planted fault")))
+    flywheel = {"evaluation_mode": "exact", "initial_compositions": [[0, 0], [1, 1]]}
+    doc = {"stages": ["pnp_object", [["x", ["0", "1", "2"]]]], "flywheel": flywheel}
+    assert main(["expand", "--config", write_config(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("ValueError: planted fault\n")

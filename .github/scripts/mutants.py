@@ -77,7 +77,22 @@ MUTANTS = (
         "label_column(space.shape)[cells[::-1]]",
         "a dense support's labels are reversed",
     ),
+    Mutant(
+        "dataset.py", "counts.min(initial=1) < 1", "counts.min(initial=1) < 0", "add_many accepts a count of 0"
+    ),
+    Mutant(
+        "dataset.py",
+        '    if len(cells) != len(counts):\n        raise ValueError(f"{len(cells)} cells for {len(counts)} batch counts")\n',
+        "",
+        "add_many folds cells and counts of different lengths: one count broadcasts over every cell",
+    ),
     # flywheel
+    Mutant(
+        "flywheel.py",
+        "place[cells].reshape(-1)",
+        "place[cells]",
+        "a reduced stage's fold gets one row of world cells per curation cell, not one flat array",
+    ),
     Mutant(
         "flywheel.py",
         "key=lambda j: (-(quotas[j] - base[j]), j)",

@@ -40,7 +40,7 @@ from .analysis import (
     scaling_csv,
     violations_csv,
 )
-from .dataset import Dataset, DemoBatches, InputMemoryError, add_many, dataset_to_csv
+from .dataset import Dataset, InputMemoryError, add_many, dataset_to_csv
 from .flywheel import (
     FlywheelConfig,
     RunHistory,
@@ -480,7 +480,7 @@ def _cmd_check_comp(config: RunConfig, out: Path, args: argparse.Namespace) -> i
     cells = np.unique(_check_all_in_space(space, train, "check.train"))  # the one array of them
     if per_cell * len(cells) >= 2**63:
         _fail("check.demos_per_composition", "times the training compositions must be below 2**63")
-    dataset = add_many(Dataset(space), DemoBatches(cells, np.full(len(cells), per_cell)))
+    dataset = add_many(Dataset(space), cells, np.full(len(cells), per_cell))
     probs = success_tensor(config.oracle.params_for(space), dataset)
     report = compositionality_check(cells, probs, config.flywheel.tau)
     _write(out / "violations.csv", violations_csv(report, probs))

@@ -24,9 +24,9 @@ cells, in about 4 * ndim + 6 calls, doubling per axis the cells whose row of
 
 A pass is recorded as arrays, a ``CurationTrace``: the selected flat cells
 in order, their scores and the cells each newly marked.  No selection is
-decoded or wrapped in an object; the batches are one ``DemoBatches`` of the
-same cells, and ``CurationTrace.rows`` gives the trace table of
-``history.json`` with one ``unravel_index``.  ``CurationTrace.steps``, one
+decoded or wrapped in an object; the batches are two flat arrays, those
+cells and ``unit_size`` at each.  ``CurationTrace.rows`` gives the trace table
+of ``history.json`` with one ``unravel_index``; ``CurationTrace.steps``, one
 ``CurationStep`` per row, is derived from the arrays when it is read.
 """
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # add_demos stays importable from here: bench/tracer.py wraps it at this lookup site.
-from .dataset import Dataset, DemoBatches, add_demos, add_many  # noqa: F401
+from .dataset import Dataset, add_demos, add_many  # noqa: F401
 from .spaces import Composition
 
 
@@ -185,7 +185,7 @@ def curate_expansion(
     dataset: Dataset,
     tau: float,
     unit_size: int,
-) -> tuple[DemoBatches, Dataset, CurationTrace]:
+) -> tuple[tuple[np.ndarray, np.ndarray], Dataset, CurationTrace]:
     """One full marking pass; returns emitted batches, dataset, and trace.
 
     The score tensor is computed once up front and never refreshed inside the
@@ -194,8 +194,8 @@ def curate_expansion(
     score order past marked cells, marks it, marks every hypercube spanned
     against the current support, then emits a batch of unit_size demos at the
     selection, so later spans see earlier selections as support.  The
-    batches are one ``DemoBatches`` of the selected cells, and the returned
-    dataset has them folded in by one ``add_many``.
+    batches are the pair (selected flat cells, their counts), and the
+    returned dataset has them folded in by one ``add_many``.
 
     Spans come from the subset-sum table where ``_use_table`` expects it to
     write at most ``_TABLE_RATIO`` times the doubling's cells, else from the
@@ -253,7 +253,7 @@ def curate_expansion(
         assert len(selections) <= space.cardinality
 
     cells = np.array(selections, dtype=np.int64)
-    batches = DemoBatches(cells, np.full(len(cells), unit_size))
+    counts = np.full(len(cells), unit_size)
     trace = CurationTrace(space.shape, cells, scores[cells], newly_marked, unit_size)
     # A 3-tuple only for bench/tracer.py; run_flywheel reads the trace and folds its cells.
-    return batches, add_many(dataset, batches), trace
+    return (cells, counts), add_many(dataset, cells, counts), trace

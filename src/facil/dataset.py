@@ -6,9 +6,9 @@ shaped like the space (``Dataset.grid``).  Counts are validated where they
 enter from outside: the constructors, added batches and the plain-dict
 loader.  A count must be an integer; 2.7 raises ValueError
 rather than becoming 2.  A batch is a block of identical demonstrations at
-one cell; ``DemoBatches`` holds many as flat cell indices and counts, the one
-batch form; ``add_many`` folds them all with one ``np.add.at`` into its one
-copy of the grid.  A dataset is the one reader of its grid, and makes its
+one cell; ``add_many(dataset, cells, counts)`` takes many as two flat arrays,
+cell indices and counts, and folds them all with one ``np.add.at`` into its
+one copy of the grid.  A dataset is the one reader of its grid, and makes its
 ``total``, flat support (``support_cells``) and level ``marginals`` at most
 once; the support views and ``support_columns`` (from ``label_column`` when
 dense) read the flat support.  ``dataset_to_csv`` joins those labels and
@@ -138,38 +138,25 @@ class Dataset:
         return tuple(halves(self.grid))
 
 
-class DemoBatches:
-    """Many demo batches as two arrays: flat row-major cell indices and counts.
+def add_many(dataset: Dataset, cells, counts) -> Dataset:
+    """A new dataset with ``counts[i] >= 1`` demos added at each flat row-major ``cells[i]``.
 
-    ``len`` is the number of batches; ``add_many`` folds them all with one
-    ``np.add.at``.
+    An empty dataset's zeros are not copied.
     """
-
-    __slots__ = ("cells", "counts")
-
-    def __init__(self, cells, counts) -> None:
-        self.cells = integer_array(cells, "batch cells").reshape(-1)
-        self.counts = integer_array(counts, "batch counts").reshape(-1)
-        if len(self.cells) != len(self.counts):
-            raise ValueError(f"{len(self.cells)} cells for {len(self.counts)} batch counts")
-        if self.counts.min(initial=1) < 1:
-            raise ValueError(f"batch count must be >= 1, got {self.counts.min()}")
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-
-def add_many(dataset: Dataset, batches: DemoBatches) -> Dataset:
-    """Return a new dataset with every batch merged in; an empty dataset's zeros are not copied."""
-    cells = batches.cells
+    cells = integer_array(cells, "batch cells").reshape(-1)
+    counts = integer_array(counts, "batch counts").reshape(-1)
+    if len(cells) != len(counts):
+        raise ValueError(f"{len(cells)} cells for {len(counts)} batch counts")
+    if counts.min(initial=1) < 1:
+        raise ValueError(f"batch count must be >= 1, got {counts.min()}")
     if len(cells) and not (cells.min() >= 0 and cells.max() < dataset.grid.size):
         raise ValueError(f"batch cells outside the {dataset.grid.size} cells of the space")
     # summed as Python ints: no cell can wrap if the total cannot, but an int64 sum can
-    total = dataset.total + sum(batches.counts.tolist())
+    total = dataset.total + sum(counts.tolist())
     if total >= 2**63:
         raise OverflowError("total demo count must stay below 2**63")
     grid = dataset.grid.copy() if dataset.total else np.zeros(dataset.grid.shape, dtype=np.int64)
-    np.add.at(grid.reshape(-1), cells, batches.counts)
+    np.add.at(grid.reshape(-1), cells, counts)
     return Dataset.__new__(Dataset)._freeze(dataset.space, grid, total)
 
 

@@ -10,9 +10,10 @@ map per stage, ``slot_cells``: the world cell of each (slot, new-grid cell).
 It places batches, and gathers curation's view of the world dataset, through
 it; the reduced evaluations read success probabilities at the same cells.
 The seeding and each pass's selected cells (``CurationTrace.cells``) fold
-into the world grid as one ``DemoBatches`` through ``add_many``; no
-selection is decoded, and no batch is an object of its own.  Totals,
-support sizes and the next stage's slots come from what each dataset keeps.
+into the world grid through ``add_many`` as two flat arrays, world cells
+and counts; no selection is decoded, and no batch is an object of its own.
+Totals, support sizes and the next stage's slots come from what each dataset
+keeps.
 ``RunHistory.to_json`` renders each distinct space and dataset (from the
 labels the dataset keeps) once per call, as a ``Block`` re-indented
 wherever else it appears, and writes the document with ``json_text``, the
@@ -34,7 +35,6 @@ import numpy as np
 from .curation import CurationTrace, curate_expansion
 from .dataset import (
     Dataset,
-    DemoBatches,
     InputMemoryError,
     add_many,
     dataset_from_doc,
@@ -362,14 +362,14 @@ def run_flywheel(
         slot_map = slot_cells(space, world)
         place = slot_map.reshape(-1, 1) if mode == "exact" else slot_map[kept].T
 
-    def to_world(cells: np.ndarray) -> DemoBatches:
-        """The world batches of one unit_size batch at each curation cell."""
-        return DemoBatches(cells if place is None else place[cells], shares * len(cells))
+    def to_world(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The world cells and counts of one unit_size batch at each curation cell."""
+        return (cells if place is None else place[cells].reshape(-1)), np.tile(shares, len(cells))
 
     init_comps = cfg.initial_compositions
     if init_comps is None:
         init_comps = diagonal_init(curation_space)
-    current = initial = add_many(Dataset(world), to_world(curation_space.cells(init_comps)))
+    current = initial = add_many(Dataset(world), *to_world(curation_space.cells(init_comps)))
 
     records: list[IterationRecord] = []
     for iteration in range(1, cfg.max_iterations + 1):
@@ -383,7 +383,7 @@ def run_flywheel(
             if place is not None:  # a curation cell counts the world demos placed through it
                 view = Dataset.from_grid(curation_space, current.grid.take(place).sum(axis=1))
             _, _, trace = curate_expansion(report.rates, view, cfg.tau, cfg.unit_size)
-            current = add_many(current, to_world(trace.cells))
+            current = add_many(current, *to_world(trace.cells))
         records.append(IterationRecord(iteration, report, trace, before, current))
         if converged:
             break

@@ -28,7 +28,7 @@ from facil.analysis import (
 )
 from facil.cli import main
 from facil.curation import aggregated_tensor, curate_expansion
-from facil.dataset import Dataset, DemoBatches, add_many
+from facil.dataset import Dataset, add_many
 from facil.flywheel import FlywheelConfig, rollout_budget, run_flywheel, sequential_expansion
 from facil.oracle import OracleParams, default_family, default_params, success_tensor
 from facil.spaces import build_space, preset_space
@@ -107,7 +107,8 @@ def replay_expansion(rates, dataset, tau, unit_size, batches, after, trace):
     support = set(dataset.support)
     folded = dataset
 
-    assert len(batches) == len(trace.steps)
+    batch_cells, batch_counts = batches
+    assert len(batch_cells) == len(batch_counts) == len(trace.steps)
     for i, step in enumerate(trace.steps):
         unmarked = [c for c in cells if c not in marked]
         assert unmarked, "trace continued after full marking"
@@ -119,8 +120,8 @@ def replay_expansion(rates, dataset, tau, unit_size, batches, after, trace):
         )
         assert step.s_value == scores[expected]
         assert step.batch_size == unit_size
-        assert np.unravel_index(batches.cells[i], space.shape) == expected
-        assert batches.counts[i] == unit_size
+        assert np.unravel_index(batch_cells[i], space.shape) == expected
+        assert batch_counts[i] == unit_size
 
         before = len(marked)
         marked.add(expected)
@@ -128,7 +129,7 @@ def replay_expansion(rates, dataset, tau, unit_size, batches, after, trace):
             marked |= hypercube_span(expected, d)
         assert step.newly_marked == len(marked) - before
         support.add(expected)
-        folded = add_many(folded, DemoBatches(batches.cells[i : i + 1], batches.counts[i : i + 1]))
+        folded = add_many(folded, batch_cells[i : i + 1], batch_counts[i : i + 1])
 
     assert len(marked) == space.cardinality, "loop ended before full marking"
     assert folded == after

@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import facil.flywheel
-from facil.flywheel import FlywheelConfig
-from facil.oracle import default_family
+from facil.flywheel import FlywheelConfig, apportion_counts
+from facil.oracle import OracleParams, default_family
 from facil.spaces import build_space
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -60,3 +60,27 @@ def test_traced_curation_counts_are_the_runs_own():
     assert history.dataset.total % cfg.unit_size == 0
     assert metrics["dataset.batches_folded"] == history.dataset.total // cfg.unit_size
     assert metrics["dataset.batches_folded"] == len(history.initial_dataset.support) + selections
+
+
+def test_traced_batch_count_of_a_ratio_guided_stage_counts_world_batches():
+    # A ratio-guided stage folds one world batch per slot with a nonzero share for
+    # each seed cell and selection; a fold whose cells kept one row per curation
+    # cell would count the rows instead.
+    stages = [build_space([(n, [f"{n}{j}" for j in range(4)]) for n in names]) for names in ("ab", "cd")]
+    params = OracleParams(kappa0=40.0, beta=1.0, p_max=1.0, blacklist=(), seed=7)
+    cfg = FlywheelConfig(tau=0.8, unit_size=10, evaluation_mode="ratio_guided")
+
+    def run():
+        return facil.flywheel.sequential_expansion(stages, params, cfg)
+
+    histories, metrics, _ = tracer.Tracer().call(run)
+    assert [h.space.slot_ratios is None for h in histories] == [True, False]
+    ratios = histories[1].space.slot_ratios
+    nonzero = [1, sum(share > 0 for share in apportion_counts(cfg.unit_size, ratios))]
+    assert (len(ratios), nonzero[1]) == (16, 10)
+    # every seed cell holds unit_size demos, spread over the slots on a reduced stage
+    seeded = [h.initial_dataset.total // cfg.unit_size for h in histories]
+    selections = [sum(len(rec.trace.cells) for rec in h.records) for h in histories]
+    assert [a + b for a, b in zip(seeded, selections)] == [26, 33]
+    expected = sum((a + b) * n for a, b, n in zip(seeded, selections, nonzero))
+    assert metrics["dataset.batches_folded"] == expected == 356

@@ -38,9 +38,9 @@ def brute_force_scores(grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def batch_compositions(space, batches):
-    """The composition of each batch of a ``DemoBatches``, in order."""
-    return list(zip(*(axis.tolist() for axis in np.unravel_index(batches.cells, space.shape))))
+def batch_compositions(space, cells):
+    """The composition of each batch's flat cell, in order."""
+    return list(zip(*(axis.tolist() for axis in np.unravel_index(cells, space.shape))))
 
 
 def test_aggregated_tensor_2x2_by_hand():
@@ -78,8 +78,8 @@ def test_no_expansion_when_everything_clears_tau():
     space = grid_space((2, 2))
     rates = np.full(space.shape, 0.9)
     d = Dataset(space, {(0, 0): 5})
-    batches, after, trace = curate_expansion(rates, d, 0.8, 10)
-    assert len(batches) == 0
+    (cells, counts), after, trace = curate_expansion(rates, d, 0.8, 10)
+    assert len(cells) == len(counts) == 0
     assert after == d
     assert trace.steps == ()
 
@@ -88,10 +88,10 @@ def test_single_selection_spans_whole_grid():
     space = grid_space((2, 2))
     rates = np.zeros(space.shape)
     d = Dataset(space, {(0, 0): 5, (1, 1): 5})
-    batches, after, trace = curate_expansion(rates, d, 0.5, 10)
+    (cells, _), after, trace = curate_expansion(rates, d, 0.5, 10)
 
     # uniform scores tie; the smallest linear index wins
-    assert batch_compositions(space, batches) == [(0, 0)]
+    assert batch_compositions(space, cells) == [(0, 0)]
     assert trace.steps[0].selected == (0, 0)
     # span against support cell (1, 1) marks the whole 2x2 grid
     assert trace.steps[0].newly_marked == 4
@@ -119,10 +119,10 @@ def test_batches_fold_into_returned_dataset():
     space = grid_space((3, 3))
     rates = rng.random(space.shape) * 0.5
     d = Dataset(space, {(0, 0): 4, (1, 2): 4})
-    batches, after, trace = curate_expansion(rates, d, 0.6, 7)
-    assert after.total == d.total + 7 * len(batches)
+    (cells, counts), after, trace = curate_expansion(rates, d, 0.6, 7)
+    assert after.total == d.total + 7 * len(cells)
     for step, composition, count in zip(
-        trace.steps, batch_compositions(space, batches), batches.counts.tolist()
+        trace.steps, batch_compositions(space, cells), counts.tolist()
     ):
         assert step.selected == composition
         assert step.batch_size == count == 7
@@ -136,8 +136,8 @@ def test_curation_is_deterministic():
     d = Dataset(space, {(0, 0, 0): 3})
     first = curate_expansion(rates, d, 0.7, 5)
     second = curate_expansion(rates, d, 0.7, 5)
-    assert np.array_equal(first[0].cells, second[0].cells)
-    assert np.array_equal(first[0].counts, second[0].counts)
+    assert np.array_equal(first[0][0], second[0][0])
+    assert np.array_equal(first[0][1], second[0][1])
     assert first[1] == second[1]
     assert first[2] == second[2]
 
@@ -211,10 +211,10 @@ def cases_in_4_to_6_dims(support_kind):
 
 def check_replay(rates: np.ndarray, d: Dataset) -> list[tuple]:
     """curate_expansion gives the replay's selections, scores, marks and batches."""
-    batches, after, trace = curate_expansion(rates, d, 0.6, 4)
+    (cells, _), after, trace = curate_expansion(rates, d, 0.6, 4)
     want = replay_curation(rates, d, 0.6)
     assert [(s.selected, s.s_value, s.newly_marked) for s in trace.steps] == want
-    assert batch_compositions(d.space, batches) == [s[0] for s in want]
+    assert batch_compositions(d.space, cells) == [s[0] for s in want]
     assert after.total == d.total + 4 * len(want)
     return want
 

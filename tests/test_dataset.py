@@ -13,7 +13,6 @@ import pytest
 import facil.dataset
 from facil.dataset import (
     Dataset,
-    DemoBatches,
     add_many,
     dataset_from_doc,
     dataset_to_csv,
@@ -27,13 +26,14 @@ def space3x2():
 
 
 def test_demo_batch_requires_positive_count():
+    d = Dataset(space3x2())
     with pytest.raises(ValueError, match="^batch count must be >= 1, got 0$"):
-        DemoBatches([0], [0])
+        add_many(d, [0], [0])
     with pytest.raises(ValueError, match="^batch count must be >= 1, got -3$"):
-        DemoBatches([0, 1], [2, -3])
-    assert DemoBatches([1], [5]).counts.tolist() == [5]
+        add_many(d, [0, 1], [2, -3])
+    assert add_many(d, [1], [5]).grid.reshape(-1).tolist() == [0, 5, 0, 0, 0, 0]
     with pytest.raises(ValueError, match="^2 cells for 1 batch counts$"):
-        DemoBatches([0, 1], [2])
+        add_many(d, [0, 1], [2])
 
 
 def test_dataset_validates_compositions_and_counts():
@@ -50,6 +50,7 @@ def test_dataset_validates_compositions_and_counts():
 def test_non_integral_counts_are_rejected():
     # each of these used to keep 2 demos for 2.7
     space = space3x2()
+    empty = Dataset(space)
     doc = dataset_to_doc(Dataset(space, {(0, 1): 2, (2, 0): 3}))
     for bad in (2.7, 2.0, "2"):
         with pytest.raises(ValueError, match="^counts: must be an integer"):
@@ -57,25 +58,25 @@ def test_non_integral_counts_are_rejected():
         with pytest.raises(ValueError, match="^counts: must be an integer"):
             Dataset(space, {(0, 1): bad})
         with pytest.raises(ValueError, match="^batch counts: must be an integer"):
-            DemoBatches([1], [bad])
+            add_many(empty, [1], [bad])
     with pytest.raises(ValueError, match="^batch counts: must be an integer"):
-        DemoBatches([1, 4], [2.7, 3])
+        add_many(empty, [1, 4], [2.7, 3])
     with pytest.raises(ValueError, match="^batch cells: must be an integer"):
-        DemoBatches([1.7, 4], [2, 3])
+        add_many(empty, [1.7, 4], [2, 3])
     with pytest.raises(ValueError, match="^grid: must be an integer"):
         Dataset.from_grid(space, np.full(6, 2.7))
     # uint64 values past int64 are named as given, not wrapped to negative numbers
     with pytest.raises(ValueError, match=f"^grid: must be below 2\\*\\*63, got {2**63}$"):
         Dataset.from_grid(space, np.array([2**63, 0, 0, 0, 0, 0], np.uint64))
     with pytest.raises(ValueError, match=f"^batch counts: must be below 2\\*\\*63, got {2**64 - 1}$"):
-        DemoBatches([1], np.array([2**64 - 1], np.uint64))
+        add_many(empty, [1], np.array([2**64 - 1], np.uint64))
     # Python ints past int64 too, which numpy keeps as objects
     with pytest.raises(ValueError, match=f"^counts: must be below 2\\*\\*63, got {2**64}$"):
         Dataset(space, {(0, 1): 2**64})
     with pytest.raises(ValueError, match=f"^batch counts: must be below 2\\*\\*63, got {2**70}$"):
-        DemoBatches([1], [2**70])
+        add_many(empty, [1], [2**70])
     with pytest.raises(ValueError, match=f"^batch cells: must be below 2\\*\\*63, got {2**64}$"):
-        DemoBatches([2**64], [1])
+        add_many(empty, [2**64], [1])
     with pytest.raises(ValueError, match=f"^counts: must be at least -2\\*\\*63, got {-(2**63) - 1}$"):
         Dataset(space, {(0, 1): -(2**63) - 1})
     # compositions: these used to be truncated to (0, 1), (1, 0) and (1, 1)
@@ -88,15 +89,15 @@ def test_non_integral_counts_are_rejected():
     assert dataset_from_doc(doc) == expected
     assert Dataset(space, {(0, 1): np.int32(2), (2, 0): np.uint64(3)}) == expected
     assert Dataset.from_grid(space, np.array([0, 2, 0, 0, 3, 0], dtype=np.int8)) == expected
-    assert DemoBatches([1], [np.int64(2)]).counts.tolist() == [2]
-    assert add_many(Dataset(space), DemoBatches([1, 4], np.array([2, 3]))) == expected
+    assert add_many(empty, [1, 4], [np.int64(2), np.int32(3)]) == expected
+    assert add_many(empty, [1, 4], np.array([2, 3])) == expected
 
 
 def test_add_many_is_value_semantic():
     space = space3x2()
     d0 = Dataset(space)
-    d1 = add_many(d0, DemoBatches(space.cells([(1, 0)]), [4]))
-    d2 = add_many(d1, DemoBatches(space.cells([(1, 0)]), [6]))
+    d1 = add_many(d0, space.cells([(1, 0)]), [4])
+    d2 = add_many(d1, space.cells([(1, 0)]), [6])
 
     assert d0.total == 0 and d0.support == frozenset()
     assert d1.grid[1, 0] == 4
@@ -106,7 +107,7 @@ def test_add_many_is_value_semantic():
 
 def test_add_many_accumulates():
     space = space3x2()
-    d = add_many(Dataset(space), DemoBatches(space.cells([(0, 0), (2, 1), (0, 0)]), [1, 2, 3]))
+    d = add_many(Dataset(space), space.cells([(0, 0), (2, 1), (0, 0)]), [1, 2, 3])
     assert d.total == 6
     assert d.grid[0, 0] == 4
     assert d.support == frozenset({(0, 0), (2, 1)})
@@ -115,9 +116,9 @@ def test_add_many_accumulates():
     with pytest.raises(ValueError, match="^composition \\(0, 0, 0\\) has 3 entries"):
         space.cells([(0, 0, 0)])
     with pytest.raises(ValueError, match="^batch cells outside the 6 cells of the space$"):
-        add_many(d, DemoBatches([0, 6], [1, 1]))
+        add_many(d, [0, 6], [1, 1])
     with pytest.raises(ValueError, match="^batch cells outside"):
-        add_many(d, DemoBatches([-1], [1]))
+        add_many(d, [-1], [1])
 
 
 def test_grid_is_read_only_and_counts_ascend_by_linear_index():
@@ -154,13 +155,13 @@ def test_from_grid_copies_and_validates():
 def test_totals_that_would_reach_2_to_the_63_are_rejected():
     space = space3x2()
     half = 2**62
-    d = add_many(Dataset(space), DemoBatches(space.cells([(0, 0), (1, 1)]), [half - 1, half]))
+    d = add_many(Dataset(space), space.cells([(0, 0), (1, 1)]), [half - 1, half])
     assert d.total == 2**63 - 1
     with pytest.raises(OverflowError):
-        add_many(d, DemoBatches(space.cells([(2, 0)]), [1]))
+        add_many(d, space.cells([(2, 0)]), [1])
     # two batches at one cell would wrap that cell, not only the total
     with pytest.raises(OverflowError):
-        add_many(Dataset(space), DemoBatches(space.cells([(0, 0), (0, 0)]), [half, half]))
+        add_many(Dataset(space), space.cells([(0, 0), (0, 0)]), [half, half])
     # an int64 grid whose sum wraps to a small positive total
     with pytest.raises(OverflowError):
         Dataset.from_grid(space, [2**63 - 1, 2**63 - 1, 2, 0, 0, 0])
@@ -268,11 +269,11 @@ def test_fold_copies_the_grid_once():
     """Folding a batch into a 10**6-cell dataset allocates the new grid and little else."""
     space = build_space([(f"d{m}", [str(j) for j in range(100)]) for m in range(3)])
     d = Dataset.from_grid(space, np.ones(space.shape, dtype=np.int64))
-    batch = DemoBatches(space.cells([(1, 2, 3)]), [5])
+    cells = space.cells([(1, 2, 3)])
     grid_bytes = d.grid.nbytes
     tracemalloc.start()
     try:
-        folded = add_many(d, batch)
+        folded = add_many(d, cells, [5])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

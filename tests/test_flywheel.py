@@ -13,7 +13,7 @@ import pytest
 import facil.dataset
 import facil.flywheel
 import facil.spaces
-from facil.dataset import Dataset, DemoBatches, add_many
+from facil.dataset import Dataset, add_many
 from facil.flywheel import (
     EVALUATION_MODES,
     FlywheelConfig,
@@ -374,8 +374,7 @@ def test_history_fields_derive_from_records():
                 assert rec.rollouts_spent == rec.report.total_rollouts == space.cardinality * 5
                 # a plain run's pass folds one batch_size batch at each traced cell
                 sizes = np.full(len(rec.trace.cells), rec.trace.batch_size)
-                batches = DemoBatches(rec.trace.cells, sizes)
-                assert rec.dataset_after == add_many(rec.dataset_before, batches)
+                assert rec.dataset_after == add_many(rec.dataset_before, rec.trace.cells, sizes)
 
 
 def test_stage_labels():
@@ -539,7 +538,7 @@ def per_slot_batches(space, cfg, selection):
 def fold(dataset, batches):
     """add_many of (world composition, count) batches, placed one composition at a time."""
     cells = dataset.space.cells([c for c, _ in batches])
-    return add_many(dataset, DemoBatches(cells, [n for _, n in batches]))
+    return add_many(dataset, cells, [n for _, n in batches])
 
 
 def random_run(rng):
@@ -582,9 +581,9 @@ def test_array_fold_equals_per_slot_demo_batches():
         sizes = []
         real_add_many = facil.flywheel.add_many
 
-        def counted(dataset, batches):
-            sizes.append(len(batches))
-            return real_add_many(dataset, batches)
+        def counted(dataset, cells, counts):
+            sizes.append(len(cells))
+            return real_add_many(dataset, cells, counts)
 
         with mock.patch.object(facil.flywheel, "add_many", counted):
             history = run_flywheel(space, params, cfg, world=world)

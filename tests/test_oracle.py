@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from facil.dataset import Dataset, DemoBatches, InputMemoryError, add_many
+from facil.dataset import Dataset, InputMemoryError, add_many
 from facil.oracle import (
     _CHUNK_CELLS,
     DEFAULT_BETA,
@@ -307,7 +307,7 @@ def test_blacklist_blocks_transfer_but_not_direct():
     assert probs[(1, 1)] == 0.0
 
     # direct demos at the blacklisted cell still count
-    d2 = add_many(d, DemoBatches(space.cells([(1, 1)]), [30]))
+    d2 = add_many(d, space.cells([(1, 1)]), [30])
     probs2 = success_tensor(p, d2)
     assert probs2[(1, 1)] == pytest.approx(1.0 - math.exp(-30 / 10.0))
 

@@ -15,6 +15,15 @@
   ``ratio_guided`` apportions a batch over slots, which is not linear.
 - In every pass that curates, each selection newly marks at least one cell,
   and together they mark every cell not strictly above tau.
+- Within a pass, the scores of the selected cells never decrease: the walk
+  takes the lowest unmarked score each time, and the scores are fixed.
+- Adding demos through ``add_many`` never lowers ``success_at`` at any cell:
+  the direct count and every level marginal only grow.
+- Raising a cell's success probability never lowers its hits for the same
+  (seed, tag), and leaves every other cell's hits as they were: each cell
+  draws its own stream, and a draw hits when it is below a threshold that
+  grows with p.  This holds in the plain form of ``_rollout_hits`` and in
+  its slot-picking form.
 
 Spaces are small and transfer is weak, so that runs iterate.
 """
@@ -35,8 +44,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from facil.cli import main  # noqa: E402
+from facil.dataset import Dataset, add_many  # noqa: E402
 from facil.flywheel import FlywheelConfig, RunHistory, run_flywheel, sequential_expansion  # noqa: E402
-from facil.oracle import OracleParams  # noqa: E402
+from facil.oracle import OracleParams, _rollout_hits, success_at  # noqa: E402
 from facil.spaces import build_space  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -280,3 +290,99 @@ def test_each_selection_marks_a_new_cell_and_a_pass_marks_every_cell_at_or_below
 
     property_()
     assert max(at_tau) > 0
+
+
+@pytest.mark.parametrize("mode", [None, "exact", "ratio_guided"])
+def test_the_scores_of_a_passs_selections_never_decrease(mode):
+    selections = []
+
+    @settings(SETTINGS, max_examples=30)
+    @given(first=shapes(1, 3), then=shapes(1, 2), setup=setups())
+    def property_(first, then, setup):
+        params, cfg, _ = setup
+        if mode is None:
+            histories = [run_flywheel(grid(first), params, cfg)]
+        else:
+            cfg = dataclasses.replace(cfg, evaluation_mode=mode)
+            histories = sequential_expansion([grid(first, "a"), grid(then, "b")], params, cfg)
+        for rec in (rec for history in histories for rec in history.records):
+            assert np.all(np.diff(rec.trace.scores) >= 0.0)
+            selections.append(len(rec.trace.cells))
+
+    property_()
+    assert max(selections) > 1
+
+
+def random_blacklist(rng: np.random.Generator, shape: tuple[int, ...]) -> frozenset:
+    """Up to three level pairs on distinct axes of the shape; none for one axis."""
+    pairs = set()
+    for _ in range(int(rng.integers(0, 4)) if len(shape) > 1 else 0):
+        da, db = sorted(rng.choice(len(shape), size=2, replace=False).tolist())
+        pairs.add(((da, int(rng.integers(shape[da]))), (db, int(rng.integers(shape[db])))))
+    return frozenset(pairs)
+
+
+def test_adding_demos_never_lowers_success_at_any_cell():
+    raised = []
+
+    @settings(SETTINGS, max_examples=150)
+    @given(
+        shape=st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+        beta=st.floats(0.0, 690.0),
+        kappa0=st.floats(1.0, 230.0),
+        p_max=st.sampled_from([0.9, 1.0]),
+        draw=st.integers(0, 2**32 - 1),
+    )
+    def property_(shape, beta, kappa0, p_max, draw):
+        rng = np.random.default_rng(draw)
+        space = grid(shape)
+        params = OracleParams(kappa0, beta, p_max, random_blacklist(rng, shape), seed=0)
+        counts = rng.integers(0, 4, space.cardinality) * (rng.random(space.cardinality) < 0.3)
+        before = Dataset.from_grid(space, counts)
+        batches = int(rng.integers(1, 6))
+        after = add_many(
+            before, rng.integers(0, space.cardinality, batches), rng.integers(1, 60, batches)
+        )
+        old, new = success_at(params, before), success_at(params, after)
+        assert np.all(new >= old)
+        raised.append(int(np.count_nonzero(new > old)))
+
+    property_()
+    assert sum(raised) > 0
+
+
+@pytest.mark.parametrize("slotted", [False, True], ids=["plain", "slot-picking"])
+def test_raising_a_cells_p_never_lowers_its_hits(slotted):
+    gained = []
+
+    @settings(SETTINGS, max_examples=60)
+    @given(
+        slots=st.integers(1, 3) if slotted else st.just(1),
+        cells=st.sampled_from([1, 2, 7, 30, 8200]),  # about 4,900 of 8,200 draw: two passes
+        k=st.integers(1, 9),
+        seed=st.integers(0, 2**64 - 1),
+        tag=st.integers(0, 2**64 - 1),
+        draw=st.integers(0, 2**32 - 1),
+    )
+    def property_(slots, cells, k, seed, tag, draw):
+        rng = np.random.default_rng(draw)
+        # exact 0s and 1s draw nothing, the others draw
+        probs = rng.choice([0.0, 1.0, 0.5], size=(slots, cells), p=[0.2, 0.2, 0.6])
+        probs[probs == 0.5] = rng.random(np.count_nonzero(probs == 0.5))
+        raised = probs.copy()
+        up = rng.random(cells) < 0.3
+        picked = np.zeros_like(probs, dtype=bool)
+        picked[rng.integers(0, slots, cells), np.arange(cells)] = up
+        raised[picked] += rng.choice([1.0, 0.5], size=picked.sum()) * (1.0 - raised[picked])
+        ratios = None
+        if slotted:
+            weights = rng.integers(1, 5, slots)
+            ratios = tuple((weights / weights.sum()).tolist())
+        old = _rollout_hits(probs, k, seed, tag, ratios)
+        new = _rollout_hits(raised, k, seed, tag, ratios)
+        assert np.all(new >= old)
+        assert np.array_equal(new[~up], old[~up])  # every other cell draws as before
+        gained.append(int(np.count_nonzero(new > old)))
+
+    property_()
+    assert sum(gained) > 0

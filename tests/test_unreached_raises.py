@@ -64,3 +64,12 @@ def test_allowed_entries_skip_one_raise_each_and_never_go_stale(monkeypatch):
         "m.py: allowed entry matches 0 raise statements, not 1: raise NotImplementedError"
     ]
 
+
+
+def test_an_allowed_raise_that_ran_is_reported(monkeypatch):
+    allowed = {("m.py", "raise"): "re-raise", ("m.py", "raise NotImplementedError"): "abstract"}
+    monkeypatch.setattr(unreached_raises, "ALLOWED", allowed)
+    # lines 3 and 9 run the two raises that are not allowed; line 16 runs an allowed one
+    assert unreached_raises.unreached({"m.py": SNIPPET}, {"m.py": {3, 9, 16}}) == [
+        "m.py:16: ran, so drop its allowed entry: raise NotImplementedError"
+    ]

@@ -64,6 +64,21 @@ MUTANTS = (
         "~seen[cells[:, n], cells[:, m]]",
         "the pair matrix is indexed with its axes swapped",
     ),
+    Mutant(
+        "analysis.py",
+        "r_squared = 1.0 if ss_tot == 0.0 else",
+        "r_squared = 1.0 if ss_tot != 0.0 else",
+        "every fit off an exact power law reports r2 = 1.0",
+    ),
+    Mutant("analysis.py", "if success < 0:", "if success <= 0:", "fit refuses a success rate of 0"),
+    Mutant("analysis.py", "if n_demos < 0:", "if n_demos <= 0:", "a baseline sampler refuses a budget of 0"),
+    Mutant("analysis.py", "if self.budget < 0:", "if self.budget <= 0:", "an outcome at budget 0 is refused"),
+    Mutant(
+        "analysis.py",
+        "if budgets and budgets[0] < 0:",
+        "if budgets and budgets[0] <= 0:",
+        "compare_strategies refuses a budget of 0",
+    ),
     # dataset
     Mutant(
         "dataset.py",
@@ -151,6 +166,12 @@ MUTANTS = (
     ),
     Mutant(
         "oracle.py",
+        "la < space.shape[da]",
+        "la <= space.shape[da]",
+        "a blacklist level equal to its axis's size fits the space",
+    ),
+    Mutant(
+        "oracle.py",
         "np.copyto(p, 0.0, where=blocked)",
         "np.copyto(p, 0.0, where=blocked & (direct > 0))",
         "the blacklist cuts transfer only at cells that have direct demos",
@@ -167,6 +188,18 @@ MUTANTS = (
         "plain = set(map(type, values)) <= {int}",
         "plain = set(map(type, values)) <= {int, bool}",
         "the bulk index readers accept bools",
+    ),
+    Mutant(
+        "cli.py",
+        "if budgets[0] < 0 or list(budgets)",
+        "if budgets[0] <= 0 or list(budgets)",
+        "the config reader refuses a budget of 0",
+    ),
+    Mutant(
+        "cli.py",
+        "if per_cell * len(cells) >= 2**63:",
+        "if per_cell * len(cells) > 2**63:",
+        "check-comp at exactly 2**63 training demos is not blamed on check.demos_per_composition",
     ),
     Mutant(
         "cli.py",

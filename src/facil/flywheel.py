@@ -434,7 +434,7 @@ def sequential_expansion(
                 stage=label,
                 eval_tag_base=derive_tag(0, index),
             )
-        except InputMemoryError:  # flywheel.k's probe names its own field
+        except InputMemoryError:  # flywheel.k's pass block names its own field
             raise
         except MemoryError as exc:  # this stage's grid grew the world past memory
             raise InputMemoryError(f"stages[{index - 1}]: does not fit in memory ({exc})") from exc

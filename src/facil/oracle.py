@@ -15,15 +15,16 @@ serves all three evaluations (the full grid, every slot x new cell in exact
 mode, and slots picked by their frozen ratios): it takes a (slots x cells)
 block of success probabilities, computed by ``success_at`` at the cells read,
 and returns each cell's hits.  Its rounds run in place on two uint64 lanes,
-(x0, x2) and (x1, x3), in one block of six buffers sized per call for a pass
-and reused; the fixed parts of counter (j + 1, cell, 0, 0) fold the first 3
-rounds.  A draw u = d * 2**-53 is below p exactly when d < ceil(p * 2**53), so
-hits are counted on the words as they leave the rounds.  Only cells whose
-outcome is uncertain draw: a cell at exactly 0 or 1 is known, and each cell's
-stream depends only on (seed, tag, cell).  A report keeps only the per-cell
-success counts and k; rates and rollout totals are derived.  Its rates CSV is
-one join of the header and, per cell, a label from the grid's label column
-and one of the at most k + 1 suffixes ",n,k,rate", each formatted once.
+(x0, x2) and (x1, x3), in the call's one allocation: a block of six buffers
+sized for a pass and reused, whose failure names ``flywheel.k``.  Counter
+(j + 1, cell, 0, 0)'s fixed parts fold the first 3 rounds.  A draw d * 2**-53
+is below p exactly when d < ceil(p * 2**53), so hits are counted on the words
+as they leave the rounds.  Only cells whose outcome is uncertain draw: a cell
+at exactly 0 or 1 is known, and each cell's stream depends only on (seed, tag,
+cell).  A report keeps only the per-cell success counts and k; rates and
+rollout totals are derived.  Its rates CSV is one join of the header and, per
+cell, a label from the grid's label column and one of the at most k + 1
+suffixes ",n,k,rate", each formatted once.
 """
 
 from __future__ import annotations
@@ -92,21 +93,21 @@ def _mulhilo(x: np.ndarray, lane: int | slice, t: list[np.ndarray]) -> np.ndarra
     return hi
 
 
-def _philox_words(seed: int, tag: int, index: np.ndarray, draws: int):
+def _philox_words(seed: int, tag: int, index: np.ndarray, draws: int, block: np.ndarray):
     """Yield (start, stop, a, b) per pass over up to _CHUNK_CELLS cells of ``index``.
 
     Cell i's stream is numpy's ``Philox(key=[seed, tag], counter=[0, i, 0, 0])``:
     block j is Philox4x64-10 of counter (j + 1, i, 0, 0) under key (seed, tag),
     words x0, x1, x2, x3.  The lanes a = (x0, x2) and b = (x1, x3) are
-    (2, blocks, stop - start) views of two of six buffers, cut from one block
-    that every pass reuses, holding draws w >> 11: draw 4j + w of row r is
-    (a[0], b[0], a[1], b[1])[w][j, r].
+    (2, blocks, stop - start) views of two of the six buffers of ``block``, a
+    uint64 (6, 2, >= blocks * pass cells) array that every pass reuses, holding
+    draws w >> 11: draw 4j + w of row r is (a[0], b[0], a[1], b[1])[w][j, r].
     The words past ``draws`` in the last block read _NEVER.
     """
     if not len(index):
         return
     blocks = -(-draws // 4)
-    a, b, *t = np.empty((6, 2, blocks * min(len(index), _CHUNK_CELLS)), dtype=_U64)  # one block
+    a, b, *t = block
     keys = np.array([[seed & _MASK64], [tag & _MASK64]], dtype=_U64) + _PHILOX_ROUNDS * _PHILOX_BUMP
     # Counter (j + 1, i, 0, 0) folds: round 0 gives (i ^ k0, 0, f(j), g(j)),
     # round 1 multiplies x0 per cell and x2 per block, round 2 x2 alone.
@@ -159,26 +160,25 @@ def _rollout_hits(
     first draw from their cumulative sum.  A draw d rolls a success when
     d < ceil(p * 2**53), so a cell whose slots all have p >= 1 gets k
     successes, one with no p > 0 gets 0, and only the others draw, a pass of
-    cells at a time, so no array of every draw exists.  Raises
-    InputMemoryError naming ``flywheel.k`` when numpy cannot size or
-    allocate the draws (k per cell, 2k with slot picks) for every cell,
-    drawn or not, so whether a k fits does not depend on the dataset.
+    cells at a time, so no array of every draw exists.  The call allocates
+    one block for a pass's draws (k per cell, 2k with slot picks), sized by
+    the grid's cells, drawn or not, so whether a k fits does not depend on
+    the dataset; InputMemoryError names ``flywheel.k`` when it does not fit.
     """
     if k < 1:
         raise ValueError(f"k: must be >= 1, got {k}")
-    cells = slot_probs.shape[1]
-    draws = k if ratios is None else 2 * k
+    cells, draws = slot_probs.shape[1], k if ratios is None else 2 * k
     try:
-        np.empty((cells, draws))
+        block = np.empty((6, 2, -(-draws // 4) * min(cells, _CHUNK_CELLS)), dtype=_U64)
     except (MemoryError, ValueError) as exc:  # ValueError: past what numpy can size
-        detail = f"{cells} cells x {draws} draws do not fit in memory"
+        detail = f"one pass block of {draws} draws per cell does not fit in memory"
         raise InputMemoryError(f"flywheel.k: {detail}") from exc
     ones = np.all(slot_probs >= 1.0, axis=0)
     hits = np.where(ones, k, 0)
     index = np.flatnonzero(~ones & np.any(slot_probs > 0.0, axis=0))
     if ratios is not None:  # the last bound, 1, is above every draw
         bounds = _thresholds(np.cumsum(np.asarray(ratios, dtype=float))[:-1])
-    for start, stop, a, b in _philox_words(seed, tag, index, draws):
+    for start, stop, a, b in _philox_words(seed, tag, index, draws, block):
         at = index[start:stop]
         if ratios is None:
             limit = _thresholds(slot_probs[0, at])

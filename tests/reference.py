@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from facil.oracle import _philox_words
+from facil.oracle import _CHUNK_CELLS, _philox_words
 from facil.spaces import Composition
 
 
@@ -35,7 +35,8 @@ def _cell_uniforms(seed: int, tag: int, index: np.ndarray, draws: int) -> np.nda
     Each draw d of ``_philox_words`` as d * 2**-53, the way ``Generator.random`` reads a word.
     """
     out = np.empty((len(index), draws))
-    for start, stop, a, b in _philox_words(seed, tag, index, draws):
+    block = np.empty((6, 2, -(-draws // 4) * min(len(index), _CHUNK_CELLS)), dtype=np.uint64)
+    for start, stop, a, b in _philox_words(seed, tag, index, draws, block):
         words = np.stack((a[0], b[0], a[1], b[1]), axis=-1).transpose(1, 0, 2)
         out[start:stop] = words.reshape(stop - start, -1)[:, :draws] * 2.0**-53
     return out

@@ -76,6 +76,13 @@ def test_synthetic_power_law_recovered_exactly():
     assert fit.r_squared >= 1.0 - 1e-12
 
 
+def test_a_fit_off_the_power_law_reports_its_r_squared():
+    """Three points not on one power law give r2 below 1, pinned by value; success 0 is a point."""
+    fit = fit_power_law([(10, 0.0), (100, 0.5), (1000, 0.8)])
+    assert fit.n_points == 3
+    assert abs(fit.r_squared - 0.9936331438032057) < 1e-12
+
+
 def test_fit_invariant_under_axis_rescaling():
     rng = np.random.default_rng(17)
     success = np.clip(1.0 - 1.5 * np.array([200, 400, 800, 1600]) ** -0.3

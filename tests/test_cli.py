@@ -323,6 +323,12 @@ def test_fit_rejects_non_finite_or_missing_values(tmp_path, monkeypatch, capsys,
             '{"check": {"train": [[0, 0], [1, 1]], "demos_per_composition": 9223372036854775807}}',
             "check.demos_per_composition",
         ),
+        # Two cells at 2**62 demos each make exactly 2**63: the first total past int64.
+        (
+            "check-comp",
+            '{"check": {"train": [[0, 0], [1, 1]], "demos_per_composition": 4611686018427387904}}',
+            "check.demos_per_composition",
+        ),
         ("check-comp", '{"check": {"train": [[0, 0], [9, 0]]}}', "check.train[1]"),
         ("check-comp", '{"check": {"train": [[0, 0], [1, 1], [0, 0, 0]]}}', "check.train[2]"),
         (
@@ -431,6 +437,36 @@ def test_grid_the_host_cannot_allocate_exits_two_naming_the_field(tmp_path, comm
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error: {field}: does not fit in memory (")
     assert "Traceback" not in proc.stderr
+
+
+# The limit is the child's address space after import plus 160 MiB.  The 32**4
+# compare at k = 20 fits in about 100 MiB more; an array of every cell's draws
+# (160 MiB at k = 20), sized to check k, would not fit beside it.
+LIMITED_BY_VMSIZE = """
+import resource, sys
+from facil.cli import main
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:")) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (size + 160 * 2**20, size + 160 * 2**20))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_k_whose_pass_block_fits_is_not_refused_under_an_address_space_limit(tmp_path):
+    """The flywheel.k check sizes one pass block, not every cell's draws, and changes no byte."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS") or not Path("/proc/self/status").is_file():
+        pytest.skip("no address-space limit or /proc/self/status on this platform")
+    doc = {"space": inline_dims(0, 4, 32), "seed": 7, "flywheel": {"k": 20}}
+    limited = write_config(tmp_path, {**doc, "out": str(tmp_path / "limited")}, "limited.json")
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    argv = [sys.executable, "-c", LIMITED_BY_VMSIZE, "compare", "--config", limited]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["compare", "--config", write_config(tmp_path, {**doc, "out": str(tmp_path / "free")})]) == 0
+    name = "comparison.csv"
+    assert (tmp_path / "limited" / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
 
 
 def test_undecodable_config_file_exits_two(tmp_path, capsys):
@@ -683,6 +719,16 @@ def test_compare_runs_only_the_configured_strategies(tmp_path, monkeypatch):
     kept = [lines[0]] + [line for line in lines[1:] if line.startswith("gaussian,")]
     assert len(kept) == 1 + 2
     assert (tmp_path / "gaussian" / "comparison.csv").read_text().splitlines() == kept
+
+
+def test_compare_at_a_budget_of_zero_gives_every_strategy_success_zero(tmp_path):
+    """A budget of 0 is valid: no demos, so no rollout succeeds, whatever the strategy."""
+    doc = {"space": "pnp_object", "seed": 7, "budgets": [0, 500], "out": str(tmp_path / "out")}
+    assert main(["compare", "--config", write_config(tmp_path, doc)]) == 0
+    lines = (tmp_path / "out" / "comparison.csv").read_text().splitlines()
+    zero = [line for line in lines[1:] if line.split(",")[2] == "0"]
+    assert zero == [f"{s},O,0,0.0" for s in ("facil_ratio", "factors_mixture", "gaussian")]
+    assert len(lines) == 1 + 3 * 2
 
 
 def test_history_files_label_each_grid_and_dataset_once(tmp_path, monkeypatch):

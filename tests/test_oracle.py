@@ -122,9 +122,11 @@ def test_check_space_rejects_mismatches():
     space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1"])])
     p = plain_params(space)
     p.check_space(space)
-    bad = plain_params(space, blacklist=frozenset({((0, 0), (1, 5))}))
-    with pytest.raises(ValueError, match="invalid for shape"):
-        bad.check_space(space)
+    for pair in (((0, 0), (1, 5)), ((0, 2), (1, 0))):  # a level equal to its axis's size is past it
+        bad = plain_params(space, blacklist=frozenset({pair}))
+        with pytest.raises(ValueError, match="invalid for shape"):
+            bad.check_space(space)
+        assert bad.params_for(space).blacklist == frozenset()
 
 
 def test_params_json_round_trip():
@@ -628,9 +630,9 @@ def test_skipped_cells_leave_every_success_count_unchanged():
 
         rows = []
 
-        def counting(seed, tag, index, draws):
+        def counting(seed, tag, index, draws, block):
             rows.append(len(index))
-            return _philox_words(seed, tag, index, draws)
+            return _philox_words(seed, tag, index, draws, block)
 
         with mock.patch("facil.oracle._philox_words", counting):
             got = simulate_evaluation(params, d, world, k, tag).successes
@@ -696,8 +698,9 @@ def test_integer_thresholds_give_the_float_compares_hits(k):
 def test_one_evaluation_holds_no_array_of_every_draw():
     """One rollout call on 2**18 uncertain cells at k = 5 peaks below 56 B per cell.
 
-    The untouched flywheel.k size check is 40 B per cell.  A kernel that held
-    every float draw and its compare peaked at 78 B per cell.
+    It peaks near 36 B per cell: the per-cell masks and hits, the index and
+    its uint64 counters, and one pass block of 3 B per cell.  A kernel that
+    held every float draw and its compare peaked at 78 B per cell.
     """
     cells = 2**18
     probs = np.linspace(0.01, 0.99, cells)[None]
@@ -708,6 +711,24 @@ def test_one_evaluation_holds_no_array_of_every_draw():
     finally:
         tracemalloc.stop()
     assert peak / cells < 56
+
+
+def test_an_evaluation_that_draws_nothing_allocates_one_pass_block():
+    """On 2**20 cells at p = 1 a rollout call peaks under 2x its hits' bytes.
+
+    The call's one allocation besides its per-cell masks and hits is a pass
+    block of 0.75 MiB, which also checks that k fits; an unused array of
+    every draw, sized to check k, would add 40 B per cell at k = 5.
+    """
+    probs = np.ones((1, 2**20))
+    tracemalloc.start()
+    try:
+        hits = _rollout_hits(probs, 5, 7, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(hits == 5)
+    assert peak < 2 * hits.nbytes, f"peak {peak / hits.nbytes:.2f}x the hits' bytes"
 
 
 @pytest.mark.parametrize("k", [10**16, 10**18])
